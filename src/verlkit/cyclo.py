@@ -677,6 +677,18 @@ def sin_frac(num: int, den: int) -> CycNumber:
     return (zeta(n, k) - zeta(n, -k % n)) * zeta(4, 3) / 2
 
 
+def _mat_mul(A, B):
+    """Product of two matrices of CycNumbers, given as row sequences."""
+    n, m, p = len(A), len(B), len(B[0])
+    return tuple(
+        tuple(
+            sum((A[i][t] * B[t][j] for t in range(1, m)), A[i][0] * B[0][j])
+            for j in range(p)
+        )
+        for i in range(n)
+    )
+
+
 # -- spec operation wrappers -----------------------------------------------------
 
 

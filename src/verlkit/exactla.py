@@ -10,8 +10,6 @@ computation reports its answers in.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 class IntMatrix:
     """An immutable integer matrix stored row-major.

@@ -10,7 +10,7 @@ checked exactly at construction time.
 from fractions import Fraction
 from math import gcd
 
-from .cyclo import CycNumber, DivisionByZero, rational, sin_frac, sqrt_int, zeta
+from .cyclo import DivisionByZero, _mat_mul, rational, sin_frac, sqrt_int, zeta
 from .exactla import FGAbelianGroup, IntMatrix, cokernel
 
 __all__ = [
@@ -53,21 +53,6 @@ class SingularLevel(Exception):
 
 _ONE = rational(1)
 _ZERO = rational(0)
-
-
-def _matmul(A, B):
-    m = len(A)
-    out = []
-    for i in range(m):
-        row_i = A[i]
-        row = []
-        for j in range(m):
-            acc = row_i[0] * B[0][j]
-            for t in range(1, m):
-                acc = acc + row_i[t] * B[t][j]
-            row.append(acc)
-        out.append(row)
-    return out
 
 
 def _as_permutation(Q):
@@ -118,18 +103,18 @@ class ModularData:
         is_real = all(e.conjugate() == e for row in S for e in row)
         if is_real:
             # real symmetric: unitarity forces S^2 = 1, one product does both
-            Q = _matmul(S, S)
+            Q = _mat_mul(S, S)
             perm = _as_permutation(Q)
             if perm != tuple(range(m)):
                 raise ModularCheckFailure("real S must square to the identity")
         else:
             Sc = [[e.conjugate() for e in row] for row in S]
-            P = _matmul(S, Sc)
+            P = _mat_mul(S, Sc)
             for i in range(m):
                 for j in range(m):
                     if P[i][j] != (_ONE if i == j else _ZERO):
                         raise ModularCheckFailure("S is not unitary")
-            Q = _matmul(S, S)
+            Q = _mat_mul(S, S)
             perm = _as_permutation(Q)
             if perm is None:
                 raise ModularCheckFailure("S^2 is not a permutation")
@@ -142,7 +127,7 @@ class ModularData:
             [T[i].conjugate() * S[i][j].conjugate() for j in range(m)]
             for i in range(m)
         ]
-        rhs = _matmul(S, X)
+        rhs = _mat_mul(S, X)
         for i in range(m):
             for j in range(m):
                 if lhs[i][j] != rhs[i][j]:

@@ -31,7 +31,7 @@ import mpmath
 
 from .cyclo import CycNumber, cos_frac, rational, real_embed, zeta
 from .exactla import IntMatrix, kernel_basis
-from .fusion import su2_fusion_truncated, su2_modular_data
+from .fusion import _cyclic_orders, _tuples, su2_fusion_truncated, su2_modular_data
 
 __all__ = [
     "InvariantCheckFailed",
@@ -795,24 +795,6 @@ def central_charge_check(
     return lhs == rhs
 
 
-def _group_orders(G):
-    if isinstance(G, int):
-        if G < 1:
-            raise ValueError("cyclic order must be positive")
-        return (G,)
-    orders = tuple(int(v) for v in G)
-    if not orders or any(v < 1 for v in orders):
-        raise ValueError("orders must be positive")
-    return orders
-
-
-def _elements(orders):
-    out = [()]
-    for mi in orders:
-        out = [t + (v,) for t in out for v in range(mi)]
-    return out
-
-
 def _coerce_elt(x, orders):
     if isinstance(x, int):
         if len(orders) != 1:
@@ -860,8 +842,8 @@ def alpha_induction_abelian(G, H) -> dict:
     the quotient double gives the same matrix as b^t b, which is left
     to the caller to verify.
     """
-    orders = _group_orders(G)
-    elements = _elements(orders)
+    orders = _cyclic_orders(G)
+    elements = _tuples(orders)
     zero = tuple(0 for _ in orders)
     pairs = {( _coerce_elt(a, orders), _coerce_elt(b, orders)) for a, b in H}
     for g in elements:
@@ -936,8 +918,8 @@ def overgroups_of_diagonal(G):
     There is exactly one for each subgroup N of G, namely the pairs
     whose difference lies in N.  Returned sorted by size.
     """
-    orders = _group_orders(G)
-    elements = _elements(orders)
+    orders = _cyclic_orders(G)
+    elements = _tuples(orders)
     zero = zero_of(orders)
     subgroups = {frozenset({zero})}
     frontier = [frozenset({zero})]

@@ -1,11 +1,13 @@
 """Finite subgroups of SU(2) and their representation machinery.
 
-Groups are lists of explicit unit quaternions closed under multiplication.
-Irreducible representations are hardcoded generator matrices over small
-cyclotomic fields, extended to the whole group by breadth-first products;
-any inconsistency on a revisited element means the matrices do not define a
-homomorphism and construction aborts.  Character tables are self-verified
-against the orthogonality relations (OrthogonalityFailure otherwise).
+Groups are lists of explicit unit quaternions closed under multiplication,
+with their Cayley graph (right multiplication by each generator) computed
+once.  Multiplication tables, irreducible representations (hardcoded
+generator matrices over small cyclotomic fields) and embeddings are values
+assigned along a walk of that graph; a failed check on any edge means the
+generator images do not define a homomorphism and construction aborts.
+Character tables are self-verified against the orthogonality relations
+(OrthogonalityFailure otherwise).
 
 Infinite groups appear symbolically: the circle ring Z[a^(+-1)], the O(2)
 ring Span{1, delta, kappa_1, ...}, and the SU(2) ring Z[sigma].  Dirac
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclo import CycNumber, rational, sqrt_int, zeta
+from .cyclo import CycNumber, _mat_mul, cos_frac, rational, sin_frac, sqrt_int, zeta
 from .exactla import IntMatrix
 
 __all__ = [
@@ -164,16 +166,19 @@ _Q_J = _quat(0, 0, 1, 0)
 _Q_K = _quat(0, 0, 0, 1)
 
 
-def _closure(gens, expected_order=None):
-    """All products of the generators, in breadth-first discovery order."""
-    elems = [_Q_ONE]
-    index = {_Q_ONE: 0}
-    frontier = [_Q_ONE]
+def _closure(gens, expected_order=None, one=_Q_ONE, mul=Quaternion.__mul__):
+    """All products of the generators, in breadth-first discovery order.
+
+    Quaternions by default; element indices of a group with one=0, mul=G.mul.
+    """
+    elems = [one]
+    index = {one: 0}
+    frontier = [one]
     while frontier:
         nxt = []
         for e in frontier:
             for g in gens:
-                p = e * g
+                p = mul(e, g)
                 if p not in index:
                     index[p] = len(elems)
                     elems.append(p)
@@ -188,22 +193,38 @@ def _closure(gens, expected_order=None):
     return elems, index
 
 
+def _walk(right, start, step):
+    """Values on all elements from `start` at the identity, or None.
+
+    `right[a][k]` is the index of a*g_k.  Breadth-first from index 0, the
+    walk sets val(a*g_k) = step(val(a), k) on first arrival and returns None
+    if that equation fails on any other edge.  When step(x, k) = x*phi_k and
+    `start` is the identity, passing every edge makes val a homomorphism:
+    for b = g_k1...g_kn, induction on n along edges gives
+    val(a*b) = val(a)*phi_k1...phi_kn, and a = 1 shows that product is
+    val(b).  So no second multiplicativity sweep is needed.
+    """
+    vals = [None] * len(right)
+    vals[0] = start
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            va = vals[a]
+            for k, b in enumerate(right[a]):
+                v = step(va, k)
+                if vals[b] is None:
+                    vals[b] = v
+                    nxt.append(b)
+                elif vals[b] != v:
+                    return None
+        frontier = nxt
+    if any(v is None for v in vals):
+        raise ValueError("generators do not generate the group")
+    return vals
+
+
 # -- matrix helpers over CycNumber ------------------------------------------------
-
-
-def _mat_mul(A, B):
-    n, m, p = len(A), len(B), len(B[0])
-    return tuple(
-        tuple(
-            sum((A[i][t] * B[t][j] for t in range(1, m)), A[i][0] * B[0][j])
-            for j in range(p)
-        )
-        for i in range(n)
-    )
-
-
-def _mat_eq(A, B):
-    return all(a == b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
 
 
 def _mat_trace(A):
@@ -248,45 +269,17 @@ class Irrep:
         return [_mat_trace(M) for M in self.matrices]
 
 
-def _extend_irrep(group, gen_indices, gen_mats, label):
-    """Extend generator matrices to the whole group along BFS words.
-
-    Asserts consistency whenever an element is reached twice; this is the
-    homomorphism well-definedness check.
-    """
-    elems, index = group.elements, group.index
+def _extend_irrep(group, gen_mats, label):
+    """Extend generator matrices to the whole group along its Cayley graph."""
     dim = len(gen_mats[0])
     eye = _as_mat(
         [[1 if r == c else 0 for c in range(dim)] for r in range(dim)]
     )
-    mats = [None] * len(elems)
-    mats[0] = eye
-    frontier = [0]
-    seen = 1
-    while frontier:
-        nxt = []
-        for ei in frontier:
-            for gi, gm in zip(gen_indices, gen_mats):
-                p = elems[ei] * elems[gi]
-                pi = index[p]
-                candidate = _mat_mul(mats[ei], gm)
-                if mats[pi] is None:
-                    mats[pi] = candidate
-                    nxt.append(pi)
-                    seen += 1
-                elif not _mat_eq(mats[pi], candidate):
-                    raise AssertionError(
-                        "generator matrices for %r are not a homomorphism" % label
-                    )
-        frontier = nxt
-    if seen != len(elems):
-        raise AssertionError("generators do not generate the group")
-    # full multiplicativity check, not just along BFS words
-    for a in range(len(elems)):
-        for b in gen_indices:
-            pi = index[elems[a] * elems[b]]
-            if not _mat_eq(mats[pi], _mat_mul(mats[a], mats[b])):
-                raise AssertionError("homomorphism check failed for %r" % label)
+    mats = _walk(group._right, eye, lambda M, k: _mat_mul(M, gen_mats[k]))
+    if mats is None:
+        raise AssertionError(
+            "generator matrices for %r are not a homomorphism" % label
+        )
     return Irrep(label, dim, tuple(mats))
 
 
@@ -306,38 +299,24 @@ class QuaternionGroup:
         self._gradings = None
         self._mtab = None
         self._inverse = [index[e.inverse()] for e in elements]
+        # the Cayley graph: _right[a][k] is the index of a * generators[k]
+        self._right = [[index[e * g] for g in generators] for e in elements]
 
     def __repr__(self):
         return "QuaternionGroup(%s, order %d)" % (self.name, self.order)
 
     def _mul_table(self):
-        # left-multiplication rows compose as permutations, so only the
-        # generator rows need quaternion arithmetic
+        # column b lists a*b for every a; a*(b*g_k) is one Cayley-graph step
+        # from a*b, so each column follows from its predecessor's
         if self._mtab is None:
-            n = self.order
-            gidx = [self.index[g] for g in self.generators]
-            grows = [
-                [self.index[g * e] for e in self.elements]
-                for g in self.generators
-            ]
-            tab = [None] * n
-            tab[0] = list(range(n))
-            frontier = [0]
-            while frontier:
-                nxt = []
-                for e in frontier:
-                    pe = tab[e]
-                    for gi, pg in zip(gidx, grows):
-                        ni = pe[gi]
-                        if tab[ni] is None:
-                            tab[ni] = [pe[c] for c in pg]
-                            nxt.append(ni)
-                frontier = nxt
-            self._mtab = tab
+            right = self._right
+            self._mtab = _walk(
+                right, list(range(self.order)), lambda c, k: [right[x][k] for x in c]
+            )
         return self._mtab
 
     def mul(self, a: int, b: int) -> int:
-        return self._mul_table()[a][b]
+        return self._mul_table()[b][a]
 
     def inv(self, a: int) -> int:
         return self._inverse[a]
@@ -366,11 +345,10 @@ class QuaternionGroup:
                 raise NotImplementedError(
                     "%s carries no irrep tables (grading queries only)" % self.name
                 )
-            built = []
-            for label, gen_mats in self._irrep_specs:
-                gi = [self.index[g] for g in self.generators]
-                built.append(_extend_irrep(self, gi, _as_mat_list(gen_mats), label))
-            self._irreps = built
+            self._irreps = [
+                _extend_irrep(self, [_as_mat(m) for m in gen_mats], label)
+                for label, gen_mats in self._irrep_specs
+            ]
         return self._irreps
 
     def irrep_labels(self):
@@ -381,10 +359,6 @@ class QuaternionGroup:
         return [
             self.elements[cls[0]].trace() for cls in self.conjugacy_classes()
         ]
-
-
-def _as_mat_list(mats):
-    return [_as_mat(m) for m in mats]
 
 
 class CharacterTable:
@@ -653,7 +627,7 @@ def _e7_specs():
     w = zeta(3)
     i = zeta(4)
     h = _HALF
-    s8 = (zeta(8) - zeta(8, 3)) * _HALF  # 1/sqrt(2)
+    s8 = sqrt_int(2) * _HALF  # 1/sqrt(2)
     g_su2 = [
         [h + h * i, h + h * i],
         [-h + h * i, h - h * i],
@@ -725,7 +699,7 @@ def _build_group(name: str) -> QuaternionGroup:
 
 
 def _build_cyclic(name: str, m: int) -> QuaternionGroup:
-    g = _quat(cosz(1, m), sinz(1, m), 0, 0)
+    g = _quat(cos_frac(1, m), sin_frac(1, m), 0, 0)
     elems, index = _closure([g], expected_order=m)
     specs = _cyclic_specs(m)
     group = QuaternionGroup(name, elems, index, specs, [g])
@@ -734,23 +708,13 @@ def _build_cyclic(name: str, m: int) -> QuaternionGroup:
     return group
 
 
-def cosz(num: int, den: int) -> CycNumber:
-    """cos(2*pi*num/den) as a cyclotomic number."""
-    return (zeta(den, num) + zeta(den, -num % den)) * _HALF
-
-
-def sinz(num: int, den: int) -> CycNumber:
-    """sin(2*pi*num/den) as a cyclotomic number."""
-    return (zeta(den, num) - zeta(den, -num % den)) * zeta(4, 3) * _HALF
-
-
 def _reorder_specs(specs, order):
     by_label = {lab: (lab, mats) for lab, mats in specs}
     return [by_label[lab] for lab in order]
 
 
 def _build_binary_dihedral(name: str, m: int) -> QuaternionGroup:
-    a = _quat(cosz(1, 2 * m), sinz(1, 2 * m), 0, 0)
+    a = _quat(cos_frac(1, 2 * m), sin_frac(1, 2 * m), 0, 0)
     b = _Q_J
     elems, index = _closure([a, b], expected_order=4 * m)
     specs = _binary_dihedral_specs(m)
@@ -772,7 +736,7 @@ def _build_e6() -> QuaternionGroup:
 
 def _build_e7() -> QuaternionGroup:
     g = _quat(_HALF, _HALF, _HALF, _HALF)
-    s8 = (zeta(8) - zeta(8, 3)) * _HALF
+    s8 = sqrt_int(2) * _HALF
     s = Quaternion(s8, s8, _ZERO, _ZERO)
     elems, index = _closure([_Q_I, g, s], expected_order=48)
     return QuaternionGroup("E7", elems, index, _e7_specs(), [_Q_I, g, s])
@@ -814,39 +778,14 @@ class Embedding:
 
 
 def _embedding_from_generators(sub, sup, gen_images):
-    """Extend generator images along BFS words; verify hom + injectivity."""
-    imgs = [None] * sub.order
-    imgs[0] = 0
-    gen_idx = [sub.index[g] for g in sub.generators]
+    """Extend generator images along sub's Cayley graph; verify injectivity."""
     img_idx = [sup.index[q] for q in gen_images]
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for gi, ii in zip(gen_idx, img_idx):
-                p = sub.mul(e, gi)
-                cand = sup.mul(imgs[e], ii)
-                if imgs[p] is None:
-                    imgs[p] = cand
-                    nxt.append(p)
-                elif imgs[p] != cand:
-                    raise NotASubgroup(
-                        "generator images do not define a homomorphism"
-                    )
-        frontier = nxt
-    if any(v is None for v in imgs):
-        raise NotASubgroup("generators do not generate the subgroup")
-    for a in range(sub.order):
-        for b in range(sub.order):
-            if imgs[sub.mul(a, b)] != sup.mul(imgs[a], imgs[b]):
-                raise NotASubgroup("multiplicativity check failed")
+    imgs = _walk(sub._right, 0, lambda x, k: sup.mul(x, img_idx[k]))
+    if imgs is None:
+        raise NotASubgroup("generator images do not define a homomorphism")
     if len(set(imgs)) != sub.order:
         raise NotASubgroup("generator images are not injective")
     return Embedding(sub, sup, tuple(imgs))
-
-
-def _sqrt2_half():
-    return (zeta(8) - zeta(8, 3)) * _HALF
 
 
 def _canonical_generator_images(sub_name, sup_name):
@@ -859,7 +798,7 @@ def _canonical_generator_images(sub_name, sup_name):
         return [_Q_I]
     if sub_name == "A5":
         if sup_name == "D5":
-            return [_quat(cosz(1, 6), sinz(1, 6), 0, 0)]
+            return [_quat(cos_frac(1, 6), sin_frac(1, 6), 0, 0)]
         if sup_name in ("E6", "E7"):
             return [g6]
         return None
@@ -869,7 +808,7 @@ def _canonical_generator_images(sub_name, sup_name):
         return None
     if sub_name == "D5":
         if sup_name == "E7":
-            s = _sqrt2_half()
+            s = sqrt_int(2) * _HALF
             return [g6, Quaternion(_ZERO, _ZERO, s, -s)]
         return None
     if sub_name == "E6":
@@ -995,22 +934,6 @@ class Grading:
         )
 
 
-def _subgroup_closure(G: QuaternionGroup, seed):
-    have = set(seed)
-    have.add(0)
-    frontier = list(have)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in list(have):
-                for p in (G.mul(a, b), G.mul(b, a)):
-                    if p not in have:
-                        have.add(p)
-                        nxt.append(p)
-        frontier = nxt
-    return have
-
-
 def gradings(G: QuaternionGroup):
     """All homomorphisms G -> {+1,-1} with kernel of index exactly 2."""
     if G._gradings is not None:
@@ -1019,7 +942,7 @@ def gradings(G: QuaternionGroup):
     # G/<squares> is elementary abelian 2-torsion, hence already abelian,
     # so the squares alone generate the intersection of all index-2 kernels
     seed = {G.mul(a, a) for a in range(n)}
-    N = _subgroup_closure(G, seed)
+    N = _closure(sorted(seed), one=0, mul=G.mul)[0]
     if len(N) == n:
         G._gradings = []
         return []
@@ -1131,16 +1054,13 @@ def _kernel_group(G: QuaternionGroup, grading: Grading) -> QuaternionGroup:
             return K
     # cyclic kernels: take a maximal-order generator
     m = len(elems)
-    for e in elems:
-        order = 1
-        p = e
-        while p != _Q_ONE:
-            p = p * e
-            order += 1
-        if order == m:
-            closure, index = _closure([e], expected_order=m)
+    for a in sorted(grading.kernel):
+        powers = _closure([a], one=0, mul=G.mul)[0]
+        if len(powers) == m:
+            closure = [G.elements[p] for p in powers]
+            index = {q: i for i, q in enumerate(closure)}
             return QuaternionGroup(
-                "C%d" % m, closure, index, _cyclic_specs(m), [e]
+                "C%d" % m, closure, index, _cyclic_specs(m), [G.elements[a]]
             )
     raise NotImplementedError(
         "kernel of order %d is neither cyclic nor a supported group" % m
@@ -1283,9 +1203,7 @@ def _affine_candidates(n: int):
     if n >= 5:
         # affine D_(n-1): a path with two leaves at each end
         d = [[0] * n for _ in range(n)]
-        path = list(range(4, n))
-        chain = [0, 1] + path + [2, 3]
-        # nodes 0,1 attach to path[0]; nodes 2,3 attach to path[-1]
+        # nodes 0,1 attach to inner[0]; nodes 2,3 attach to inner[-1]
         inner = list(range(4, n))
         for a, b in zip(inner, inner[1:]):
             d[a][b] = d[b][a] = 1

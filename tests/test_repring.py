@@ -25,11 +25,13 @@ Hand derivations frozen as expectations:
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from verlkit import repring
 from verlkit.repring import (
     GroupMismatch,
     InvalidEmbedding,
     NoGradingExists,
     NotASubgroup,
+    QuaternionGroup,
     character_table,
     classify_graded,
     dirac_induce_T_to_SU2,
@@ -207,6 +209,26 @@ def test_embedding_rejects_non_subgroups():
         embedding("D4", "D5")
     with pytest.raises(NotASubgroup):
         embedding("E7", "E6")
+
+
+def test_irrep_generators_must_define_a_homomorphism():
+    # i -> 1, g -> -1 is no character of E6: its abelianization is Z_3
+    E6 = quaternion_group("E6")
+    bad = QuaternionGroup(
+        "E6", E6.elements, E6.index, [("bad", [[[1]], [[-1]]])], E6.generators
+    )
+    with pytest.raises(AssertionError, match="not a homomorphism"):
+        bad.irreps()
+
+
+def test_embedding_generator_images_must_define_a_homomorphism():
+    # i has order 4 in A3 but g6^2 has order 3 in E6; the canonical table
+    # never pairs them, so call the generator extension directly
+    g6 = quaternion_group("E6").generators[1]
+    with pytest.raises(NotASubgroup, match="homomorphism"):
+        repring._embedding_from_generators(
+            quaternion_group("A3"), quaternion_group("E6"), [g6 * g6]
+        )
 
 
 def test_mckay_graphs_are_affine_diagrams():
