@@ -11,7 +11,10 @@ cross-order equality lifts both sides to the lcm order first.
 Multiplication packs coefficient vectors into single big integers (one
 machine multiply replaces the whole convolution) and reduces with packed
 rows of the power table; a naive convolution is kept as `_mul_reference`
-for cross-checking in the test suite.
+for cross-checking in the test suite.  Inversion and descent to a smaller
+order are integer-only as well: each solves its linear system by the one
+fraction-free Bareiss elimination, `exactla._bareiss`, and the descent
+projector is cached as an integer matrix over a common denominator.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ from fractions import Fraction
 from math import gcd
 
 import mpmath
+
+from .exactla import _bareiss
 
 __all__ = [
     "CycNumber",
@@ -194,91 +199,40 @@ def _mul_reference(a, b, cond: _CondData):
     return _reduce_int_vec(conv, cond)
 
 
-def _solve_fraction_system(mat, rhs):
-    """Solve mat * x = rhs exactly over Q; mat is a list of rows.
-
-    Returns the solution list, or None when the system is inconsistent.
-    Free variables (if any) are set to 0.
-    """
-    m = [list(map(Fraction, row)) + [Fraction(v)] for row, v in zip(mat, rhs)]
-    rows, cols = len(m), (len(m[0]) - 1 if m else 0)
-    piv_cols = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if m[i][cols]:
-            return None
-    x = [Fraction(0)] * cols
-    for i, c in enumerate(piv_cols):
-        x[c] = m[i][cols]
-    return x
-
-
-# (N, d) -> (basis columns, projector) for descending Q(zeta_N) -> Q(zeta_d)
+# (N, d) -> (B^T, det G, det G * P) for descending Q(zeta_N) -> Q(zeta_d)
 _DESCENT: dict = {}
 
 
 def _descend_data(n: int, d: int):
-    """Embedding matrix B of Q(zeta_d)'s power basis into Q(zeta_N)'s, plus
-    the projector P = (B^T B)^(-1) B^T.  A vector v lies in the subfield
-    iff B(Pv) = v, and Pv are then its subfield coordinates."""
+    """Embedding matrix B of Q(zeta_d)'s power basis into Q(zeta_N)'s, as
+    the rows of B^T, plus the projector P = G^-1 B^T (G = B^T B, the Gram
+    matrix) as the integer columns of det(G) * P.  A vector v lies in the
+    subfield iff B(Pv) = v, and Pv are then its subfield coordinates."""
     key = (n, d)
     try:
         return _DESCENT[key]
     except KeyError:
         cn, cd = _cond(n), _cond(d)
         step = n // d
-        cols = [cn.rows[(i * step) % n] for i in range(cd.phi)]
-        bt = [list(c) for c in cols]  # B^T: rows indexed by subfield basis
-        gram = [
-            [sum(x * y for x, y in zip(r1, r2)) for r2 in bt] for r1 in bt
-        ]
-        k = cd.phi
-        aug = [
-            [Fraction(gram[i][j]) for j in range(k)]
-            + [Fraction(1 if j == i else 0) for j in range(k)]
-            for i in range(k)
-        ]
-        for c in range(k):
-            piv = next(i for i in range(c, k) if aug[i][c])
-            aug[c], aug[piv] = aug[piv], aug[c]
-            inv = 1 / aug[c][c]
-            aug[c] = [x * inv for x in aug[c]]
-            for i in range(k):
-                if i != c and aug[i][c]:
-                    f = aug[i][c]
-                    aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-        gram_inv = [row[k:] for row in aug]
-        proj = [
-            [sum(gram_inv[i][t] * bt[t][j] for t in range(k)) for j in range(cn.phi)]
-            for i in range(k)
-        ]
-        _DESCENT[key] = (bt, proj)
+        bt = [cn.rows[(i * step) % n] for i in range(cd.phi)]
+        gram = [[sum(x * y for x, y in zip(r1, r2)) for r2 in bt] for r1 in bt]
+        det, proj = _bareiss(gram, list(zip(*bt)))
+        _DESCENT[key] = (bt, det, proj)
         return _DESCENT[key]
 
 
 def _try_descend(n: int, d: int, vec):
-    """Coordinates of vec in Q(zeta_d), or None when it does not lie there."""
-    bt, proj = _descend_data(n, d)
-    x = [sum(p * v for p, v in zip(row, vec) if v) for row in proj]
+    """(x, det) with x / det the coordinates of vec in Q(zeta_d), or None
+    when vec does not lie there."""
+    bt, det, proj = _descend_data(n, d)
+    x = [0] * len(bt)
+    for v, col in zip(vec, proj):
+        if v:
+            x = [a + v * c for a, c in zip(x, col)]
     for j, target in enumerate(vec):
-        if sum(x[i] * bt[i][j] for i in range(len(x))) != target:
+        if sum(x[i] * bt[i][j] for i in range(len(x))) != det * target:
             return None
-    return x
+    return x, det
 
 
 class CycNumber:
@@ -430,18 +384,16 @@ class CycNumber:
             return rational(f, self.order)
         cond = _cond(self.order)
         phi = cond.phi
-        # columns: canonical vectors of self * z^j
-        cols = []
-        cur = list(self.num)
-        for j in range(phi):
-            cols.append(list(cur))
-            cur = _mul_int_vecs(cur, _basis_vec(phi, 1), cond) if phi > 1 else cur
-        mat = [[cols[j][i] for j in range(phi)] for i in range(phi)]
-        rhs = [self.den] + [0] * (phi - 1)
-        x = _solve_fraction_system(mat, rhs)
+        # columns: canonical vectors of self * z^j (times z: shift, then
+        # fold the overflow back with the monic cyclotomic polynomial)
+        cols = [list(self.num)]
+        for _ in range(phi - 1):
+            top = cols[-1][-1]
+            cols.append([a - top * c for a, c in zip([0] + cols[-1][:-1], cond.cyc_poly)])
+        det, x = _bareiss(list(zip(*cols)), [[self.den] + [0] * (phi - 1)])
         if x is None:
             raise ArithmeticError("inversion failed; not a field element?")
-        return CycNumber(self.order, x)
+        return _raw(self.order, x[0], det)
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -503,7 +455,10 @@ class CycNumber:
         return a.den == b.den and a.num == b.num
 
     def __hash__(self):
+        # rational values compare equal to ints and Fractions: hash like them
         n = self.normalized()
+        if n.order == 1:
+            return hash(Fraction(n.num[0], n.den))
         return hash((n.order, n.num, n.den))
 
     def normalized(self) -> "CycNumber":
@@ -523,9 +478,10 @@ class CycNumber:
                     d = n // p
                     if d < 1:
                         continue
-                    x = _try_descend(n, d, list(cur.num))
-                    if x is not None:
-                        cur = CycNumber(d, x, cur.den)
+                    found = _try_descend(n, d, cur.num)
+                    if found is not None:
+                        x, det = found
+                        cur = CycNumber(d, x, cur.den * det)
                         changed = True
                         break
         object.__setattr__(self, "_norm", cur)
@@ -582,12 +538,6 @@ def _raw(order: int, num_list, den: int) -> CycNumber:
     object.__setattr__(r, "den", den)
     object.__setattr__(r, "_norm", None)
     return r
-
-
-def _basis_vec(phi: int, i: int):
-    v = [0] * phi
-    v[i] = 1
-    return v
 
 
 def _prime_factors(n: int):

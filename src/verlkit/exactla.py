@@ -1,11 +1,16 @@
-"""Exact integer linear algebra: Smith normal form, kernels, cokernels.
+"""Exact linear algebra: Smith normal form over Z, Bareiss elimination over Q.
 
-Everything here works over Z with arbitrary-precision integers.  The central
+Everything here works with arbitrary-precision integers.  The central
 object is :class:`IntMatrix` (immutable, row-major); on top of it sit the
-Smith normal form with full unimodular transform tracking, kernel and
-cokernel extraction, and :class:`FGAbelianGroup`, the invariant-factor
-presentation of a finitely generated abelian group that every downstream
-computation reports its answers in.
+Smith normal form with full unimodular transform tracking and
+:class:`FGAbelianGroup`, the invariant-factor presentation of a finitely
+generated abelian group that every downstream computation reports its
+answers in.  Cokernel, kernel and integer solving are readers of one
+`smith_with_inverses` factorization, so a caller that needs several of
+them (``polyring.e6_tor``) factors its matrix once.  Square rational
+systems are solved by one fraction-free Bareiss elimination, `_bareiss`,
+which the cyclotomic inverse and descent and the characteristic
+polynomials of graph adjacencies all call.
 """
 
 from __future__ import annotations
@@ -311,17 +316,12 @@ def smith_normal_form(M: IntMatrix):
     >>> [D[i, i] for i in range(2)]
     [2, 4]
     """
-    A, U, _, V, _ = _smith_engine(M)
-    D = IntMatrix.from_rows(A) if M.rows else IntMatrix(0, M.cols, [])
-    return (
-        IntMatrix.from_rows(U) if M.rows else IntMatrix(0, 0, []),
-        D,
-        IntMatrix.from_rows(V) if M.cols else IntMatrix(0, 0, []),
-    )
+    U, _, D, V, _ = smith_with_inverses(M)
+    return U, D, V
 
 
 def smith_with_inverses(M: IntMatrix):
-    """Like :func:`smith_normal_form` but also returns U^-1 and V^-1."""
+    """Like :func:`smith_normal_form` but returns (U, U^-1, D, V, V^-1)."""
     A, U, Uinv, V, Vinv = _smith_engine(M)
     mk = lambda L, r, c: IntMatrix.from_rows(L) if r else IntMatrix(0, c, [])
     return (
@@ -331,6 +331,93 @@ def smith_with_inverses(M: IntMatrix):
         mk(V, M.cols, 0),
         mk(Vinv, M.cols, 0),
     )
+
+
+def _factor(D: IntMatrix, i: int) -> int:
+    """The i-th invariant factor of a Smith form D (0 past its diagonal)."""
+    return D[i, i] if i < min(D.rows, D.cols) else 0
+
+
+def _free_columns(snf):
+    """Indices j with zero invariant factor: V's columns there span ker M."""
+    D = snf[2]
+    return [j for j in range(D.cols) if _factor(D, j) == 0]
+
+
+def _cokernel_of(snf, labels) -> FGAbelianGroup:
+    """Cokernel of the factored matrix, generators read off U^-1's columns."""
+    _, Uinv, D, _, _ = snf
+    torsion = []
+    gen_labels = []
+    free_labels = []
+    for i in range(D.rows):
+        d = _factor(D, i)
+        if d == 1:
+            continue
+        new_gen = _format_combo(Uinv.col(i), labels)
+        if d == 0:
+            free_labels.append(new_gen)
+        else:
+            torsion.append(d)
+            gen_labels.append(new_gen)
+    return FGAbelianGroup(len(free_labels), tuple(torsion), tuple(gen_labels + free_labels))
+
+
+def _solve_with(snf, target):
+    """One integer solution x of M x = target for the factored M, or None."""
+    U, _, D, V, _ = snf
+    y = U.mul_vec(tuple(target))
+    x_d = []
+    for j in range(D.cols):
+        d = _factor(D, j)
+        t = y[j] if j < D.rows else 0
+        if d == 0:
+            if t != 0:
+                return None
+            x_d.append(0)
+        else:
+            if t % d != 0:
+                return None
+            x_d.append(t // d)
+    if any(y[D.cols :]):
+        return None
+    return V.mul_vec(tuple(x_d))
+
+
+def _bareiss(rows, rhs_columns):
+    """Fraction-free Gauss-Jordan elimination over Z (Bareiss 1968).
+
+    `rows` is a square integer matrix A given as rows, `rhs_columns` the
+    columns of an integer matrix B with as many rows.  Returns (det A, X)
+    with X = det(A) * A^-1 * B as a list of columns, integral by Cramer's
+    rule, or (0, None) when A is singular.  After step k every entry is a
+    (k+1)-minor of [A | B], so each division by the previous pivot is exact
+    and entries never outgrow Hadamard's bound.
+    """
+    n = len(rows)
+    a = [list(row) + [col[i] for col in rhs_columns] for i, row in enumerate(rows)]
+    width = n + len(rhs_columns)
+    sign, prev = 1, 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k]), None)
+        if p is None:
+            return 0, None
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            sign = -sign
+        ak = a[k]
+        piv = ak[k]
+        for i in range(n):
+            if i == k:
+                continue
+            ai = a[i]
+            f = ai[k]
+            # rows above k keep the pivot on their diagonal implicitly
+            for j in range(k + 1, width):
+                ai[j] = (piv * ai[j] - f * ak[j]) // prev
+            ai[k] = 0
+        prev = piv
+    return sign * prev, [[sign * a[i][j] for i in range(n)] for j in range(n, width)]
 
 
 def _format_combo(coeffs, labels) -> str:
@@ -465,22 +552,7 @@ def cokernel(M: IntMatrix, labels=None) -> FGAbelianGroup:
         raise ValueError("need one label per codomain generator")
     if M.cols == 0:
         return FGAbelianGroup(M.rows, (), tuple(labels))
-    _, Uinv, D, _, _ = smith_with_inverses(M)
-    diag = [D[i, i] for i in range(min(M.rows, M.cols))]
-    torsion = []
-    gen_labels = []
-    free_labels = []
-    for i in range(M.rows):
-        d = diag[i] if i < len(diag) else 0
-        if d == 1:
-            continue
-        new_gen = _format_combo(Uinv.col(i), labels)
-        if d == 0:
-            free_labels.append(new_gen)
-        else:
-            torsion.append(d)
-            gen_labels.append(new_gen)
-    return FGAbelianGroup(len(free_labels), tuple(torsion), tuple(gen_labels + free_labels))
+    return _cokernel_of(smith_with_inverses(M), labels)
 
 
 def kernel_basis(M: IntMatrix) -> IntMatrix:
@@ -489,17 +561,11 @@ def kernel_basis(M: IntMatrix) -> IntMatrix:
     >>> kernel_basis(IntMatrix.from_rows([[2, 4], [1, 2]])).col(0)
     (-2, 1)
     """
-    if M.cols == 0:
-        return IntMatrix(0, 0, [])
-    _, D, V = smith_normal_form(M)
-    free_cols = []
-    for j in range(M.cols):
-        d = D[j, j] if j < min(M.rows, M.cols) else 0
-        if d == 0:
-            free_cols.append(V.col(j))
-    if not free_cols:
+    snf = smith_with_inverses(M)
+    free = _free_columns(snf)
+    if not free:
         return IntMatrix(M.cols, 0, [])
-    return IntMatrix.from_cols(free_cols)
+    return IntMatrix.from_cols([snf[3].col(j) for j in free])
 
 
 def rank(M: IntMatrix) -> int:
@@ -534,13 +600,13 @@ def connecting_solve(beta: IntMatrix, domain_labels=None, codomain_labels=None):
         domain_labels = ["x%d" % j for j in range(beta.cols)]
     if codomain_labels is None:
         codomain_labels = ["y%d" % i for i in range(beta.rows)]
-    K = kernel_basis(beta)
+    snf = smith_with_inverses(beta)
+    V = snf[3]
     ker_labels = tuple(
-        _format_combo(K.col(j), domain_labels) for j in range(K.cols)
+        _format_combo(V.col(j), domain_labels) for j in _free_columns(snf)
     )
-    ker = FGAbelianGroup(K.cols, (), ker_labels)
-    coker = cokernel(beta, list(codomain_labels))
-    return ker, coker
+    ker = FGAbelianGroup(len(ker_labels), (), ker_labels)
+    return ker, _cokernel_of(snf, list(codomain_labels))
 
 
 def solve_int(M: IntMatrix, target) -> "tuple | None":
@@ -550,21 +616,4 @@ def solve_int(M: IntMatrix, target) -> "tuple | None":
     """
     if len(target) != M.rows:
         raise ValueError("target length mismatch")
-    U, _, D, V, _ = smith_with_inverses(M)
-    y = U.mul_vec(tuple(target))
-    x_d = []
-    for j in range(M.cols):
-        d = D[j, j] if j < min(M.rows, M.cols) else 0
-        t = y[j] if j < M.rows else 0
-        if d == 0:
-            if t != 0:
-                return None
-            x_d.append(0)
-        else:
-            if t % d != 0:
-                return None
-            x_d.append(t // d)
-    for i in range(M.cols, M.rows):
-        if y[i] != 0:
-            return None
-    return V.mul_vec(tuple(x_d))
+    return _solve_with(smith_with_inverses(M), target)

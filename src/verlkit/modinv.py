@@ -30,7 +30,7 @@ from math import gcd, lcm
 import mpmath
 
 from .cyclo import CycNumber, cos_frac, rational, real_embed, zeta
-from .exactla import IntMatrix, kernel_basis
+from .exactla import IntMatrix, _bareiss, kernel_basis
 from .fusion import _cyclic_orders, _tuples, su2_fusion_truncated, su2_modular_data
 
 __all__ = [
@@ -617,63 +617,25 @@ def ade_graph(name: str):
     return IntMatrix.from_rows(grid), tuple(str(i) for i in range(n))
 
 
-def _det_int(a) -> int:
-    """Fraction-free determinant of an integer matrix."""
-    a = [list(row) for row in a]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def _charpoly(grid):
-    """Coefficients of det(xI - A), low to high, exact integers."""
+    """Coefficients of det(xI - A), low to high, exact integers.
+
+    The determinants at x = 0..n interpolate the degree-n polynomial; the
+    Vandermonde system for its coefficients is solved by the same Bareiss
+    elimination that computes each determinant.
+    """
     n = len(grid)
-    xs = list(range(n + 1))
     ys = [
-        _det_int(
-            [
-                [(x if i == j else 0) - grid[i][j] for j in range(n)]
-                for i in range(n)
-            ]
-        )
-        for x in xs
+        _bareiss(
+            [[(x if i == j else 0) - grid[i][j] for j in range(n)] for i in range(n)],
+            [],
+        )[0]
+        for x in range(n + 1)
     ]
-    coeffs = [Fraction(0)] * (n + 1)
-    for k, xk in enumerate(xs):
-        numer = [Fraction(1)]
-        denom = Fraction(1)
-        for other, xl in enumerate(xs):
-            if other == k:
-                continue
-            numer = [Fraction(0)] + numer
-            for idx in range(len(numer) - 1):
-                numer[idx] += Fraction(-xl) * numer[idx + 1]
-            denom *= xk - xl
-        w = Fraction(ys[k]) / denom
-        for idx, cf in enumerate(numer):
-            coeffs[idx] += w * cf
-    out = []
-    for cf in coeffs:
-        if cf.denominator != 1:
-            raise RuntimeError("interpolation of an integer polynomial failed")
-        out.append(cf.numerator)
-    return out
+    det, (coeffs,) = _bareiss([[x**j for j in range(n + 1)] for x in range(n + 1)], [ys])
+    if any(c % det for c in coeffs):
+        raise RuntimeError("interpolation of an integer polynomial failed")
+    return [c // det for c in coeffs]
 
 
 def _deflate(desc, root):

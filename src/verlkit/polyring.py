@@ -15,8 +15,11 @@ from itertools import product
 from .exactla import (
     FGAbelianGroup,
     IntMatrix,
+    _cokernel_of,
+    _free_columns,
+    _solve_with,
     cokernel,
-    kernel_basis,
+    smith_with_inverses,
     solve_int,
 )
 
@@ -344,43 +347,12 @@ def truncated_quotient(
 # -- coprimality certificates -----------------------------------------------------
 
 
-def _poly_to_vec(f: LaurentPoly, size: int):
+def _poly_to_vec(f: LaurentPoly, size: int, shift: int = 0):
+    """Coefficients of s^shift * f over the degrees 0..size-1."""
     v = [0] * size
     for (e,), c in f.terms.items():
-        v[e] = c
+        v[e + shift] = c
     return v
-
-
-def _rational_gcd_degree(f: LaurentPoly, g: LaurentPoly) -> int:
-    """Degree of gcd(f, g) over Q, by exact Euclidean division."""
-    from fractions import Fraction
-
-    def to_list(p):
-        out = [Fraction(0)] * (p.degree() + 1)
-        for (e,), c in p.terms.items():
-            out[e] = Fraction(c)
-        return out
-
-    a, b = to_list(f), to_list(g)
-    while any(b):
-        while b and b[-1] == 0:
-            b.pop()
-        if not b:
-            break
-        while len(a) >= len(b):
-            if a[-1] == 0:
-                a.pop()
-                continue
-            q = a[-1] / b[-1]
-            for i in range(len(b)):
-                a[len(a) - len(b) + i] -= q * b[i]
-            a.pop()
-            if not a:
-                a = [Fraction(0)]
-        a, b = b, a
-    while a and a[-1] == 0:
-        a.pop()
-    return len(a) - 1
 
 
 def coprime_certificate(f: LaurentPoly, g: LaurentPoly):
@@ -398,15 +370,12 @@ def coprime_certificate(f: LaurentPoly, g: LaurentPoly):
             raise ValueError("one-variable polynomials required")
         p.degree()  # rejects Laurent support
     size = f.degree() + g.degree() + 8
-    cols = []
-    x = LaurentPoly.var(f.names[0])
     fshift = size - f.degree()
     gshift = size - g.degree()
-    for i in range(fshift):
-        cols.append(_poly_to_vec(x**i * f, size))
-    for j in range(gshift):
-        cols.append(_poly_to_vec(x**j * g, size))
-    M = IntMatrix.from_cols(cols)
+    M = IntMatrix.from_cols(
+        [_poly_to_vec(f, size, i) for i in range(fshift)]
+        + [_poly_to_vec(g, size, j) for j in range(gshift)]
+    )
     target = [1] + [0] * (size - 1)
     sol = solve_int(M, target)
     if sol is not None:
@@ -415,9 +384,9 @@ def coprime_certificate(f: LaurentPoly, g: LaurentPoly):
         if u * f + w * g != LaurentPoly.const(1, f.names):
             raise AssertionError("witness failed to expand to 1")
         return True, (u, w)
-    if _rational_gcd_degree(f, g) >= 1:
-        # a common factor over Q exists; certify via exact Q-gcd degree
-        return False, _common_factor(f, g)
+    h = _common_factor(f, g)
+    if h.degree() >= 1:
+        return False, h
     raise Inconclusive(
         "no Bezout witness below degree %d, yet f and g are coprime over Q; "
         "the integer ideal may still be proper (e.g. contains only n > 1)"
@@ -469,13 +438,6 @@ def _common_factor(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
 # -- the sigma-ring Tor computation ------------------------------------------------
 
 
-def _sigma_polys():
-    s = LaurentPoly.var("s")
-    spin = s**3 - 2 * s  # spinor restricted to the diagonal subgroup
-    vect = s**4 - 3 * s**2 + 1  # vector restricted likewise
-    return s, spin, vect
-
-
 def e6_tor(window_size: int = 24, stride: int = 5):
     """Homology of the two-step sigma-ring complex with Ising-type relations.
 
@@ -485,6 +447,13 @@ def e6_tor(window_size: int = 24, stride: int = 5):
     Returns (H0, H1, cert) where H0 = coker d1, H1 = ker d1 / im d2 on
     stabilized windows, and cert records the coprimality witness of the two
     cofactors plus the verified ring relation s*s = 2 in H0.
+
+    On each of the two windows (`window_size` and `window_size + stride`)
+    d1 is assembled once and factored once, U d1 V = D.  H0 is read off U^-1
+    with the s^i labels; ker d1 is spanned by the columns of V at zero
+    invariant factors; a d2 column v has kernel coordinates the entries of
+    V^-1 v there (and escapes ker d1 if V^-1 v is nonzero anywhere else);
+    the relation s*s = 2 is solved against the same factorization.
     """
     s = LaurentPoly.var("s")
     m = s**2 - 2
@@ -500,86 +469,45 @@ def e6_tor(window_size: int = 24, stride: int = 5):
     if not ok:
         raise AssertionError("cofactors unexpectedly share a factor")
 
-    def h0_family(w: int):
-        cod = w + d1g.degree()
-        labels = ["s^%d" % i for i in range(cod)]
-        rels = []
-        for poly in (d1f, d1g):
-            for shift in range(w):
-                rels.append(
-                    {"s^%d" % (e + shift): c for (e,), c in poly.terms.items()}
-                )
-        return labels, rels
+    d2_top = max(d2f.degree(), d2g.degree())
 
-    h0 = stabilized_family(h0_family, window_size, stride)
-
-    def h1_groups(w: int):
-        dom = w
+    def window(w: int):
         cod = w + d1g.degree()
-        cols = []
-        for poly in (d1f, d1g):
-            for shift in range(dom):
-                v = [0] * cod
-                for (e,), c in poly.terms.items():
-                    v[e + shift] = c
-                cols.append(v)
-        M = IntMatrix.from_cols(cols)
-        K = kernel_basis(M)
-        # d2 columns, expressed in the (p, q) shift coordinates of M
-        d2_cols = []
-        top = max(d2f.degree(), d2g.degree())
-        for shift in range(max(0, dom - top)):
-            v = [0] * (2 * dom)
-            for (e,), c in d2f.terms.items():
-                v[e + shift] = c
-            for (e,), c in d2g.terms.items():
-                v[dom + e + shift] = c
-            d2_cols.append(v)
-        if K.cols == 0:
-            return FGAbelianGroup(0, ())
+        d1 = IntMatrix.from_cols(
+            [_poly_to_vec(p, cod, shift) for p in (d1f, d1g) for shift in range(w)]
+        )
+        snf = smith_with_inverses(d1)
+        h0 = _cokernel_of(snf, ["s^%d" % i for i in range(cod)])
+        free = _free_columns(snf)
+        bound = set(range(d1.cols)).difference(free)
+        Vinv = snf[4]
         coords = []
-        for col in d2_cols:
-            x = solve_int(K, col)
-            if x is None:
+        for shift in range(max(0, w - d2_top)):
+            y = Vinv.mul_vec(
+                _poly_to_vec(d2f, w, shift) + _poly_to_vec(d2g, w, shift)
+            )
+            if any(y[j] for j in bound):
                 raise AssertionError("im d2 escaped ker d1 on the window")
-            coords.append(x)
-        C = (
-            IntMatrix.from_cols(coords)
-            if coords
-            else IntMatrix.zero(K.cols, 0)
-        )
-        return cokernel(C, labels=["k%d" % i for i in range(K.cols)])
+            coords.append([y[j] for j in free])
+        C = IntMatrix.from_cols(coords) if coords else IntMatrix.zero(len(free), 0)
+        h1 = cokernel(C, labels=["k%d" % i for i in range(len(free))])
+        return h0, h1, snf
 
-    g1 = h1_groups(window_size)
-    g2 = h1_groups(window_size + stride)
-    if (g1.free_rank, g1.torsion) != (g2.free_rank, g2.torsion):
-        raise StabilizationFailure(
-            "H1 window %d gives %s but window %d gives %s"
-            % (window_size, g1.describe(), window_size + stride, g2.describe())
-        )
+    h0, h1, snf = window(window_size)
+    h0b, h1b, _ = window(window_size + stride)
+    for name, g1, g2 in (("", h0, h0b), ("H1 ", h1, h1b)):
+        if (g1.free_rank, g1.torsion) != (g2.free_rank, g2.torsion):
+            raise StabilizationFailure(
+                "%swindow %d gives %s but window %d gives %s"
+                % (name, window_size, g1.describe(), window_size + stride, g2.describe())
+            )
 
     # ring relation in H0: s*s - 2*1 must lie in im d1
-    def membership(w: int) -> bool:
-        dom = w
-        cod = w + d1g.degree()
-        cols = []
-        for poly in (d1f, d1g):
-            for shift in range(dom):
-                v = [0] * cod
-                for (e,), c in poly.terms.items():
-                    v[e + shift] = c
-                cols.append(v)
-        M = IntMatrix.from_cols(cols)
-        target = [0] * cod
-        target[2] = 1
-        target[0] = -2
-        return solve_int(M, target) is not None
-
-    ring_ok = membership(window_size)
+    target = [-2, 0, 1] + [0] * (window_size + d1g.degree() - 3)
     cert = {
         "coprime_witness": witness,
-        "sigma_squared_is_two": ring_ok,
+        "sigma_squared_is_two": _solve_with(snf, target) is not None,
         "generators": ("1", "s"),
         "relation": "s*s = 2",
     }
-    return h0, g1, cert
+    return h0, h1, cert

@@ -201,3 +201,12 @@ def test_coeff_vector_shape():
     v = zeta(8, 1).coeff_vector()
     assert len(v) == 8
     assert v[1] == 1 and sum(abs(x) for x in v) == 1
+
+
+def test_rational_values_hash_like_int_and_fraction():
+    assert rational(1) == 1 and hash(rational(1)) == hash(1)
+    half = (zeta(3) + zeta(3, 2) + 2) / 2  # 1/2 computed at order 3
+    assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
+    assert {1: "x"}.get(rational(1)) == "x"
+    assert {Fraction(1, 2): "y"}.get(half) == "y"
+    assert {rational(1): "z"}.get(1) == "z"

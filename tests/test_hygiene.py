@@ -1,5 +1,7 @@
 """Source hygiene that needs no linter: no module imports a name it neither
-uses nor exports through its __all__."""
+uses nor exports through its __all__, and no module defines a private
+top-level function or class that nothing in the library or its tests
+refers to."""
 
 import ast
 from pathlib import Path
@@ -9,6 +11,7 @@ import pytest
 import verlkit
 
 MODULES = sorted(Path(verlkit.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def _unused_imports(tree):
@@ -31,3 +34,33 @@ def _unused_imports(tree):
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _unused_imports(tree) == []
+
+
+def _references(paths):
+    """Names used as a variable, an attribute or a from-import anywhere."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(a.name for a in node.names)
+    return names
+
+
+REFERENCES = _references(MODULES + TESTS)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dead_private_definitions(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    private = {
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.endswith("__")
+    }
+    assert sorted(private - REFERENCES) == []
