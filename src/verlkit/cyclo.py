@@ -15,16 +15,18 @@ for cross-checking in the test suite.  Inversion and descent to a smaller
 order are integer-only as well: each solves its linear system by the one
 fraction-free Bareiss elimination, `exactla._bareiss`, and the descent
 projector is cached as an integer matrix over a common denominator.
+`_coordinate_matrices` splits cyclotomic matrices into integer matrices
+over one power basis, so callers test linear identities over Z.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import mpmath
 
-from .exactla import _bareiss
+from .exactla import IntMatrix, _bareiss
 
 __all__ = [
     "CycNumber",
@@ -637,6 +639,32 @@ def _mat_mul(A, B):
         )
         for i in range(n)
     )
+
+
+def _coordinate_matrices(*mats):
+    """Integer coordinates of cyclotomic matrices at one order and scale.
+
+    Returns one list per matrix M whose entry t is the IntMatrix M_t with
+    d * M = sum of M_t * zeta_L^t over t < phi(L), where the order L and
+    the denominator d are shared by every entry of every matrix.  The
+    powers zeta_L^t, t < phi(L), are independent over Q, so a linear
+    identity with rational coefficients between these matrices holds
+    exactly when it holds for every coordinate t.
+    """
+    mats = [[[_coerce(e) for e in row] for row in M] for M in mats]
+    # modular data share entry objects (S = S^t, repeated sines): expand each once
+    cells = {id(e): e for M in mats for row in M for e in row}
+    L = lcm(*(e.order for e in cells.values()))
+    cells = {k: e._lift(L) for k, e in cells.items()}
+    d = lcm(*(e.den for e in cells.values()))
+    cells = {k: [c * (d // e.den) for c in e.num] for k, e in cells.items()}
+    return [
+        [
+            IntMatrix.from_rows([[cells[id(e)][t] for e in row] for row in M])
+            for t in range(_cond(L).phi)
+        ]
+        for M in mats
+    ]
 
 
 # -- spec operation wrappers -----------------------------------------------------

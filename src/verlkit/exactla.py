@@ -159,10 +159,10 @@ class IntMatrix:
     def mul_vec(self, vec):
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(
-            sum(self.data[i * self.cols + j] * vec[j] for j in range(self.cols))
-            for i in range(self.rows)
-        )
+        # only the nonzero entries of the vector contribute
+        nz = [(j, v) for j, v in enumerate(vec) if v]
+        data, c = self.data, self.cols
+        return tuple(sum(data[i * c + j] * v for j, v in nz) for i in range(self.rows))
 
     def hstack(self, other):
         if self.rows != other.rows:
@@ -300,7 +300,8 @@ def _smith_engine(M: IntMatrix):
                 # gcd divides the fill-in at (i, i+1) exactly
                 q = A[i][i + 1] // A[i][i]
                 col_add(i + 1, i, -q)
-                assert A[i][i + 1] == 0
+                if A[i][i + 1]:
+                    raise ArithmeticError("Smith fix-up failed at (%d, %d)" % (i, i + 1))
                 if A[i + 1][i + 1] < 0:
                     row_negate(i + 1)
     return A, U, Uinv, V, Vinv

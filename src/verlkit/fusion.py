@@ -10,7 +10,9 @@ checked exactly at construction time.
 from fractions import Fraction
 from math import gcd
 
-from .cyclo import DivisionByZero, _mat_mul, rational, sin_frac, sqrt_int, zeta
+from .cyclo import (
+    DivisionByZero, _mat_mul, _prime_factors, rational, sin_frac, sqrt_int, zeta,
+)
 from .exactla import FGAbelianGroup, IntMatrix, cokernel
 
 __all__ = [
@@ -211,32 +213,13 @@ class FusionRing:
 
     def check_associativity(self) -> None:
         """Verify N_lam N_mu = sum_nu N_{lam mu}^nu N_nu for all pairs."""
-        m = len(self.labels)
-        mats = [self.N[lam] for lam in range(m)]
-        for lam in range(m):
-            A = mats[lam]
-            for mu in range(lam, m):
-                B = mats[mu]
-                lhs = [
-                    [
-                        sum(A[r][t] * B[t][c] for t in range(m))
-                        for c in range(m)
-                    ]
-                    for r in range(m)
-                ]
-                coeffs = self.N[lam][mu]
-                rhs = [
-                    [
-                        sum(coeffs[nu] * mats[nu][r][c] for nu in range(m) if coeffs[nu])
-                        for c in range(m)
-                    ]
-                    for r in range(m)
-                ]
-                if lhs != rhs:
-                    raise ValueError(
-                        "associativity fails at labels %r, %r"
-                        % (self.labels[lam], self.labels[mu])
-                    )
+        mats = [self.matrix(lam) for lam in range(len(self.labels))]
+        bad = _fusion_failure(self, mats)
+        if bad:
+            raise ValueError(
+                "associativity fails at labels %r, %r"
+                % (self.labels[bad[0]], self.labels[bad[1]])
+            )
 
     def is_group_like(self) -> bool:
         """True when every product is a single label with coefficient 1."""
@@ -279,33 +262,37 @@ class FusionRing:
                 for b in range(m):
                     if table[ag][b] != row_a[table[g][b]]:
                         raise ValueError("group-like table is not associative")
-        e = self.unit
-        orders = []
-        for x in range(m):
-            y, o = x, 1
-            while y != e:
-                y = table[y][x]
-                o += 1
-            orders.append(o)
-        return FGAbelianGroup(0, _abelian_invariants(orders))
+        invariants = _abelian_invariants(lambda a, b: table[a][b], m, self.unit)
+        return FGAbelianGroup(0, invariants)
 
 
-def _abelian_invariants(orders):
-    """Invariant factors of a finite abelian group from its element orders."""
-    n = len(orders)
-    residue = n
-    primes = []
-    p = 2
-    while p * p <= residue:
-        if residue % p == 0:
-            primes.append(p)
-            while residue % p == 0:
-                residue //= p
-        p += 1
-    if residue > 1:
-        primes.append(residue)
+def _fusion_failure(ring, mats):
+    """First (lam, mu), lam <= mu, where the integer matrices `mats`, one per
+    label, fail M_lam M_mu = sum_nu N_{lam mu}^nu M_nu; None if they represent
+    the ring.  With the ring's own fusion matrices this is associativity."""
+    m = len(ring.labels)
+    for lam in range(m):
+        for mu in range(lam, m):
+            rhs = IntMatrix.zero(*mats[lam].shape)
+            for nu, c in ring.product(lam, mu).items():
+                rhs = rhs + mats[nu] * c
+            if mats[lam] * mats[mu] != rhs:
+                return lam, mu
+    return None
+
+
+def _abelian_invariants(mul, n, unit):
+    """Invariant factors of the finite abelian group on labels 0..n-1 with
+    product `mul` and identity `unit`, read off its element orders."""
+    orders = []
+    for x in range(n):
+        y, o = x, 1
+        while y != unit:
+            y = mul(y, x)
+            o += 1
+        orders.append(o)
     per_prime = {}
-    for p in primes:
+    for p in _prime_factors(n):
         # c_k = #{x : ord(x) | p^k} is p^(sum_i min(k, part_i))
         exps = [0]
         k = 1
@@ -461,14 +448,7 @@ def _cyclic_orders(G):
             for b in range(a):
                 if G.mul(a, b) != G.mul(b, a):
                     raise NonAbelian("group is not abelian")
-        orders = []
-        for x in range(n):
-            y, o = x, 1
-            while y != 0:
-                y = G.mul(y, x)
-                o += 1
-            orders.append(o)
-        return _abelian_invariants(orders)
+        return _abelian_invariants(G.mul, n, 0)
     raise TypeError("expected an int, a tuple of ints, or a finite group")
 
 

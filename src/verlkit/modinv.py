@@ -9,6 +9,11 @@ and `nimrep_from_graph` grows the graph representation of the truncated
 fusion rules from an A-D-E adjacency matrix, certifying its spectrum by
 exact characteristic-polynomial deflation.
 
+The invariance axioms are integer identities: XT = TX asks X to vanish
+across T classes, and for an integer X, XS = SX holds exactly when
+XS_t = S_tX for each integer coordinate matrix S_t of S over one power
+basis, d S = sum_t S_t zeta^t.
+
 The finite-group analogue lives in `alpha_induction_abelian`: for the
 double of a finite abelian group, a subgroup of the square containing
 the diagonal produces the same invariant twice, once by comparing the
@@ -29,9 +34,11 @@ from math import gcd, lcm
 
 import mpmath
 
-from .cyclo import CycNumber, cos_frac, rational, real_embed, zeta
+from .cyclo import CycNumber, _coordinate_matrices, cos_frac, rational, real_embed
 from .exactla import IntMatrix, _bareiss, kernel_basis
-from .fusion import _cyclic_orders, _tuples, su2_fusion_truncated, su2_modular_data
+from .fusion import (
+    _cyclic_orders, _fusion_failure, _tuples, su2_fusion_truncated, su2_modular_data,
+)
 
 __all__ = [
     "InvariantCheckFailed",
@@ -54,8 +61,6 @@ __all__ = [
     "overgroups_of_diagonal",
     "permutation_orbifold_count",
 ]
-
-_ZERO = CycNumber(1, [0])
 
 
 class InvariantCheckFailed(Exception):
@@ -87,6 +92,15 @@ class SearchBudgetExceeded(Exception):
 
 class DiagonalNotContained(Exception):
     """The subgroup of the square misses part of the diagonal."""
+
+
+def _bad_entry(grid):
+    """First (i, j) whose entry is not a nonnegative integer, or None."""
+    return next(
+        ((i, j) for i, row in enumerate(grid) for j, c in enumerate(row)
+         if not isinstance(c, int) or c < 0),
+        None,
+    )
 
 
 def _int_grid(Z):
@@ -150,10 +164,8 @@ class ModularInvariant:
         m = len(grid)
         if any(len(row) != m for row in grid):
             raise ValueError("invariant matrix must be square")
-        for row in grid:
-            for c in row:
-                if not isinstance(c, int) or c < 0:
-                    raise ValueError("entries must be nonnegative integers")
+        if _bad_entry(grid):
+            raise ValueError("entries must be nonnegative integers")
         object.__setattr__(self, "matrix", grid)
         if data is not None:
             rep = check_invariant(grid, data)
@@ -216,10 +228,8 @@ class BranchingRule:
         w = len(grid[0])
         if any(len(row) != w for row in grid):
             raise ValueError("branching rows must have equal length")
-        for row in grid:
-            for c in row:
-                if not isinstance(c, int) or c < 0:
-                    raise ValueError("entries must be nonnegative integers")
+        if _bad_entry(grid):
+            raise ValueError("entries must be nonnegative integers")
         if grid[0][0] != 1:
             raise ValueError("vacuum must branch to the vacuum with coefficient 1")
         object.__setattr__(self, "matrix", grid)
@@ -271,6 +281,30 @@ class Nimrep:
         )
 
 
+def _t_failure(X, TA, TB):
+    """First (i, j), row-major, where X TB and TA X differ for diagonal T:
+    X[i][j] is nonzero while TA[i] != TB[j].  None when they agree."""
+    return next(
+        ((i, j) for i, row in enumerate(X) for j, x in enumerate(row)
+         if x and TA[i] != TB[j]),
+        None,
+    )
+
+
+def _intertwiner_failure(X, A, B):
+    """First (i, j), row-major, where the integer X and cyclotomic A, B give
+    X B != A X, or None; tested as X B_t = A_t X on every coordinate t."""
+    Xm = IntMatrix.from_rows(X)
+    As, Bs = _coordinate_matrices(A, B)
+    bad = [
+        k
+        for At, Bt in zip(As, Bs)
+        for k, (u, v) in enumerate(zip((Xm * Bt).data, (At * Xm).data))
+        if u != v
+    ]
+    return divmod(min(bad), Bs[0].cols) if bad else None
+
+
 def check_invariant(Z, data) -> CheckReport:
     """Test integrality, both commutations, and vacuum normalization.
 
@@ -283,49 +317,21 @@ def check_invariant(Z, data) -> CheckReport:
         raise ValueError("matrix shape does not match the modular datum")
     axioms = {}
     notes = {}
-    bad = [
-        (i, j)
-        for i in range(m)
-        for j in range(m)
-        if not isinstance(grid[i][j], int) or grid[i][j] < 0
-    ]
-    axioms["entries"] = not bad
+    bad = _bad_entry(grid)
+    axioms["entries"] = bad is None
     if bad:
-        notes["entries"] = "first offending position %s" % (bad[0],)
+        notes["entries"] = "first offending position %s" % (bad,)
         axioms["commutes_with_t"] = False
         axioms["commutes_with_s"] = False
         axioms["vacuum"] = False
         notes["commutes_with_t"] = "not evaluated"
         notes["commutes_with_s"] = "not evaluated"
         return CheckReport(axioms, notes)
-    T = data.T
-    t_bad = None
-    for i in range(m):
-        for j in range(m):
-            if grid[i][j] and T[i] != T[j]:
-                t_bad = (i, j)
-                break
-        if t_bad:
-            break
+    t_bad = _t_failure(grid, data.T, data.T)
     axioms["commutes_with_t"] = t_bad is None
     if t_bad:
         notes["commutes_with_t"] = "nonzero entry across T classes at %s" % (t_bad,)
-    S = data.S
-    s_bad = None
-    for i in range(m):
-        for j in range(m):
-            zs = _ZERO
-            sz = _ZERO
-            for t in range(m):
-                if grid[i][t]:
-                    zs = zs + S[t][j] * grid[i][t]
-                if grid[t][j]:
-                    sz = sz + S[i][t] * grid[t][j]
-            if zs != sz:
-                s_bad = (i, j)
-                break
-        if s_bad:
-            break
+    s_bad = _intertwiner_failure(grid, data.S, data.S)
     axioms["commutes_with_s"] = s_bad is None
     if s_bad:
         notes["commutes_with_s"] = "ZS and SZ differ first at %s" % (s_bad,)
@@ -351,57 +357,34 @@ def _floor_exact(x: CycNumber) -> int:
     return int(mpmath.floor(v))
 
 
-def _vec_at(c: CycNumber, order: int):
-    # rewrite at a common order so coordinates are comparable
-    return (c * zeta(order, 0)).coeff_vector()
-
-
 def _commutant_rows(S, positions):
-    """Integer equation rows expressing ZS = SZ on the allowed positions."""
+    """Primitive integer rows of the system ZS = SZ, Z unknown at `positions`.
+
+    In coordinate t of `_intertwiner_failure`'s identities, entry (i, j) of
+    Z S_t - S_t Z gives Z[p][q] the coefficient [p = i] S_t[q][j] - [q = j] S_t[i][p].
+    """
     m = len(S)
     by_row = defaultdict(list)
     by_col = defaultdict(list)
     for u, (p, q) in enumerate(positions):
         by_row[p].append((u, q))
         by_col[q].append((u, p))
+    (coords,) = _coordinate_matrices(S)
     rows = set()
-    for i in range(m):
-        for j in range(m):
-            coeff = {}
-            for u, q in by_row[i]:
-                coeff[u] = coeff.get(u, _ZERO) + S[q][j]
-            for u, p in by_col[j]:
-                coeff[u] = coeff.get(u, _ZERO) - S[i][p]
-            live = {u: c for u, c in coeff.items() if not c.is_zero()}
-            if not live:
-                continue
-            order = 1
-            for c in live.values():
-                order = lcm(order, c.order)
-            vecs = {u: _vec_at(c, order) for u, c in live.items()}
-            for t in range(order):
-                den = 1
-                for u in live:
-                    den = lcm(den, vecs[u][t].denominator)
+    for St in coords:
+        s = St.to_lists()
+        for i in range(m):
+            for j in range(m):
                 row = [0] * len(positions)
-                nonzero = False
-                for u in live:
-                    val = vecs[u][t]
-                    if val:
-                        row[u] = int(val * den)
-                        nonzero = True
-                if not nonzero:
-                    continue
-                g = 0
-                for c in row:
-                    g = gcd(g, c)
-                row = [c // g for c in row]
-                for c in row:
-                    if c:
-                        if c < 0:
-                            row = [-x for x in row]
-                        break
-                rows.add(tuple(row))
+                for u, q in by_row[i]:
+                    row[u] += s[q][j]
+                for u, p in by_col[j]:
+                    row[u] -= s[i][p]
+                g = gcd(*row)
+                if g:
+                    if next(c for c in row if c) < 0:
+                        g = -g
+                    rows.add(tuple(c // g for c in row))
     return sorted(rows)
 
 
@@ -464,13 +447,8 @@ def enumerate_invariants(level: int, budget: int = 4_000_000):
     npos = len(positions)
 
     rows = _commutant_rows(S, positions)
-    if rows:
-        K = kernel_basis(IntMatrix.from_rows(rows))
-        basis = [K.col(t) for t in range(K.cols)]
-    else:
-        basis = [
-            tuple(1 if v == u else 0 for v in range(npos)) for u in range(npos)
-        ]
+    K = kernel_basis(IntMatrix(len(rows), npos, [c for row in rows for c in row]))
+    basis = [K.col(t) for t in range(K.cols)]
     if not basis:
         return []
     H = _row_hermite(basis)
@@ -531,41 +509,16 @@ def embed_invariant(branching, extended, base) -> ModularInvariant:
     """
     b = branching if isinstance(branching, BranchingRule) else BranchingRule(branching)
     grid = b.matrix
-    p = len(extended.labels)
-    m = len(base.labels)
-    if b.rows != p or b.cols != m:
+    if b.rows != len(extended.labels) or b.cols != len(base.labels):
         raise ValueError("branching shape does not match the two data")
-    for i in range(p):
-        for j in range(m):
-            if grid[i][j] and extended.T[i] != base.T[j]:
-                raise InvariantCheckFailed(
-                    "branching does not intertwine T at (%d, %d)" % (i, j)
-                )
-    for i in range(p):
-        for j in range(m):
-            lhs = _ZERO
-            rhs = _ZERO
-            for t in range(p):
-                if grid[t][j]:
-                    lhs = lhs + extended.S[i][t] * grid[t][j]
-            for t in range(m):
-                if grid[i][t]:
-                    rhs = rhs + base.S[t][j] * grid[i][t]
-            if lhs != rhs:
-                raise InvariantCheckFailed(
-                    "branching does not intertwine S at (%d, %d)" % (i, j)
-                )
-    Z = [
-        [
-            sum(grid[t][i] * grid[t][j] for t in range(p))
-            for j in range(m)
-        ]
-        for i in range(m)
-    ]
-    rep = check_invariant(Z, base)
-    if not rep.passed:
-        raise InvariantCheckFailed(", ".join(rep.failures()))
-    return ModularInvariant(Z)
+    bad = _t_failure(grid, extended.T, base.T)
+    if bad:
+        raise InvariantCheckFailed("branching does not intertwine T at (%d, %d)" % bad)
+    bad = _intertwiner_failure(grid, extended.S, base.S)
+    if bad:
+        raise InvariantCheckFailed("branching does not intertwine S at (%d, %d)" % bad)
+    B = IntMatrix.from_rows(grid)
+    return ModularInvariant(B.transpose() * B, data=base)
 
 
 def cardinalities(Z, branching=None) -> dict:
@@ -706,15 +659,8 @@ def nimrep_from_graph(adjacency, level: int) -> Nimrep:
     exponents.sort()
 
     # the spectrum certificate makes these identities theorems; verify anyway
-    if level >= 1:
-        ring = su2_fusion_truncated(level)
-        for lam in range(level + 1):
-            for mu in range(lam, level + 1):
-                acc = IntMatrix.zero(g, g)
-                for nu, c in ring.product(lam, mu).items():
-                    acc = acc + (mats[nu] if c == 1 else mats[nu] * c)
-                if mats[lam] * mats[mu] != acc:
-                    raise RuntimeError("graph matrices fail the fusion identity")
+    if level >= 1 and _fusion_failure(su2_fusion_truncated(level), mats):
+        raise RuntimeError("graph matrices fail the fusion identity")
     for lam in range(level + 1):
         if mats[lam] != mats[lam].transpose():
             raise RuntimeError("graph matrices fail transpose symmetry")

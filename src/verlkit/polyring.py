@@ -48,10 +48,11 @@ class LaurentPoly:
     """Sparse Laurent polynomial over Z in one or two variables.
 
     Exponents may be negative; zero coefficients are never stored.
+    `render` lists terms by ascending exponent.
 
     >>> a = LaurentPoly.var("a")
     >>> (a ** -1 * (a - 1)).render()
-    '1 - a^-1'
+    '-a^-1 + 1'
     """
 
     __slots__ = ("nvars", "names", "terms")

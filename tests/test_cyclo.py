@@ -10,7 +10,9 @@ Hand-derived expectations used below:
   zeta_6 is 3.
 """
 
+import random
 from fractions import Fraction
+from math import lcm
 
 import mpmath
 from hypothesis import given, settings, strategies as st
@@ -19,6 +21,7 @@ from verlkit.cyclo import (
     CycNumber,
     DivisionByZero,
     _cond,
+    _coordinate_matrices,
     _mul_int_vecs,
     _mul_reference,
     cos_frac,
@@ -210,3 +213,28 @@ def test_rational_values_hash_like_int_and_fraction():
     assert {1: "x"}.get(rational(1)) == "x"
     assert {Fraction(1, 2): "y"}.get(half) == "y"
     assert {rational(1): "z"}.get(1) == "z"
+
+
+def test_coordinate_matrices_rebuild_every_entry_at_one_order_and_scale():
+    rng = random.Random(7)
+    mats = [
+        [[CycNumber(n, [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)])
+          for _ in range(cols)] for _ in range(rows)]
+        for n, rows, cols in ((5, 2, 3), (12, 3, 3), (8, 1, 2))
+    ]
+    mats.append([[1, Fraction(-3, 2)], [zeta(4), rational(0)]])
+    coords = _coordinate_matrices(*mats)
+    L = lcm(5, 12, 8, 4)
+    scales = set()
+    for M, Ms in zip(mats, coords):
+        assert len(Ms) == _cond(L).phi
+        for i, row in enumerate(M):
+            for j, e in enumerate(row):
+                rebuilt = sum((zeta(L, t) * Mt[i, j] for t, Mt in enumerate(Ms)), rational(0))
+                if e == 0:
+                    assert rebuilt == 0
+                else:
+                    scales.add((rebuilt / e).normalized())
+    # one integer scale d for every entry of every matrix
+    (d,) = scales
+    assert d.as_int() >= 1

@@ -338,3 +338,13 @@ def test_json_shapes():
     M = IntMatrix.from_rows([[1, 2], [3, 4]])
     assert M.to_json() == {"rows": 2, "cols": 2, "data": [1, 2, 3, 4]}
     assert IntMatrix.from_json(M.to_json()) == M
+
+
+def test_mul_vec_matches_the_dense_row_sums():
+    rng = random.Random(11)
+    for rows, cols in [(0, 3), (3, 0), (4, 4), (6, 9)]:
+        M = IntMatrix(rows, cols, [rng.randint(-9, 9) for _ in range(rows * cols)])
+        for density in (0.0, 0.3, 1.0):
+            v = tuple(rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(cols))
+            dense = tuple(sum(M[i, j] * v[j] for j in range(cols)) for i in range(rows))
+            assert M.mul_vec(v) == dense

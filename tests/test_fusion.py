@@ -42,6 +42,7 @@ from verlkit.fusion import (
     level1_data,
     su2_fusion_truncated,
     su2_modular_data,
+    _fusion_failure,
     torus_fusion,
     verlinde_matrices,
 )
@@ -170,6 +171,28 @@ def test_su2_verlinde_equals_truncated(su2):
 def test_su2_verlinde_associative(su2):
     for k in range(1, MAX_LEVEL + 1):
         su2[k][1].check_associativity()
+
+
+def test_associativity_failure_names_the_first_pair():
+    # commutative and unital, but (g g) x = x x = x while g (g x) = g 1 = g
+    N = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    for a in range(3):
+        N[0][a][a] = N[a][0][a] = 1
+    N[1][1][2] = 1
+    N[1][2][0] = N[2][1][0] = 1
+    N[2][2][2] = 1
+    ring = FusionRing(("1", "g", "x"), N)
+    with pytest.raises(ValueError, match="associativity fails at labels 'g', 'g'"):
+        ring.check_associativity()
+
+
+def test_fusion_identity_failure_is_the_first_pair():
+    ring = su2_fusion_truncated(4)
+    mats = [ring.matrix(lam) for lam in range(5)]
+    assert _fusion_failure(ring, mats) is None
+    # swapping the matrices of labels 2 and 3 breaks 1 x 1 = 0 + 2 first
+    mats[2], mats[3] = mats[3], mats[2]
+    assert _fusion_failure(ring, mats) == (1, 1)
 
 
 def test_su2_level2_products(su2):

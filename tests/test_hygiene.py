@@ -1,7 +1,7 @@
 """Source hygiene that needs no linter: no module imports a name it neither
-uses nor exports through its __all__, and no module defines a private
+uses nor exports through its __all__, no module defines a private
 top-level function or class that nothing in the library or its tests
-refers to."""
+refers to, and no check is a bare `assert`, which `python -O` strips."""
 
 import ast
 from pathlib import Path
@@ -64,3 +64,9 @@ def test_no_dead_private_definitions(path):
         and not node.name.endswith("__")
     }
     assert sorted(private - REFERENCES) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_bare_asserts(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)] == []

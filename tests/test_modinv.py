@@ -23,16 +23,21 @@ Derived oracles, frozen after computing them by hand:
   below without the library's coset machinery.
 """
 
+import random
+from collections import defaultdict
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from verlkit.exactla import IntMatrix
+from verlkit.cyclo import CycNumber, zeta
+from verlkit.exactla import IntMatrix, kernel_basis
 from verlkit.fusion import double_abelian, level1_data, su2_modular_data
 from verlkit.modinv import (
+    _commutant_rows,
+    _row_hermite,
     BranchingRule,
     CheckReport,
     DiagonalNotContained,
@@ -522,3 +527,196 @@ def test_nimrep_serialization():
     assert js["level"] == 4
     assert js["exponents"] == [0, 2, 2, 4]
     assert js["report"]["spectrum_numeric"] is True
+
+
+# -- the integer intertwiner against the cyclotomic loops it replaced ---------
+#
+# The library tests X B = A X on integer coordinate matrices.  The oracles
+# below are the cyclotomic loops that did it before: the linearized rows of
+# ZS = SZ with each coefficient lifted to a common order, and the entrywise
+# S products of `check_invariant` and `embed_invariant`.
+
+_CYC_ZERO = CycNumber(1, [0])
+
+
+def _vec_at_reference(c, order):
+    return (c * zeta(order, 0)).coeff_vector()
+
+
+def _commutant_rows_reference(S, positions):
+    m = len(S)
+    by_row = defaultdict(list)
+    by_col = defaultdict(list)
+    for u, (p, q) in enumerate(positions):
+        by_row[p].append((u, q))
+        by_col[q].append((u, p))
+    rows = set()
+    for i in range(m):
+        for j in range(m):
+            coeff = {}
+            for u, q in by_row[i]:
+                coeff[u] = coeff.get(u, _CYC_ZERO) + S[q][j]
+            for u, p in by_col[j]:
+                coeff[u] = coeff.get(u, _CYC_ZERO) - S[i][p]
+            live = {u: c for u, c in coeff.items() if not c.is_zero()}
+            if not live:
+                continue
+            order = 1
+            for c in live.values():
+                order = lcm(order, c.order)
+            vecs = {u: _vec_at_reference(c, order) for u, c in live.items()}
+            for t in range(order):
+                den = 1
+                for u in live:
+                    den = lcm(den, vecs[u][t].denominator)
+                row = [0] * len(positions)
+                nonzero = False
+                for u in live:
+                    val = vecs[u][t]
+                    if val:
+                        row[u] = int(val * den)
+                        nonzero = True
+                if not nonzero:
+                    continue
+                g = 0
+                for c in row:
+                    g = gcd(g, c)
+                row = [c // g for c in row]
+                for c in row:
+                    if c:
+                        if c < 0:
+                            row = [-x for x in row]
+                        break
+                rows.add(tuple(row))
+    return sorted(rows)
+
+
+def _s_loop_reference(X, A, B):
+    """First (i, j) where (X B)[i][j] != (A X)[i][j], summed entry by entry."""
+    for i in range(len(X)):
+        for j in range(len(B[0])):
+            xb = _CYC_ZERO
+            ax = _CYC_ZERO
+            for t in range(len(B)):
+                if X[i][t]:
+                    xb = xb + B[t][j] * X[i][t]
+            for t in range(len(A)):
+                if X[t][j]:
+                    ax = ax + A[i][t] * X[t][j]
+            if xb != ax:
+                return (i, j)
+    return None
+
+
+def _t_loop_reference(X, TA, TB):
+    for i in range(len(X)):
+        for j in range(len(X[0])):
+            if X[i][j] and TA[i] != TB[j]:
+                return (i, j)
+    return None
+
+
+def _hermite_basis(rows, npos):
+    if not rows:
+        return [[1 if v == u else 0 for v in range(npos)] for u in range(npos)]
+    K = kernel_basis(IntMatrix.from_rows(rows))
+    return _row_hermite([K.col(t) for t in range(K.cols)])
+
+
+@pytest.mark.parametrize("level", range(1, 17))
+def test_commutant_rows_span_the_cyclotomic_oracle_lattice(level):
+    data = su2_modular_data(level)
+    m = level + 1
+    positions = [(i, j) for i in range(m) for j in range(m) if data.T[i] == data.T[j]]
+    rows = _commutant_rows(data.S, positions)
+    oracle = _commutant_rows_reference(data.S, positions)
+    assert all(any(r) for r in rows)
+    assert _hermite_basis(rows, len(positions)) == _hermite_basis(oracle, len(positions))
+
+
+def _perturbations(grid, rng, count):
+    """Copies of `grid` with one or two entries moved by +-1, kept nonnegative."""
+    p, m = len(grid), len(grid[0])
+    out = []
+    while len(out) < count:
+        g = [list(row) for row in grid]
+        for _ in range(rng.choice((1, 2))):
+            i, j = rng.randrange(p), rng.randrange(m)
+            g[i][j] = max(0, g[i][j] + rng.choice((1, -1, 1)))
+        out.append(g)
+    return out
+
+
+@pytest.mark.parametrize("level", [4, 10, 16])
+def test_check_invariant_first_failures_match_the_cyclotomic_loops(level):
+    data = su2_modular_data(level)
+    rng = random.Random(level)
+    seen = {"commutes_with_t": 0, "commutes_with_s": 0}
+    for z in enumerate_invariants(level):
+        for g in [list(map(list, z.matrix))] + _perturbations(z.matrix, rng, 40):
+            rep = check_invariant(g, data)
+            t_bad = _t_loop_reference(g, data.T, data.T)
+            s_bad = _s_loop_reference(g, data.S, data.S)
+            assert rep.notes.get("commutes_with_t") == (
+                None if t_bad is None else "nonzero entry across T classes at %s" % (t_bad,)
+            )
+            assert rep.notes.get("commutes_with_s") == (
+                None if s_bad is None else "ZS and SZ differ first at %s" % (s_bad,)
+            )
+            seen["commutes_with_t"] += t_bad is not None
+            seen["commutes_with_s"] += s_bad is not None and t_bad is None
+    # both axioms fail on their own somewhere, so both positions are compared
+    assert min(seen.values()) > 0
+
+
+def test_check_invariant_first_failure_on_a_double():
+    md, _ = double_abelian(4)
+    for H in overgroups_of_diagonal(4):
+        g = alpha_induction_abelian(4, H)["Z"].to_lists()
+        for i, j in [(1, 2), (5, 5), (0, 15)]:
+            bent = [list(row) for row in g]
+            bent[i][j] += 1
+            s_bad = _s_loop_reference(bent, md.S, md.S)
+            assert check_invariant(bent, md).notes.get("commutes_with_s") == (
+                None if s_bad is None else "ZS and SZ differ first at %s" % (s_bad,)
+            )
+
+
+@pytest.mark.parametrize(
+    "name, level, branching",
+    [("SU3", 4, D4_BRANCHING), ("Sp4", 10, E6_BRANCHING)],
+    ids=["SU3_1-to-SU2_4", "Sp4_1-to-SU2_10"],
+)
+def test_embed_invariant_first_failures_match_the_cyclotomic_loops(name, level, branching):
+    ext, _ = level1_data(name)
+    base = su2_modular_data(level)
+    # the two theories live at different cyclotomic orders
+    assert {e.order for row in ext.S for e in row} != {e.order for row in base.S for e in row}
+    rng = random.Random(level)
+    grids = _perturbations(branching, rng, 60)
+    # moves inside a T class leave T intact, so only S can fail
+    for i0, j0 in product(range(len(branching)), range(len(branching[0]))):
+        if ext.T[i0] == base.T[j0]:
+            g = [list(row) for row in branching]
+            g[i0][j0] += 1
+            grids.append(g)
+    s_only = 0
+    for g in grids:
+        if g[0][0] != 1:
+            continue
+        t_bad = _t_loop_reference(g, ext.T, base.T)
+        s_bad = _s_loop_reference(g, ext.S, base.S)
+        if t_bad is not None:
+            want = "branching does not intertwine T at (%d, %d)" % t_bad
+        elif s_bad is not None:
+            want = "branching does not intertwine S at (%d, %d)" % s_bad
+            s_only += 1
+        else:
+            want = None
+        try:
+            embed_invariant(BranchingRule(g), ext, base)
+            got = None
+        except InvariantCheckFailed as exc:
+            got = str(exc) if "intertwine" in str(exc) else None
+        assert got == want
+    assert s_only > 0
