@@ -319,27 +319,7 @@ class CycNumber:
                 row = cond.rows[(i * step) % order]
                 for j in range(cond.phi):
                     out[j] += c * row[j]
-        r = CycNumber.__new__(CycNumber)
-        object.__setattr__(r, "order", order)
-        object.__setattr__(r, "num", tuple(out))
-        object.__setattr__(r, "den", self.den)
-        object.__setattr__(r, "_norm", None)
-        return r._strip()
-
-    def _strip(self) -> "CycNumber":
-        g = self.den
-        for c in self.num:
-            g = gcd(g, c)
-            if g == 1:
-                return self
-        if g <= 1:
-            return self
-        r = CycNumber.__new__(CycNumber)
-        object.__setattr__(r, "order", self.order)
-        object.__setattr__(r, "num", tuple(c // g for c in self.num))
-        object.__setattr__(r, "den", self.den // g)
-        object.__setattr__(r, "_norm", None)
-        return r
+        return _raw(order, out, self.den)
 
     @staticmethod
     def _common(a: "CycNumber", b: "CycNumber"):

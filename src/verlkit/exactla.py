@@ -2,18 +2,40 @@
 
 Everything here works with arbitrary-precision integers.  The central
 object is :class:`IntMatrix` (immutable, row-major); on top of it sit the
-Smith normal form with full unimodular transform tracking and
-:class:`FGAbelianGroup`, the invariant-factor presentation of a finitely
-generated abelian group that every downstream computation reports its
-answers in.  Cokernel, kernel and integer solving are readers of one
-`smith_with_inverses` factorization, so a caller that needs several of
-them (``polyring.e6_tor``) factors its matrix once.  Square rational
-systems are solved by one fraction-free Bareiss elimination, `_bareiss`,
-which the cyclotomic inverse and descent and the characteristic
-polynomials of graph adjacencies all call.
+Smith normal form and :class:`FGAbelianGroup`, the invariant-factor
+presentation of a finitely generated abelian group that every downstream
+computation reports its answers in.  All integer elimination is one
+Euclid pass, `_sweep`, over one row operation, `_add`: the Smith form
+clears its columns, its rows and its divisibility fix-ups with it, and
+`_row_hermite` builds the Hermite form of a row lattice with it.  The
+Smith engine tracks only the unimodular transforms its reader names:
+none for `rank`, V for `kernel_basis`, U and V for `solve_int`, U^-1 and
+V for `connecting_solve`.  Cokernel, kernel and integer solving read one
+factorization, so a caller that needs several of them
+(``polyring.e6_tor``) factors its matrix once, with all four transforms,
+by `smith_with_inverses`.  Square rational systems are solved by one
+fraction-free Bareiss elimination, `_bareiss`, which the cyclotomic
+inverse and descent and the characteristic polynomials of graph
+adjacencies all call.
 """
 
 from __future__ import annotations
+
+from itertools import product
+
+__all__ = [
+    "IntMatrix",
+    "FGAbelianGroup",
+    "PresentedModule",
+    "smith_normal_form",
+    "smith_with_inverses",
+    "cokernel",
+    "kernel_basis",
+    "rank",
+    "fgab_from_relations",
+    "connecting_solve",
+    "solve_int",
+]
 
 
 class IntMatrix:
@@ -110,19 +132,15 @@ class IntMatrix:
     def __add__(self, other):
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        return IntMatrix(
-            self.rows, self.cols, [a + b for a, b in zip(self.data, other.data)]
-        )
+        return _matrix(self.rows, self.cols, [a + b for a, b in zip(self.data, other.data)])
 
     def __sub__(self, other):
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        return IntMatrix(
-            self.rows, self.cols, [a - b for a, b in zip(self.data, other.data)]
-        )
+        return _matrix(self.rows, self.cols, [a - b for a, b in zip(self.data, other.data)])
 
     def __neg__(self):
-        return IntMatrix(self.rows, self.cols, [-a for a in self.data])
+        return _matrix(self.rows, self.cols, [-a for a in self.data])
 
     def __mul__(self, other):
         """Matrix product, or scalar product when `other` is an int.
@@ -131,7 +149,7 @@ class IntMatrix:
         (3, 0, 0, 3)
         """
         if isinstance(other, int):
-            return IntMatrix(self.rows, self.cols, [a * other for a in self.data])
+            return _matrix(self.rows, self.cols, [a * other for a in self.data])
         if self.cols != other.rows:
             raise ValueError("inner dimensions mismatch")
         out = [0] * (self.rows * other.cols)
@@ -145,16 +163,13 @@ class IntMatrix:
                 rbase = i * other.cols
                 for j in range(other.cols):
                     out[rbase + j] += a * other.data[obase + j]
-        return IntMatrix(self.rows, other.cols, out)
+        return _matrix(self.rows, other.cols, out)
 
     __rmul__ = __mul__
 
     def transpose(self):
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            [self.data[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],
-        )
+        c = self.cols
+        return _matrix(c, self.rows, [x for j in range(c) for x in self.data[j::c]])
 
     def mul_vec(self, vec):
         if len(vec) != self.cols:
@@ -167,8 +182,8 @@ class IntMatrix:
     def hstack(self, other):
         if self.rows != other.rows:
             raise ValueError("row count mismatch")
-        rows = [list(self.row(i)) + list(other.row(i)) for i in range(self.rows)]
-        return IntMatrix.from_rows(rows) if self.rows else IntMatrix(0, self.cols + other.cols, [])
+        data = [x for i in range(self.rows) for x in self.row(i) + other.row(i)]
+        return _matrix(self.rows, self.cols + other.cols, data)
 
     def is_zero(self):
         return all(a == 0 for a in self.data)
@@ -181,130 +196,170 @@ class IntMatrix:
         return cls(obj["rows"], obj["cols"], obj["data"])
 
 
-def _smith_engine(M: IntMatrix):
-    """Run the SNF elimination, returning (D, U, Uinv, V, Vinv) as lists.
+def _matrix(rows: int, cols: int, data) -> IntMatrix:
+    """An IntMatrix around int entries the library computed itself, unchecked."""
+    M = object.__new__(IntMatrix)
+    object.__setattr__(M, "rows", rows)
+    object.__setattr__(M, "cols", cols)
+    object.__setattr__(M, "data", tuple(data))
+    return M
 
-    U*M*V = D with U, V unimodular.  Pivots are chosen with smallest nonzero
-    magnitude to keep entry growth down on the larger connecting matrices.
+
+def _add(fwd, inv, dst, src, q):
+    """Row dst += q * row src on `fwd`, and the inverse step on `inv`.
+
+    `inv` holds the inverse of `fwd` transposed, so the inverse step, column
+    src -= q * column dst, is a row operation too.  Either may be None.
+    """
+    if q:
+        if fwd is not None:
+            fwd[dst] = [x + q * y for x, y in zip(fwd[dst], fwd[src])]
+        if inv is not None:
+            inv[src] = [x - q * y for x, y in zip(inv[src], inv[dst])]
+
+
+def _swap(mats, a, b):
+    """Swap rows a and b of every tracked matrix in `mats`."""
+    for X in mats:
+        if X is not None:
+            X[a], X[b] = X[b], X[a]
+
+
+def _sweep(get, t, stop, add, swap):
+    """One Euclid pass: reduce the entries t+1..stop-1 of a line by entry t.
+
+    `get(i)` reads entry i of the line, `add(i, t, q)` adds q times element
+    t to element i and `swap(t, i)` exchanges them.  A nonzero remainder is
+    smaller than the pivot and becomes the new pivot.  Returns True when the
+    pass made no swap, so that every entry past t is zero.
+    """
+    done = True
+    for i in range(t + 1, stop):
+        a = get(i)
+        if a:
+            add(i, t, -(a // get(t)))
+            if get(i):
+                swap(t, i)
+                done = False
+    return done
+
+
+def _smith_engine(M: IntMatrix, u=False, uinv=False, v=False, vinv=False):
+    """Run the SNF elimination, returning (U, U^-1, D, V, V^-1).
+
+    U*M*V = D with U, V unimodular.  Only the transforms flagged are
+    tracked; the others come back as None.  A row step of M acts on the
+    rows of U and on the columns of U^-1, a column step on the columns of V
+    and on the rows of V^-1.  So U^-1 and V are stored transposed, and every
+    transform update is one `_add` or `_swap` of whole rows.  Pivots are
+    chosen with smallest nonzero magnitude to keep entry growth down on the
+    larger connecting matrices.
     """
     m, n = M.rows, M.cols
     A = [list(M.row(i)) for i in range(m)]
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    Uinv = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    Vinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    eye = lambda k, on: [[0] * i + [1] + [0] * (k - 1 - i) for i in range(k)] if on else None
+    U, Uinv_t, V_t, Vinv = eye(m, u), eye(m, uinv), eye(n, v), eye(n, vinv)
 
     def row_add(dst, src, q):
-        # row dst += q * row src on A and U; inverse op on Uinv columns
-        Ad, As = A[dst], A[src]
-        for j in range(n):
-            Ad[j] += q * As[j]
-        Ud, Us = U[dst], U[src]
-        for j in range(m):
-            Ud[j] += q * Us[j]
-        for i in range(m):
-            Uinv[i][src] -= q * Uinv[i][dst]
+        _add(A, None, dst, src, q)
+        _add(U, Uinv_t, dst, src, q)
 
     def col_add(dst, src, q):
-        for i in range(m):
-            A[i][dst] += q * A[i][src]
-        for i in range(n):
-            V[i][dst] += q * V[i][src]
-        Vs, Vd = Vinv[src], Vinv[dst]
-        for j in range(n):
-            Vs[j] -= q * Vd[j]
+        if q:
+            for row in A:
+                row[dst] += q * row[src]
+        _add(V_t, Vinv, dst, src, q)
 
     def row_swap(a, b):
-        A[a], A[b] = A[b], A[a]
-        U[a], U[b] = U[b], U[a]
-        for i in range(m):
-            Uinv[i][a], Uinv[i][b] = Uinv[i][b], Uinv[i][a]
+        _swap((A, U, Uinv_t), a, b)
 
     def col_swap(a, b):
-        for i in range(m):
-            A[i][a], A[i][b] = A[i][b], A[i][a]
-        for i in range(n):
-            V[i][a], V[i][b] = V[i][b], V[i][a]
-        Vinv[a], Vinv[b] = Vinv[b], Vinv[a]
+        for row in A:
+            row[a], row[b] = row[b], row[a]
+        _swap((V_t, Vinv), a, b)
 
-    def row_negate(i):
-        A[i] = [-x for x in A[i]]
-        U[i] = [-x for x in U[i]]
-        for t in range(m):
-            Uinv[t][i] = -Uinv[t][i]
+    def negate(i):
+        for X in (A, U, Uinv_t):
+            if X is not None:
+                X[i] = [-x for x in X[i]]
 
     t = 0
     while t < m and t < n:
-        # locate smallest-magnitude nonzero entry in the trailing block
-        piv = None
+        # locate the first smallest-magnitude nonzero entry of the trailing block
         best = None
-        for i in range(t, m):
-            Ai = A[i]
-            for j in range(t, n):
-                a = Ai[j]
-                if a != 0 and (best is None or abs(a) < best):
-                    best = abs(a)
-                    piv = (i, j)
-                    if best == 1:
-                        break
-            if best == 1:
-                break
-        if piv is None:
+        for i, j in product(range(t, m), range(t, n)):
+            a = abs(A[i][j])
+            if a and (best is None or a < best):
+                best, pi, pj = a, i, j
+                if a == 1:
+                    break
+        if best is None:
             break
-        row_swap(t, piv[0])
-        col_swap(t, piv[1])
-        while True:
-            # clear column t
-            done = True
-            for i in range(t + 1, m):
-                if A[i][t] != 0:
-                    q = A[i][t] // A[t][t]
-                    row_add(i, t, -q)
-                    if A[i][t] != 0:
-                        row_swap(t, i)  # remainder is smaller: new pivot
-                        done = False
-            if not done:
-                continue
-            for j in range(t + 1, n):
-                if A[t][j] != 0:
-                    q = A[t][j] // A[t][t]
-                    col_add(j, t, -q)
-                    if A[t][j] != 0:
-                        col_swap(t, j)
-                        done = False
-            if done:
-                break
+        row_swap(t, pi)
+        col_swap(t, pj)
+        # clear column t, then row t; a column step can refill the column
+        while not (_sweep(lambda i: A[i][t], t, m, row_add, row_swap)
+                   and _sweep(lambda j: A[t][j], t, n, col_add, col_swap)):
+            pass
         if A[t][t] < 0:
-            row_negate(t)
+            negate(t)
         t += 1
 
     # enforce the divisibility chain d_i | d_{i+1}
-    r = t
     changed = True
     while changed:
         changed = False
-        for i in range(r - 1):
+        for i in range(t - 1):
             a, b = A[i][i], A[i + 1][i + 1]
             if a != 0 and b % a != 0:
                 changed = True
                 # fold the block diag(a, b) into diag(gcd, lcm)
                 col_add(i, i + 1, 1)  # block is now [[a, 0], [b, b]]
-                while True:
-                    q = A[i + 1][i] // A[i][i]
-                    row_add(i + 1, i, -q)
-                    if A[i + 1][i] == 0:
-                        break
-                    row_swap(i, i + 1)
+                while not _sweep(lambda k: A[k][i], i, i + 2, row_add, row_swap):
+                    pass
                 if A[i][i] < 0:
-                    row_negate(i)
+                    negate(i)
                 # gcd divides the fill-in at (i, i+1) exactly
-                q = A[i][i + 1] // A[i][i]
-                col_add(i + 1, i, -q)
+                col_add(i + 1, i, -(A[i][i + 1] // A[i][i]))
                 if A[i][i + 1]:
                     raise ArithmeticError("Smith fix-up failed at (%d, %d)" % (i, i + 1))
                 if A[i + 1][i + 1] < 0:
-                    row_negate(i + 1)
-    return A, U, Uinv, V, Vinv
+                    negate(i + 1)
+
+    def square(rows, k, stored_transposed=False):
+        if rows is not None:
+            rows = zip(*rows) if stored_transposed else rows
+            return _matrix(k, k, [x for row in rows for x in row])
+
+    return (
+        square(U, m),
+        square(Uinv_t, m, True),
+        _matrix(m, n, [x for row in A for x in row]),
+        square(V_t, n, True),
+        square(Vinv, n),
+    )
+
+
+def _row_hermite(rows):
+    """Hermite form of the row lattice: echelon rows with positive pivots,
+    the entries above each pivot reduced into [0, pivot)."""
+    mat = [list(r) for r in rows]
+    add = lambda dst, src, q: _add(mat, None, dst, src, q)
+    swap = lambda a, b: _swap((mat,), a, b)
+    r = 0
+    for c in range(len(mat[0]) if mat else 0):
+        nz = [i for i in range(r, len(mat)) if mat[i][c]]
+        if not nz:
+            continue
+        swap(r, min(nz, key=lambda i: abs(mat[i][c])))
+        while not _sweep(lambda i: mat[i][c], r, len(mat), add, swap):
+            pass
+        if mat[r][c] < 0:
+            mat[r] = [-x for x in mat[r]]
+        for i in range(r):
+            add(i, r, -(mat[i][c] // mat[r][c]))
+        r += 1
+    return mat[:r]
 
 
 def smith_normal_form(M: IntMatrix):
@@ -317,21 +372,13 @@ def smith_normal_form(M: IntMatrix):
     >>> [D[i, i] for i in range(2)]
     [2, 4]
     """
-    U, _, D, V, _ = smith_with_inverses(M)
+    U, _, D, V, _ = _smith_engine(M, u=True, v=True)
     return U, D, V
 
 
 def smith_with_inverses(M: IntMatrix):
     """Like :func:`smith_normal_form` but returns (U, U^-1, D, V, V^-1)."""
-    A, U, Uinv, V, Vinv = _smith_engine(M)
-    mk = lambda L, r, c: IntMatrix.from_rows(L) if r else IntMatrix(0, c, [])
-    return (
-        mk(U, M.rows, 0),
-        mk(Uinv, M.rows, 0),
-        mk(A, M.rows, M.cols),
-        mk(V, M.cols, 0),
-        mk(Vinv, M.cols, 0),
-    )
+    return _smith_engine(M, True, True, True, True)
 
 
 def _factor(D: IntMatrix, i: int) -> int:
@@ -553,6 +600,7 @@ def cokernel(M: IntMatrix, labels=None) -> FGAbelianGroup:
         raise ValueError("need one label per codomain generator")
     if M.cols == 0:
         return FGAbelianGroup(M.rows, (), tuple(labels))
+    # the public factorization, so that a tracer of public entry points sees this SNF
     return _cokernel_of(smith_with_inverses(M), labels)
 
 
@@ -562,17 +610,14 @@ def kernel_basis(M: IntMatrix) -> IntMatrix:
     >>> kernel_basis(IntMatrix.from_rows([[2, 4], [1, 2]])).col(0)
     (-2, 1)
     """
-    snf = smith_with_inverses(M)
+    snf = _smith_engine(M, v=True)
     free = _free_columns(snf)
-    if not free:
-        return IntMatrix(M.cols, 0, [])
-    return IntMatrix.from_cols([snf[3].col(j) for j in free])
+    return _matrix(M.cols, len(free), [snf[3][i, j] for i in range(M.cols) for j in free])
 
 
 def rank(M: IntMatrix) -> int:
     """Rank over Q (equals the number of nonzero invariant factors)."""
-    _, D, _ = smith_normal_form(M)
-    return sum(1 for i in range(min(M.rows, M.cols)) if D[i, i] != 0)
+    return M.cols - len(_free_columns(_smith_engine(M)))
 
 
 def fgab_from_relations(P: PresentedModule) -> FGAbelianGroup:
@@ -601,7 +646,7 @@ def connecting_solve(beta: IntMatrix, domain_labels=None, codomain_labels=None):
         domain_labels = ["x%d" % j for j in range(beta.cols)]
     if codomain_labels is None:
         codomain_labels = ["y%d" % i for i in range(beta.rows)]
-    snf = smith_with_inverses(beta)
+    snf = _smith_engine(beta, uinv=True, v=True)
     V = snf[3]
     ker_labels = tuple(
         _format_combo(V.col(j), domain_labels) for j in _free_columns(snf)
@@ -617,4 +662,4 @@ def solve_int(M: IntMatrix, target) -> "tuple | None":
     """
     if len(target) != M.rows:
         raise ValueError("target length mismatch")
-    return _solve_with(smith_with_inverses(M), target)
+    return _solve_with(_smith_engine(M, u=True, v=True), target)

@@ -12,7 +12,10 @@ exact characteristic-polynomial deflation.
 The invariance axioms are integer identities: XT = TX asks X to vanish
 across T classes, and for an integer X, XS = SX holds exactly when
 XS_t = S_tX for each integer coordinate matrix S_t of S over one power
-basis, d S = sum_t S_t zeta^t.
+basis, d S = sum_t S_t zeta^t.  The commutant is then the kernel
+lattice of an integer system, `exactla.kernel_basis`, and its
+`exactla._row_hermite` basis is what `enumerate_invariants` scans; this
+module does no elimination of its own.
 
 The finite-group analogue lives in `alpha_induction_abelian`: for the
 double of a finite abelian group, a subgroup of the square containing
@@ -35,7 +38,7 @@ from math import gcd, lcm
 import mpmath
 
 from .cyclo import CycNumber, _coordinate_matrices, cos_frac, rational, real_embed
-from .exactla import IntMatrix, _bareiss, kernel_basis
+from .exactla import IntMatrix, _bareiss, _row_hermite, kernel_basis
 from .fusion import (
     _cyclic_orders, _fusion_failure, _tuples, su2_fusion_truncated, su2_modular_data,
 )
@@ -386,43 +389,6 @@ def _commutant_rows(S, positions):
                         g = -g
                     rows.add(tuple(c // g for c in row))
     return sorted(rows)
-
-
-def _row_hermite(rows):
-    """Row echelon over Z with positive pivots, reduced above."""
-    mat = [list(r) for r in rows]
-    if not mat:
-        return []
-    ncols = len(mat[0])
-    r = 0
-    for c in range(ncols):
-        while True:
-            nz = [i for i in range(r, len(mat)) if mat[i][c]]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: abs(mat[i][c]))
-            mat[r], mat[i0] = mat[i0], mat[r]
-            clean = True
-            for i in range(r + 1, len(mat)):
-                if mat[i][c]:
-                    q = mat[i][c] // mat[r][c]
-                    if q:
-                        mat[i] = [x - q * y for x, y in zip(mat[i], mat[r])]
-                    if mat[i][c]:
-                        clean = False
-            if clean:
-                break
-        if r < len(mat) and mat[r][c]:
-            if mat[r][c] < 0:
-                mat[r] = [-x for x in mat[r]]
-            for i in range(r):
-                q = mat[i][c] // mat[r][c]
-                if q:
-                    mat[i] = [x - q * y for x, y in zip(mat[i], mat[r])]
-            r += 1
-            if r == len(mat):
-                break
-    return mat[:r]
 
 
 def enumerate_invariants(level: int, budget: int = 4_000_000):

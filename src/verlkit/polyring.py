@@ -276,13 +276,17 @@ def stabilized_family(family, size: int, stride: int = 5) -> FGAbelianGroup:
         return FGAbelianGroup(len(labels1), (), generators=tuple(labels1))
     g1 = _quotient_on(labels1, rels1)
     labels2, rels2 = family(size + stride)
-    g2 = _quotient_on(labels2, rels2)
-    if (g1.free_rank, g1.torsion) != (g2.free_rank, g2.torsion):
-        raise StabilizationFailure(
-            "window %d gives %s but window %d gives %s"
-            % (size, g1.describe(), size + stride, g2.describe())
-        )
+    _check_stable("", size, stride, g1, _quotient_on(labels2, rels2))
     return g1
+
+
+def _check_stable(name, size, stride, g1, g2):
+    """Raise StabilizationFailure unless windows size and size + stride agree."""
+    if g1 != g2:
+        raise StabilizationFailure(
+            "%swindow %d gives %s but window %d gives %s"
+            % (name, size, g1.describe(), size + stride, g2.describe())
+        )
 
 
 def _monomial_label(names, exps) -> str:
@@ -496,12 +500,8 @@ def e6_tor(window_size: int = 24, stride: int = 5):
 
     h0, h1, snf = window(window_size)
     h0b, h1b, _ = window(window_size + stride)
-    for name, g1, g2 in (("", h0, h0b), ("H1 ", h1, h1b)):
-        if (g1.free_rank, g1.torsion) != (g2.free_rank, g2.torsion):
-            raise StabilizationFailure(
-                "%swindow %d gives %s but window %d gives %s"
-                % (name, window_size, g1.describe(), window_size + stride, g2.describe())
-            )
+    _check_stable("", window_size, stride, h0, h0b)
+    _check_stable("H1 ", window_size, stride, h1, h1b)
 
     # ring relation in H0: s*s - 2*1 must lie in im d1
     target = [-2, 0, 1] + [0] * (window_size + d1g.degree() - 3)

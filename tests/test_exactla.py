@@ -10,6 +10,7 @@ Derived expectations computed by hand before implementation:
 
 import random
 from fractions import Fraction
+from itertools import product
 
 from hypothesis import given, settings, strategies as st
 
@@ -18,6 +19,8 @@ from verlkit.exactla import (
     IntMatrix,
     PresentedModule,
     _bareiss,
+    _row_hermite,
+    _smith_engine,
     cokernel,
     connecting_solve,
     fgab_from_relations,
@@ -348,3 +351,118 @@ def test_mul_vec_matches_the_dense_row_sums():
             v = tuple(rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(cols))
             dense = tuple(sum(M[i, j] * v[j] for j in range(cols)) for i in range(rows))
             assert M.mul_vec(v) == dense
+
+
+# --- transforms on demand and the Hermite form ------------------------------
+
+
+def _engine_cases(rng):
+    """Seeded matrices of every shape up to 8 x 8, and how many need the fix-up.
+
+    A monomial matrix (one nonzero per row and column) reaches its diagonal
+    by swaps alone, in order of magnitude, so the divisibility fix-up runs
+    exactly when those sorted magnitudes do not form a divisibility chain.
+    """
+    cases, fixups = [], 0
+    for m in range(9):
+        for n in range(9):
+            for kind in ("dense", "low rank", "monomial") * 2:
+                r = rng.randint(0, min(m, n))
+                if kind == "dense":
+                    rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+                elif kind == "low rank":
+                    L = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(m)]
+                    R = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+                    rows = [[sum(L[i][t] * R[t][j] for t in range(r)) for j in range(n)]
+                            for i in range(m)]
+                else:
+                    vals = [rng.choice([-15, -6, -4, 2, 3, 4, 9, 10]) for _ in range(r)]
+                    cols = rng.sample(range(n), r)
+                    at = dict(zip(rng.sample(range(m), r), zip(cols, vals)))
+                    rows = [[at[i][1] if i in at and at[i][0] == j else 0 for j in range(n)]
+                            for i in range(m)]
+                    mags = sorted(abs(v) for v in vals)
+                    fixups += any(b % a for a, b in zip(mags, mags[1:]))
+                cases.append(IntMatrix(m, n, [x for row in rows for x in row]))
+    return cases, fixups
+
+
+def test_smith_engine_tracks_exactly_the_transforms_asked_for():
+    cases, fixups = _engine_cases(random.Random(6))
+    assert len(cases) >= 400 and fixups >= 20
+    assert any(M.rows * M.cols == 0 for M in cases)
+    assert any(rank(M) < min(M.shape) for M in cases)
+    for M in cases:
+        full = _smith_engine(M, True, True, True, True)
+        U, Uinv, D, V, Vinv = full
+        assert U * M * V == D and Uinv * D * Vinv == M
+        d = diag_of(D)
+        assert all(x >= 0 for x in d)
+        assert all(b % a == 0 if a else b == 0 for a, b in zip(d, d[1:]))
+        for flags in product((False, True), repeat=4):
+            got = _smith_engine(M, *flags)
+            assert got[2] == D
+            for on, x, y in zip(flags, got[:2] + got[3:], full[:2] + full[3:]):
+                assert (x == y) if on else (x is None)
+
+
+def _row_hermite_oracle(rows):
+    """The Hermite reduction modinv carried before it moved to exactla."""
+    mat = [list(r) for r in rows]
+    if not mat:
+        return []
+    ncols = len(mat[0])
+    r = 0
+    for c in range(ncols):
+        while True:
+            nz = [i for i in range(r, len(mat)) if mat[i][c]]
+            if not nz:
+                break
+            i0 = min(nz, key=lambda i: abs(mat[i][c]))
+            mat[r], mat[i0] = mat[i0], mat[r]
+            clean = True
+            for i in range(r + 1, len(mat)):
+                if mat[i][c]:
+                    q = mat[i][c] // mat[r][c]
+                    if q:
+                        mat[i] = [x - q * y for x, y in zip(mat[i], mat[r])]
+                    if mat[i][c]:
+                        clean = False
+            if clean:
+                break
+        if r < len(mat) and mat[r][c]:
+            if mat[r][c] < 0:
+                mat[r] = [-x for x in mat[r]]
+            for i in range(r):
+                q = mat[i][c] // mat[r][c]
+                if q:
+                    mat[i] = [x - q * y for x, y in zip(mat[i], mat[r])]
+            r += 1
+            if r == len(mat):
+                break
+    return mat[:r]
+
+
+def test_row_hermite_matches_the_modinv_reduction():
+    rng = random.Random(7)
+    assert _row_hermite([]) == _row_hermite_oracle([]) == []
+    seen = {"zero": 0, "dependent": 0, "negative pivot": 0}
+    for _ in range(300):
+        k, n = rng.randint(1, 7), rng.randint(1, 8)
+        rows = [[rng.randint(-12, 12) for _ in range(n)] for _ in range(k)]
+        if rng.random() < 0.4:
+            rows[rng.randrange(k)] = [0] * n
+            seen["zero"] += 1
+        if k > 1 and rng.random() < 0.4:
+            a, b = rng.sample(range(k), 2)
+            rows[a] = [rng.randint(-3, 3) * x for x in rows[b]]
+            seen["dependent"] += 1
+        first = next((row[0] for row in rows if row[0]), 0)
+        seen["negative pivot"] += first < 0
+        H = _row_hermite(rows)
+        assert H == _row_hermite_oracle(rows)
+        for row in H:
+            lead = next(c for c in range(n) if row[c])
+            assert row[lead] > 0
+            assert all(0 <= other[lead] < row[lead] for other in H if other is not row)
+    assert min(seen.values()) >= 50

@@ -1,7 +1,8 @@
 """Source hygiene that needs no linter: no module imports a name it neither
 uses nor exports through its __all__, no module defines a private
 top-level function or class that nothing in the library or its tests
-refers to, and no check is a bare `assert`, which `python -O` strips."""
+refers to, no check is a bare `assert`, which `python -O` strips, and
+every module states its public names in a literal __all__."""
 
 import ast
 from pathlib import Path
@@ -70,3 +71,29 @@ def test_no_dead_private_definitions(path):
 def test_no_bare_asserts(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)] == []
+
+
+def _top_level_names(tree):
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_every_module_declares_all(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    declared = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+    ]
+    assert len(declared) == 1, "no single top-level __all__"
+    names = ast.literal_eval(declared[0])
+    assert names and sorted(set(names) - _top_level_names(tree)) == []

@@ -16,7 +16,8 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from verlkit.exactla import IntMatrix, cokernel, kernel_basis, solve_int
+from verlkit import polyring
+from verlkit.exactla import FGAbelianGroup, IntMatrix, cokernel, kernel_basis, solve_int
 from verlkit.polyring import (
     Inconclusive,
     LaurentPoly,
@@ -117,6 +118,28 @@ def test_stabilization_failure_detected():
 
     with pytest.raises(StabilizationFailure):
         stabilized_family(family, 6)
+
+
+def test_stabilization_messages_name_both_windows(monkeypatch):
+    def family(w):
+        return ["g%d" % i for i in range(w)], [{"g0": 1}]
+
+    with pytest.raises(StabilizationFailure) as caught:
+        stabilized_family(family, 6)
+    assert str(caught.value) == "window 6 gives Z^5 but window 11 gives Z^10"
+
+    # an H1 that changes with the window is reported with its prefix
+    h1_groups = []
+
+    def cokernel_growing(M, labels=None):
+        h1_groups.append(cokernel(M, labels=labels))
+        g = h1_groups[-1]
+        return g if len(h1_groups) == 1 else FGAbelianGroup(g.free_rank, (3,))
+
+    monkeypatch.setattr(polyring, "cokernel", cokernel_growing)
+    with pytest.raises(StabilizationFailure) as caught:
+        e6_tor(20)
+    assert str(caught.value) == "H1 window 20 gives Z^2 but window 25 gives Z/3 + Z^2"
 
 
 def test_matrix_from_columns_rejects_duplicates():
