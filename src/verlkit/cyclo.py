@@ -10,11 +10,11 @@ cross-order equality lifts both sides to the lcm order first.
 
 Multiplication packs coefficient vectors into single big integers (one
 machine multiply replaces the whole convolution) and reduces with packed
-rows of the power table; a naive convolution is kept as `_mul_reference`
-for cross-checking in the test suite.  Inversion and descent to a smaller
-order are integer-only as well: each solves its linear system by the one
-fraction-free Bareiss elimination, `exactla._bareiss`, and the descent
-projector is cached as an integer matrix over a common denominator.
+rows of the power table; the test suite cross-checks it against a naive
+convolution.  Inversion and descent to a smaller order are integer-only
+as well: each solves its linear system by the one fraction-free Bareiss
+elimination, `exactla._bareiss`, and the descent projector is cached as
+an integer matrix over a common denominator.
 `_coordinate_matrices` splits cyclotomic matrices into integer matrices
 over one power basis, so callers test linear identities over Z.
 """
@@ -187,18 +187,6 @@ def _mul_int_vecs(a, b, cond: _CondData):
         if c:
             acc += c * packed[e % n]
     return _unpack(acc, phi, width)
-
-
-def _mul_reference(a, b, cond: _CondData):
-    """Naive convolution + reduction; oracle for `_mul_int_vecs`."""
-    phi = cond.phi
-    conv = [0] * (2 * phi - 1 if phi else 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    conv[i + j] += x * y
-    return _reduce_int_vec(conv, cond)
 
 
 # (N, d) -> (B^T, det G, det G * P) for descending Q(zeta_N) -> Q(zeta_d)

@@ -775,15 +775,11 @@ def _closure(seed, orders):
     while frontier:
         a = frontier.pop()
         for b in list(out):
-            for c in (_add(a, b, orders), _sub(zero_of(orders), a, orders)):
+            for c in (_add(a, b, orders), _sub((0,) * len(orders), a, orders)):
                 if c not in out:
                     out.add(c)
                     frontier.append(c)
     return frozenset(out)
-
-
-def zero_of(orders):
-    return tuple(0 for _ in orders)
 
 
 def overgroups_of_diagonal(G):
@@ -794,7 +790,7 @@ def overgroups_of_diagonal(G):
     """
     orders = _cyclic_orders(G)
     elements = _tuples(orders)
-    zero = zero_of(orders)
+    zero = (0,) * len(orders)
     subgroups = {frozenset({zero})}
     frontier = [frozenset({zero})]
     while frontier:

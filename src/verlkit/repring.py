@@ -3,11 +3,13 @@
 Groups are lists of explicit unit quaternions closed under multiplication,
 with their Cayley graph (right multiplication by each generator) computed
 once.  Multiplication tables, irreducible representations (hardcoded
-generator matrices over small cyclotomic fields) and embeddings are values
-assigned along a walk of that graph; a failed check on any edge means the
-generator images do not define a homomorphism and construction aborts.
-Character tables are self-verified against the orthogonality relations
-(OrthogonalityFailure otherwise).
+generator matrices over small cyclotomic fields), embeddings and gradings
+(signs +-1 on the generators) are values assigned along a walk of that
+graph; a failed check on any edge means the generator images do not
+define a homomorphism, so construction aborts or, for a sign tuple, no
+grading exists.  Character tables are self-verified against the
+orthogonality relations (OrthogonalityFailure otherwise).  A graded fold
+restricts irreps along the embedding of the grading's kernel.
 
 Infinite groups appear symbolically: the circle ring Z[a^(+-1)], the O(2)
 ring Span{1, delta, kappa_1, ...}, and the SU(2) ring Z[sigma].  Dirac
@@ -24,14 +26,16 @@ are available as "C<m>" and "BD<m>".
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
-from .cyclo import CycNumber, _mat_mul, cos_frac, rational, sin_frac, sqrt_int, zeta
+from .cyclo import CycNumber, _coerce, _mat_mul, cos_frac, rational, sin_frac, sqrt_int, zeta
 from .exactla import IntMatrix
 
 __all__ = [
     "Quaternion",
     "QuaternionGroup",
     "CharacterTable",
+    "Irrep",
     "VirtualRep",
     "Grading",
     "Embedding",
@@ -152,12 +156,7 @@ class Quaternion:
 
 
 def _quat(w, x, y, z) -> Quaternion:
-    out = []
-    for v in (w, x, y, z):
-        if isinstance(v, (int, Fraction)):
-            v = rational(v)
-        out.append(v)
-    return Quaternion(*out)
+    return Quaternion(*map(_coerce, (w, x, y, z)))
 
 
 _Q_ONE = _quat(1, 0, 0, 0)
@@ -232,15 +231,7 @@ def _mat_trace(A):
 
 
 def _as_mat(rows):
-    out = []
-    for r in rows:
-        row = []
-        for v in r:
-            if isinstance(v, (int, Fraction)):
-                v = rational(v)
-            row.append(v)
-        out.append(tuple(row))
-    return tuple(out)
+    return tuple(tuple(map(_coerce, r)) for r in rows)
 
 
 def _mat_tensor(A, B):
@@ -393,23 +384,23 @@ class CharacterTable:
             )
         for a in self.labels:
             for b in self.labels:
-                tot = _ZERO
-                for ci, size in enumerate(self.class_sizes):
-                    tot = tot + size * self.chars[a][ci] * self.chars[b][
-                        ci
-                    ].conjugate()
+                tot = self._pairing(self.chars[a], self.chars[b])
                 want = n if a == b else 0
                 if tot != rational(want):
                     raise OrthogonalityFailure(
                         "%s: <%s,%s> = %s" % (self.group.name, a, b, tot.render())
                     )
 
-    def inner(self, chi1, chi2) -> int:
-        """Exact <chi1, chi2> for class functions given per class."""
+    def _pairing(self, chi1, chi2):
+        """|G| <chi1, chi2>: the class-size weighted sum of chi1 * conj(chi2)."""
         tot = _ZERO
         for ci, size in enumerate(self.class_sizes):
             tot = tot + size * chi1[ci] * chi2[ci].conjugate()
-        val = (tot / self.group.order).normalized()
+        return tot
+
+    def inner(self, chi1, chi2) -> int:
+        """Exact <chi1, chi2> for class functions given per class."""
+        val = (self._pairing(chi1, chi2) / self.group.order).normalized()
         return val.as_int()
 
     def decompose(self, chi) -> "VirtualRep":
@@ -620,7 +611,7 @@ def _e6_specs():
 
 
 def _scale_mat(M, c):
-    return [[c * v if not isinstance(v, (int, Fraction)) else c * rational(v) for v in row] for row in M]
+    return [[c * v for v in row] for row in M]
 
 
 def _e7_specs():
@@ -935,74 +926,40 @@ class Grading:
 
 
 def gradings(G: QuaternionGroup):
-    """All homomorphisms G -> {+1,-1} with kernel of index exactly 2."""
+    """All homomorphisms G -> {+1,-1} with kernel of index exactly 2.
+
+    A homomorphism is fixed by its signs on the generators, so each sign
+    tuple other than all +1 is walked along the Cayley graph; the walk
+    fails on some edge exactly when the tuple defines no homomorphism.
+    Sorted by kernel; psi_label names the matching 1-dim irrep, or is None
+    when G carries no irrep tables.
+    """
     if G._gradings is not None:
         return G._gradings
-    n = G.order
-    # G/<squares> is elementary abelian 2-torsion, hence already abelian,
-    # so the squares alone generate the intersection of all index-2 kernels
-    seed = {G.mul(a, a) for a in range(n)}
-    N = _closure(sorted(seed), one=0, mul=G.mul)[0]
-    if len(N) == n:
-        G._gradings = []
-        return []
-    # cosets of N form an elementary abelian 2-group
-    coset_of = {}
-    cosets = []
-    for a in range(n):
-        if a in coset_of:
-            continue
-        members = {G.mul(a, h) for h in N}
-        ci = len(cosets)
-        cosets.append(sorted(members))
-        for m in members:
-            coset_of[m] = ci
     out = []
-    q = len(cosets)
-    # enumerate nontrivial characters of the quotient via subsets
-    for mask in range(1, 1 << q):
-        vals = [1 if not (mask >> ci) & 1 else -1 for ci in range(q)]
-        if vals[coset_of[0]] != 1:
+    for signs in product((1, -1), repeat=len(G.generators)):
+        if -1 not in signs:
             continue
-        ok = True
-        for a in range(q):
-            for b in range(q):
-                c = coset_of[G.mul(cosets[a][0], cosets[b][0])]
-                if vals[a] * vals[b] != vals[c]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
+        vals = _walk(G._right, 1, lambda v, k: v * signs[k])
+        if vals is None:
             continue
-        if all(v == 1 for v in vals):
-            continue
-        evals = tuple(vals[coset_of[a]] for a in range(n))
-        kernel = frozenset(a for a in range(n) if evals[a] == 1)
-        psi = _matching_sign_irrep(G, evals)
-        out.append(Grading(G, kernel, evals, psi))
+        try:
+            ct = character_table(G)
+        except NotImplementedError:
+            psi = None
+        else:
+            psi = _one_dim_label(ct, [vals[c[0]] for c in ct.classes])
+        kernel = frozenset(a for a, v in enumerate(vals) if v == 1)
+        out.append(Grading(G, kernel, tuple(vals), psi))
     out.sort(key=lambda gr: sorted(gr.kernel))
     G._gradings = out
     return out
 
 
-def _matching_sign_irrep(G, evals):
-    try:
-        ct = character_table(G)
-    except NotImplementedError:
-        return None
+def _one_dim_label(ct, values):
+    """The 1-dim irrep whose character takes `values` per class, or None."""
     for lab, d in zip(ct.labels, ct.dims):
-        if d != 1:
-            continue
-        full = {}
-        ok = True
-        for ci, cls in enumerate(ct.classes):
-            v = ct.chars[lab][ci]
-            want = evals[cls[0]]
-            if not (v == rational(want)):
-                ok = False
-                break
-        if ok:
+        if d == 1 and all(v == w for v, w in zip(ct.chars[lab], values)):
             return lab
     return None
 
@@ -1099,27 +1056,21 @@ def graded_fold(G: QuaternionGroup, grading: Grading = None):
     K = _kernel_group(G, grading)
     ct_k = character_table(K)
     # correspondence check: folding the G-graph must reproduce Irr(K)
-    kernel_pos = {G.elements[i]: i for i in grading.kernel}
-    emb_imgs = [kernel_pos[e] for e in K.elements]
-    kt_reps = ct_k.class_reps
+    emb = Embedding(K, G, tuple(G.index[e] for e in K.elements))
     seen = {}
-    for lab in fixed:
-        if classify_graded(irrep_vr(G, lab), grading) != "1_2":
-            raise AssertionError("fixed node %s is not type 1_2" % lab)
-        chi = irrep_vr(G, lab).character()
-        vals = [chi[ct.class_of(emb_imgs[r])] for r in kt_reps]
-        dec = ct_k.decompose(vals)
-        if sorted(dec.coeffs.values()) != [1, 1]:
-            raise AssertionError("type 1_2 restriction did not split in two")
-        for sub_lab in dec.coeffs:
-            seen[sub_lab] = seen.get(sub_lab, 0) + 1
-    for lab, other in pairs:
-        if classify_graded(irrep_vr(G, lab), grading) != "2_1":
+    # each fixed node and one node of each swapped pair
+    for lab in fixed + [a for a, _ in pairs]:
+        rho = irrep_vr(G, lab)
+        kind = classify_graded(rho, grading)
+        dec = restrict(rho, emb)
+        if lab in fixed:
+            if kind != "1_2":
+                raise AssertionError("fixed node %s is not type 1_2" % lab)
+            if sorted(dec.coeffs.values()) != [1, 1]:
+                raise AssertionError("type 1_2 restriction did not split in two")
+        elif kind != "2_1":
             raise AssertionError("swapped node %s is not type 2_1" % lab)
-        chi = irrep_vr(G, lab).character()
-        vals = [chi[ct.class_of(emb_imgs[r])] for r in kt_reps]
-        dec = ct_k.decompose(vals)
-        if list(dec.coeffs.values()) != [1]:
+        elif list(dec.coeffs.values()) != [1]:
             raise AssertionError("type 2_1 restriction is not irreducible")
         for sub_lab in dec.coeffs:
             seen[sub_lab] = seen.get(sub_lab, 0) + 1
@@ -1188,58 +1139,34 @@ def _graph_isomorphic(A, B) -> bool:
     return backtrack(0)
 
 
+# affine E-diagrams by node count: a star with three arms of length 2, and
+# paths of 7 and 8 nodes with one more leaf at node 3 and node 2
+_AFFINE_E = {
+    7: ("E6", [(0, 1), (1, 2), (3, 4), (4, 2), (5, 6), (6, 2)]),
+    8: ("E7", [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 7)]),
+    9: ("E8", [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (2, 8)]),
+}
+
+
 def _affine_candidates(n: int):
-    out = {}
-    if n == 1:
-        out["A0"] = [[2]]
-    if n == 2:
-        out["A1"] = [[0, 2], [2, 0]]
-    if n >= 3:
-        cyc = [[0] * n for _ in range(n)]
-        for i in range(n):
-            cyc[i][(i + 1) % n] = 1
-            cyc[(i + 1) % n][i] = 1
-        out["A%d" % (n - 1)] = cyc
+    """Affine A-D-E adjacencies on n nodes; every edge adds 1 both ways, so
+    the n-cycle's one loop gives A0 = [[2]] and its two edges A1's double."""
+    edges = {"A%d" % (n - 1): [(i, (i + 1) % n) for i in range(n)]} if n else {}
     if n >= 5:
-        # affine D_(n-1): a path with two leaves at each end
-        d = [[0] * n for _ in range(n)]
-        # nodes 0,1 attach to inner[0]; nodes 2,3 attach to inner[-1]
-        inner = list(range(4, n))
-        for a, b in zip(inner, inner[1:]):
-            d[a][b] = d[b][a] = 1
-        d[0][inner[0]] = d[inner[0]][0] = 1
-        d[1][inner[0]] = d[inner[0]][1] = 1
-        d[2][inner[-1]] = d[inner[-1]][2] = 1
-        d[3][inner[-1]] = d[inner[-1]][3] = 1
-        out["D%d" % (n - 1)] = d
-    if n == 7:
-        e = [[0] * 7 for _ in range(7)]
-        # star with three arms of length 2
-        edges = [(0, 1), (1, 2), (3, 4), (4, 2), (5, 6), (6, 2)]
-        for a, b in edges:
-            e[a][b] = e[b][a] = 1
-        out["E6"] = e
-    if n == 8:
-        e = [[0] * 8 for _ in range(8)]
-        edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 7)]
-        for a, b in edges:
-            e[a][b] = e[b][a] = 1
-        out["E7"] = e
-    if n == 9:
-        e = [[0] * 9 for _ in range(9)]
-        edges = [
-            (0, 1),
-            (1, 2),
-            (2, 3),
-            (3, 4),
-            (4, 5),
-            (5, 6),
-            (6, 7),
-            (2, 8),
+        # affine D_(n-1): a path 4..n-1 with leaves 0, 1 and 2, 3 at its ends
+        path = list(range(4, n))
+        edges["D%d" % (n - 1)] = list(zip(path, path[1:])) + [
+            (0, 4), (1, 4), (2, n - 1), (3, n - 1)
         ]
-        for a, b in edges:
-            e[a][b] = e[b][a] = 1
-        out["E8"] = e
+    if n in _AFFINE_E:
+        name, e = _AFFINE_E[n]
+        edges[name] = e
+    out = {}
+    for name, es in edges.items():
+        adj = out[name] = [[0] * n for _ in range(n)]
+        for a, b in es:
+            adj[a][b] += 1
+            adj[b][a] += 1
     return out
 
 
@@ -1349,9 +1276,7 @@ def dirac_induce_finite_to_O2(rho: VirtualRep, d: str) -> int:
 
 
 def _trivial_label(ct: CharacterTable) -> str:
-    for lab, dim in zip(ct.labels, ct.dims):
-        if dim != 1:
-            continue
-        if all(v == rational(1) for v in ct.chars[lab]):
-            return lab
-    raise AssertionError("no trivial irrep found")
+    lab = _one_dim_label(ct, [1] * len(ct.classes))
+    if lab is None:
+        raise AssertionError("no trivial irrep found")
+    return lab

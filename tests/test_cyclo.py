@@ -23,7 +23,7 @@ from verlkit.cyclo import (
     _cond,
     _coordinate_matrices,
     _mul_int_vecs,
-    _mul_reference,
+    _reduce_int_vec,
     cos_frac,
     cyc_arith,
     cyc_conjugate,
@@ -160,6 +160,18 @@ def test_normalized_preserves_value(a):
     assert n == a
     assert a.order % n.order == 0
     assert n.normalized().order == n.order
+
+
+def _mul_reference(a, b, cond):
+    """Naive convolution + reduction; oracle for `_mul_int_vecs`."""
+    phi = cond.phi
+    conv = [0] * (2 * phi - 1 if phi else 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    conv[i + j] += x * y
+    return _reduce_int_vec(conv, cond)
 
 
 @given(

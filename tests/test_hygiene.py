@@ -2,7 +2,8 @@
 uses nor exports through its __all__, no module defines a private
 top-level function or class that nothing in the library or its tests
 refers to, no check is a bare `assert`, which `python -O` strips, and
-every module states its public names in a literal __all__."""
+every module states its public names in a literal __all__ that lists
+every public top-level function and class it defines."""
 
 import ast
 from pathlib import Path
@@ -97,3 +98,10 @@ def test_every_module_declares_all(path):
     assert len(declared) == 1, "no single top-level __all__"
     names = ast.literal_eval(declared[0])
     assert names and sorted(set(names) - _top_level_names(tree)) == []
+    public = {
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    }
+    assert sorted(public - set(names)) == []

@@ -387,3 +387,58 @@ def test_restriction_examples_from_supergroups():
     E6 = quaternion_group("E6")
     assert restrict(irrep_vr(E6, "y"), e).coeffs == {"t": 1}
     assert restrict(irrep_vr(E6, "z"), e).coeffs == {"s1": 1, "s2": 1, "s3": 1}
+
+
+def _coset_mask_gradings(G):
+    """Sign characters by the quotient G/<squares>: every subset of its
+    cosets that is multiplicative on coset representatives.  Oracle for
+    `gradings`, as (sorted kernel, values, psi_label), sorted by kernel."""
+    n = G.order
+    N = repring._closure(sorted({G.mul(a, a) for a in range(n)}), one=0, mul=G.mul)[0]
+    coset_of, cosets = {}, []
+    for a in range(n):
+        if a not in coset_of:
+            members = sorted({G.mul(a, h) for h in N})
+            for m in members:
+                coset_of[m] = len(cosets)
+            cosets.append(members)
+    q = len(cosets)
+    try:
+        ct = character_table(G)
+    except NotImplementedError:
+        ct = None
+    out = []
+    for mask in range(1, 1 << q):
+        vals = [-1 if (mask >> ci) & 1 else 1 for ci in range(q)]
+        if vals[coset_of[0]] != 1 or any(
+            vals[a] * vals[b] != vals[coset_of[G.mul(cosets[a][0], cosets[b][0])]]
+            for a in range(q)
+            for b in range(q)
+        ):
+            continue
+        evals = tuple(vals[coset_of[a]] for a in range(n))
+        psi = None
+        if ct is not None:
+            for lab, d in zip(ct.labels, ct.dims):
+                if d == 1 and all(
+                    ct.chars[lab][ci] == evals[cls[0]]
+                    for ci, cls in enumerate(ct.classes)
+                ):
+                    psi = lab
+                    break
+        out.append((sorted(a for a in range(n) if evals[a] == 1), evals, psi))
+    return sorted(out, key=lambda t: t[0])
+
+
+@pytest.mark.parametrize(
+    "name",
+    NAMED
+    + ["E8"]
+    + ["C%d" % m for m in range(1, 13)]
+    + ["BD%d" % m for m in range(2, 9)],
+)
+def test_gradings_match_coset_mask_oracle(name):
+    G = quaternion_group(name)
+    got = [(sorted(g.kernel), g.values, g.psi_label) for g in gradings(G)]
+    assert got == _coset_mask_gradings(G)
+
