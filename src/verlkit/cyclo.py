@@ -15,14 +15,18 @@ convolution.  Inversion and descent to a smaller order are integer-only
 as well: each solves its linear system by the one fraction-free Bareiss
 elimination, `exactla._bareiss`, and the descent projector is cached as
 an integer matrix over a common denominator.
-`_coordinate_matrices` splits cyclotomic matrices into integer matrices
-over one power basis, so callers test linear identities over Z.
+Matrices go to integer coordinates at one order L (`_coordinates`), so
+`_coordinate_matrices` callers test linear identities over Z, and the
+product `_mat_mul` forms each entry as a plain sum of m packed products,
+folded modulo Phi_L once: m^2 reductions, not m^3.  Its slot width bounds
+m * phi(L) * max|a| * max|b| * (1 + phi(L) * max reduced-power entry).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 import mpmath
 
@@ -164,6 +168,34 @@ def _reduce_int_vec(vec, cond: _CondData):
     return out
 
 
+def _width(bound: int) -> int:
+    """Slot width in bits that holds signed values up to `bound`."""
+    return ((bound.bit_length() + 4) + 15) // 16 * 16
+
+
+def _fold(prod: int, width: int, cond: _CondData):
+    """Canonical vector of a packed convolution of two length-phi vectors:
+    the high slots fold down with packed rows of the power table."""
+    phi, n = cond.phi, cond.n
+    conv = _unpack(prod, 2 * phi - 1, width)
+    packed = cond.packed_rows(width)
+    acc = _pack(conv[:phi], width)
+    for e in range(phi, 2 * phi - 1):
+        c = conv[e]
+        if c:
+            acc += c * packed[e % n]
+    return _unpack(acc, phi, width)
+
+
+def _substitute(vec, k: int, cond: _CondData):
+    """Canonical vector of the sum of vec[i] * z^(i*k), z = zeta_{cond.n}."""
+    out = [0] * cond.phi
+    for i, c in enumerate(vec):
+        if c:
+            out = [o + c * r for o, r in zip(out, cond.rows[(i * k) % cond.n])]
+    return out
+
+
 def _mul_int_vecs(a, b, cond: _CondData):
     """Product of two canonical integer vectors, canonically reduced.
 
@@ -175,18 +207,8 @@ def _mul_int_vecs(a, b, cond: _CondData):
         return [a[0] * b[0]]
     ma = max(abs(x) for x in a) or 1
     mb = max(abs(x) for x in b) or 1
-    bound = phi * ma * mb * (1 + phi * cond.row_max)
-    width = ((bound.bit_length() + 4) + 15) // 16 * 16
-    prod = _pack(a, width) * _pack(b, width)
-    conv = _unpack(prod, 2 * phi - 1, width)
-    packed = cond.packed_rows(width)
-    acc = _pack(conv[:phi], width)
-    n = cond.n
-    for e in range(phi, 2 * phi - 1):
-        c = conv[e]
-        if c:
-            acc += c * packed[e % n]
-    return _unpack(acc, phi, width)
+    width = _width(phi * ma * mb * (1 + phi * cond.row_max))
+    return _fold(_pack(a, width) * _pack(b, width), width, cond)
 
 
 # (N, d) -> (B^T, det G, det G * P) for descending Q(zeta_N) -> Q(zeta_d)
@@ -254,22 +276,7 @@ class CycNumber:
             den = den * lcm
         else:
             num = [int(c) for c in coeffs]
-        num = _reduce_int_vec(num, cond)
-        if den < 0:
-            den = -den
-            num = [-c for c in num]
-        g = den
-        for c in num:
-            g = gcd(g, c)
-            if g == 1:
-                break
-        if g > 1:
-            den //= g
-            num = [c // g for c in num]
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "num", tuple(num))
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_norm", None)
+        _raw(order, _reduce_int_vec(num, cond), den, self)
 
     def __setattr__(self, name, value):
         raise AttributeError("CycNumber is immutable")
@@ -299,15 +306,7 @@ class CycNumber:
             return self
         if order % self.order != 0:
             raise ValueError("can only lift to a multiple of the order")
-        cond = _cond(order)
-        step = order // self.order
-        out = [0] * cond.phi
-        for i, c in enumerate(self.num):
-            if c:
-                row = cond.rows[(i * step) % order]
-                for j in range(cond.phi):
-                    out[j] += c * row[j]
-        return _raw(order, out, self.den)
+        return _raw(order, _substitute(self.num, order // self.order, _cond(order)), self.den)
 
     @staticmethod
     def _common(a: "CycNumber", b: "CycNumber"):
@@ -400,14 +399,7 @@ class CycNumber:
         n = self.order
         if gcd(j % n, n) != 1:
             raise ValueError("galois exponent must be coprime to the order")
-        cond = _cond(n)
-        out = [0] * cond.phi
-        for i, c in enumerate(self.num):
-            if c:
-                row = cond.rows[(i * j) % n]
-                for t in range(cond.phi):
-                    out[t] += c * row[t]
-        return _raw(n, out, self.den)
+        return _raw(n, _substitute(self.num, j, _cond(n)), self.den)
 
     def conjugate(self) -> "CycNumber":
         if self.order == 1:
@@ -489,9 +481,11 @@ class CycNumber:
         return out + [Fraction(0)] * (self.order - len(out))
 
 
-def _raw(order: int, num_list, den: int) -> CycNumber:
-    """Internal constructor for already-reduced integer vectors."""
-    r = CycNumber.__new__(CycNumber)
+def _raw(order: int, num_list, den: int, r=None) -> CycNumber:
+    """Internal constructor for already-reduced integer vectors; fills in
+    `r` when given (the end of `CycNumber.__init__`)."""
+    if r is None:
+        r = CycNumber.__new__(CycNumber)
     if den < 0:
         den = -den
         num_list = [-c for c in num_list]
@@ -597,41 +591,60 @@ def sin_frac(num: int, den: int) -> CycNumber:
     return (zeta(n, k) - zeta(n, -k % n)) * zeta(4, 3) / 2
 
 
+def _coordinates(mats, shared: bool):
+    """Entries of cyclotomic matrices at one order, over one denominator.
+
+    Returns (L, [(d, rows), ...]): rows[i][j] is M[i][j] lifted to the lcm
+    order L of every entry, so d * M[i][j] = (d // e.den) * sum_t e.num[t]
+    zeta_L^t for e = rows[i][j], with d one denominator per matrix (one for
+    all when `shared`).  Modular data share entry objects (S = S^t,
+    repeated sines), so each distinct object is lifted once.
+    """
+    mats = [[[_coerce(e) for e in row] for row in M] for M in mats]
+    cells = {id(e): e for M in mats for row in M for e in row}
+    L = lcm(*(e.order for e in cells.values()))
+    cells = {k: e._lift(L) for k, e in cells.items()}
+    rows = [[[cells[id(e)] for e in row] for row in M] for M in mats]
+    dens = [lcm(*(e.den for row in M for e in row)) for M in rows]
+    if shared:
+        dens = [lcm(*dens)] * len(mats)
+    return L, list(zip(dens, rows))
+
+
 def _mat_mul(A, B):
-    """Product of two matrices of CycNumbers, given as row sequences."""
-    n, m, p = len(A), len(B), len(B[0])
+    """Product of two matrices of CycNumbers, given as row sequences: one
+    packed product per output entry, folded modulo Phi_L once."""
+    m = len(B)
+    p = len(B[0]) if B else 0
+    if any(len(row) != m for row in A) or any(len(row) != p for row in B):
+        raise ValueError("matrix shapes do not match for a product")
+    L, ((dA, a), (dB, b)) = _coordinates((A, B), shared=False)
+    cond = _cond(L)
+    ma = max((max(map(abs, e.num)) * (dA // e.den) for r in a for e in r), default=0) or 1
+    mb = max((max(map(abs, e.num)) * (dB // e.den) for r in b for e in r), default=0) or 1
+    width = _width(m * cond.phi * ma * mb * (1 + cond.phi * cond.row_max))
+    # packing is linear, so scaling the packed integer scales every slot
+    pa = [[_pack(e.num, width) * (dA // e.den) for e in row] for row in a]
+    pb = [[_pack(e.num, width) * (dB // e.den) for e in col] for col in zip(*b)]
     return tuple(
-        tuple(
-            sum((A[i][t] * B[t][j] for t in range(1, m)), A[i][0] * B[0][j])
-            for j in range(p)
-        )
-        for i in range(n)
+        tuple(_raw(L, _fold(sum(map(mul, ra, cb)), width, cond), dA * dB) for cb in pb)
+        for ra in pa
     )
 
 
 def _coordinate_matrices(*mats):
-    """Integer coordinates of cyclotomic matrices at one order and scale.
-
-    Returns one list per matrix M whose entry t is the IntMatrix M_t with
-    d * M = sum of M_t * zeta_L^t over t < phi(L), where the order L and
-    the denominator d are shared by every entry of every matrix.  The
-    powers zeta_L^t, t < phi(L), are independent over Q, so a linear
-    identity with rational coefficients between these matrices holds
-    exactly when it holds for every coordinate t.
+    """Per matrix M, the IntMatrices M_t with d * M = sum_t M_t * zeta_L^t,
+    with L and d shared by every matrix.  The zeta_L^t, t < phi(L), are
+    independent over Q, so a linear identity with rational coefficients
+    between these matrices holds exactly when it holds for every t.
     """
-    mats = [[[_coerce(e) for e in row] for row in M] for M in mats]
-    # modular data share entry objects (S = S^t, repeated sines): expand each once
-    cells = {id(e): e for M in mats for row in M for e in row}
-    L = lcm(*(e.order for e in cells.values()))
-    cells = {k: e._lift(L) for k, e in cells.items()}
-    d = lcm(*(e.den for e in cells.values()))
-    cells = {k: [c * (d // e.den) for c in e.num] for k, e in cells.items()}
+    L, coords = _coordinates(mats, shared=True)
     return [
         [
-            IntMatrix.from_rows([[cells[id(e)][t] for e in row] for row in M])
+            IntMatrix.from_rows([[e.num[t] * (d // e.den) for e in row] for row in rows])
             for t in range(_cond(L).phi)
         ]
-        for M in mats
+        for d, rows in coords
     ]
 
 

@@ -359,8 +359,10 @@ def su2_modular_data(k: int) -> ModularData:
 def verlinde_matrices(D: ModularData) -> FusionRing:
     """Fusion ring diagonalized by S: N_{lm}^n = sum_c S_lc S_mc S*_nc / S_0c.
 
-    Sums are evaluated exactly; any entry that is not a nonnegative
-    integer raises NonIntegralFusion.
+    The sums are one exact product Y Z^t: Y has a row x_lc x_mc per l <= m
+    (x_ac = S_ac / S_0c) and Z^t[c][n] = conj(x_nc) |S_0c|^2.  The first
+    entry in (l, m >= l, n) order that is not a nonnegative integer raises
+    NonIntegralFusion.
     """
     m = len(D.labels)
     S = D.S
@@ -371,26 +373,22 @@ def verlinde_matrices(D: ModularData) -> FusionRing:
     # eigenvalue ratios and |S_0c|^2 live in much smaller fields than S
     x = [[(S[a][c] * inv0[c]).normalized() for c in range(m)] for a in range(m)]
     w = [(S[0][c] * S[0][c].conjugate()).normalized() for c in range(m)]
-    z = [[(x[nu][c].conjugate() * w[c]).normalized() for c in range(m)] for nu in range(m)]
+    zt = [[(x[nu][c].conjugate() * w[c]).normalized() for nu in range(m)] for c in range(m)]
+    pairs = [(lam, mu) for lam in range(m) for mu in range(lam, m)]
+    sums = _mat_mul([[x[lam][c] * x[mu][c] for c in range(m)] for lam, mu in pairs], zt)
     N = [[[0] * m for _ in range(m)] for _ in range(m)]
-    for lam in range(m):
-        for mu in range(lam, m):
-            y = [x[lam][c] * x[mu][c] for c in range(m)]
-            for nu in range(m):
-                acc = y[0] * z[nu][0]
-                for c in range(1, m):
-                    acc = acc + y[c] * z[nu][c]
-                if not acc.is_rational():
-                    raise NonIntegralFusion(
-                        "non-rational fusion coefficient at %r x %r" % (lam, mu)
-                    )
-                f = acc.as_fraction()
-                if f.denominator != 1 or f < 0:
-                    raise NonIntegralFusion(
-                        "fusion coefficient %s at %r x %r" % (f, lam, mu)
-                    )
-                N[lam][mu][nu] = int(f)
-                N[mu][lam][nu] = int(f)
+    for (lam, mu), row in zip(pairs, sums):
+        for nu, acc in enumerate(row):
+            if not acc.is_rational():
+                raise NonIntegralFusion(
+                    "non-rational fusion coefficient at %r x %r" % (lam, mu)
+                )
+            f = acc.as_fraction()
+            if f.denominator != 1 or f < 0:
+                raise NonIntegralFusion(
+                    "fusion coefficient %s at %r x %r" % (f, lam, mu)
+                )
+            N[lam][mu][nu] = N[mu][lam][nu] = int(f)
     return FusionRing(D.labels, N)
 
 

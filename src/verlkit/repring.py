@@ -166,22 +166,27 @@ _Q_K = _quat(0, 0, 0, 1)
 
 
 def _closure(gens, expected_order=None, one=_Q_ONE, mul=Quaternion.__mul__):
-    """All products of the generators, in breadth-first discovery order.
+    """All products of the generators, in breadth-first discovery order,
+    with the Cayley graph found on the way: right[a][k] indexes elems[a]*g_k.
 
     Quaternions by default; element indices of a group with one=0, mul=G.mul.
     """
     elems = [one]
     index = {one: 0}
+    right = []
     frontier = [one]
     while frontier:
         nxt = []
         for e in frontier:
+            edges = []
             for g in gens:
                 p = mul(e, g)
                 if p not in index:
                     index[p] = len(elems)
                     elems.append(p)
                     nxt.append(p)
+                edges.append(index[p])
+            right.append(edges)  # frontiers run in discovery order
         frontier = nxt
         if len(elems) > 512:
             raise RuntimeError("group closure ran away")
@@ -189,7 +194,7 @@ def _closure(gens, expected_order=None, one=_Q_ONE, mul=Quaternion.__mul__):
         raise AssertionError(
             "closure has %d elements, expected %d" % (len(elems), expected_order)
         )
-    return elems, index
+    return elems, index, right
 
 
 def _walk(right, start, step):
@@ -277,7 +282,7 @@ def _extend_irrep(group, gen_mats, label):
 class QuaternionGroup:
     """A finite subgroup of SU(2) with explicit elements and irreps."""
 
-    def __init__(self, name, elements, index, irrep_specs, generators):
+    def __init__(self, name, elements, index, irrep_specs, generators, right=None):
         self.name = name
         self.elements = elements
         self.index = index
@@ -291,7 +296,7 @@ class QuaternionGroup:
         self._mtab = None
         self._inverse = [index[e.inverse()] for e in elements]
         # the Cayley graph: _right[a][k] is the index of a * generators[k]
-        self._right = [[index[e * g] for g in generators] for e in elements]
+        self._right = right or [[index[e * g] for g in generators] for e in elements]
 
     def __repr__(self):
         return "QuaternionGroup(%s, order %d)" % (self.name, self.order)
@@ -382,31 +387,34 @@ class CharacterTable:
             raise OrthogonalityFailure(
                 "%s: sum of squared dims is not the order" % self.group.name
             )
-        for a in self.labels:
-            for b in self.labels:
-                tot = self._pairing(self.chars[a], self.chars[b])
+        gram = self._pairings([self.chars[a] for a in self.labels])
+        for a, row in zip(self.labels, gram):
+            for b, tot in zip(self.labels, row):
                 want = n if a == b else 0
                 if tot != rational(want):
                     raise OrthogonalityFailure(
                         "%s: <%s,%s> = %s" % (self.group.name, a, b, tot.render())
                     )
 
-    def _pairing(self, chi1, chi2):
-        """|G| <chi1, chi2>: the class-size weighted sum of chi1 * conj(chi2)."""
-        tot = _ZERO
-        for ci, size in enumerate(self.class_sizes):
-            tot = tot + size * chi1[ci] * chi2[ci].conjugate()
-        return tot
+    def _pairings(self, chis, others=None):
+        """|G| <chi, psi> for chi in chis, psi in others (default: irreps), as
+        one product of class-size weighted chi rows by conj(psi) columns."""
+        if others is None:
+            others = [self.chars[b] for b in self.labels]
+        weighted = [[size * v for size, v in zip(self.class_sizes, chi)] for chi in chis]
+        return _mat_mul(weighted, [[v.conjugate() for v in col] for col in zip(*others)])
+
+    def _multiplicity(self, tot) -> int:
+        return (tot / self.group.order).normalized().as_int()
 
     def inner(self, chi1, chi2) -> int:
         """Exact <chi1, chi2> for class functions given per class."""
-        val = (self._pairing(chi1, chi2) / self.group.order).normalized()
-        return val.as_int()
+        return self._multiplicity(self._pairings([chi1], [chi2])[0][0])
 
     def decompose(self, chi) -> "VirtualRep":
         coeffs = {}
-        for lab in self.labels:
-            m = self.inner(chi, self.chars[lab])
+        for lab, tot in zip(self.labels, self._pairings([chi])[0]):
+            m = self._multiplicity(tot)
             if m:
                 coeffs[lab] = m
         return VirtualRep(self.group, coeffs)
@@ -691,9 +699,9 @@ def _build_group(name: str) -> QuaternionGroup:
 
 def _build_cyclic(name: str, m: int) -> QuaternionGroup:
     g = _quat(cos_frac(1, m), sin_frac(1, m), 0, 0)
-    elems, index = _closure([g], expected_order=m)
+    elems, index, right = _closure([g], expected_order=m)
     specs = _cyclic_specs(m)
-    group = QuaternionGroup(name, elems, index, specs, [g])
+    group = QuaternionGroup(name, elems, index, specs, [g], right)
     if m in _PAPER_CYCLIC_ORDER:
         group._irrep_specs = _reorder_specs(specs, _PAPER_CYCLIC_ORDER[m])
     return group
@@ -707,9 +715,9 @@ def _reorder_specs(specs, order):
 def _build_binary_dihedral(name: str, m: int) -> QuaternionGroup:
     a = _quat(cos_frac(1, 2 * m), sin_frac(1, 2 * m), 0, 0)
     b = _Q_J
-    elems, index = _closure([a, b], expected_order=4 * m)
+    elems, index, right = _closure([a, b], expected_order=4 * m)
     specs = _binary_dihedral_specs(m)
-    group = QuaternionGroup(name, elems, index, specs, [a, b])
+    group = QuaternionGroup(name, elems, index, specs, [a, b], right)
     if name == "D4":
         specs = [(_D4_RELABEL[lab], mats) for lab, mats in specs]
         group._irrep_specs = _reorder_specs(specs, _D4_ORDER)
@@ -721,16 +729,16 @@ def _build_binary_dihedral(name: str, m: int) -> QuaternionGroup:
 
 def _build_e6() -> QuaternionGroup:
     g = _quat(_HALF, _HALF, _HALF, _HALF)
-    elems, index = _closure([_Q_I, g], expected_order=24)
-    return QuaternionGroup("E6", elems, index, _e6_specs(), [_Q_I, g])
+    elems, index, right = _closure([_Q_I, g], expected_order=24)
+    return QuaternionGroup("E6", elems, index, _e6_specs(), [_Q_I, g], right)
 
 
 def _build_e7() -> QuaternionGroup:
     g = _quat(_HALF, _HALF, _HALF, _HALF)
     s8 = sqrt_int(2) * _HALF
     s = Quaternion(s8, s8, _ZERO, _ZERO)
-    elems, index = _closure([_Q_I, g, s], expected_order=48)
-    return QuaternionGroup("E7", elems, index, _e7_specs(), [_Q_I, g, s])
+    elems, index, right = _closure([_Q_I, g, s], expected_order=48)
+    return QuaternionGroup("E7", elems, index, _e7_specs(), [_Q_I, g, s], right)
 
 
 def _build_e8() -> QuaternionGroup:
@@ -741,8 +749,8 @@ def _build_e8() -> QuaternionGroup:
     phinv_half = phi_half - _HALF
     g1 = _quat(_HALF, _HALF, _HALF, _HALF)
     g2 = Quaternion(phi_half, phinv_half, _HALF, _ZERO)
-    elems, index = _closure([g1, g2, _Q_I], expected_order=120)
-    return QuaternionGroup("E8", elems, index, None, [g1, g2, _Q_I])
+    elems, index, right = _closure([g1, g2, _Q_I], expected_order=120)
+    return QuaternionGroup("E8", elems, index, None, [g1, g2, _Q_I], right)
 
 
 # -- canonical embeddings -----------------------------------------------------------
@@ -886,11 +894,8 @@ def mckay_graph(G: QuaternionGroup):
     """
     ct = character_table(G)
     chi_def = G.defining_character()
-    rows = []
-    for a in ct.labels:
-        prod = [d * v for d, v in zip(chi_def, ct.chars[a])]
-        row = [ct.inner(prod, ct.chars[b]) for b in ct.labels]
-        rows.append(row)
+    prods = [[d * v for d, v in zip(chi_def, ct.chars[a])] for a in ct.labels]
+    rows = [[ct._multiplicity(tot) for tot in row] for row in ct._pairings(prods)]
     A = IntMatrix.from_rows(rows)
     dims = ct.dims
     for i in range(len(dims)):
@@ -1012,12 +1017,12 @@ def _kernel_group(G: QuaternionGroup, grading: Grading) -> QuaternionGroup:
     # cyclic kernels: take a maximal-order generator
     m = len(elems)
     for a in sorted(grading.kernel):
-        powers = _closure([a], one=0, mul=G.mul)[0]
+        powers, _, right = _closure([a], one=0, mul=G.mul)
         if len(powers) == m:
             closure = [G.elements[p] for p in powers]
             index = {q: i for i, q in enumerate(closure)}
             return QuaternionGroup(
-                "C%d" % m, closure, index, _cyclic_specs(m), [G.elements[a]]
+                "C%d" % m, closure, index, _cyclic_specs(m), [G.elements[a]], right
             )
     raise NotImplementedError(
         "kernel of order %d is neither cyclic nor a supported group" % m

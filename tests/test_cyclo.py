@@ -15,6 +15,7 @@ from fractions import Fraction
 from math import lcm
 
 import mpmath
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from verlkit.cyclo import (
@@ -22,6 +23,7 @@ from verlkit.cyclo import (
     DivisionByZero,
     _cond,
     _coordinate_matrices,
+    _mat_mul,
     _mul_int_vecs,
     _reduce_int_vec,
     cos_frac,
@@ -250,3 +252,91 @@ def test_coordinate_matrices_rebuild_every_entry_at_one_order_and_scale():
     # one integer scale d for every entry of every matrix
     (d,) = scales
     assert d.as_int() >= 1
+
+
+def _mat_mul_reference(A, B):
+    """Entrywise sum of scalar products; oracle for the packed `_mat_mul`."""
+    n, m, p = len(A), len(B), len(B[0])
+    return tuple(
+        tuple(
+            sum((A[i][t] * B[t][j] for t in range(1, m)), A[i][0] * B[0][j])
+            for j in range(p)
+        )
+        for i in range(n)
+    )
+
+
+def _random_matrix(rng, rows, cols, orders, size, dens):
+    out = []
+    for _ in range(rows):
+        row = []
+        for _ in range(cols):
+            n = rng.choice(orders)
+            coeffs = [Fraction(rng.randint(-size, size), rng.choice(dens)) for _ in range(n)]
+            row.append(CycNumber(n, coeffs))
+        out.append(row)
+    return out
+
+
+def _assert_products_agree(A, B):
+    got, want = _mat_mul(A, B), _mat_mul_reference(A, B)
+    assert len(got) == len(want)
+    for g_row, w_row in zip(got, want):
+        assert len(g_row) == len(w_row)
+        for g, w in zip(g_row, w_row):
+            assert g == w and hash(g) == hash(w)
+
+
+MIXED_ORDERS = [1, 4, 5, 8, 15, 24, 40]
+SHAPES = [(1, 1, 1), (1, 3, 1), (1, 1, 4), (4, 1, 1), (3, 1, 2), (2, 3, 4), (4, 2, 3), (3, 3, 3)]
+
+
+def test_packed_mat_mul_matches_entrywise_products():
+    rng = random.Random(11)
+    for orders in ([1], [4], [5, 15], [8, 24], MIXED_ORDERS):
+        for n, m, p in SHAPES:
+            A = _random_matrix(rng, n, m, orders, 9, [1, 1, 2, 3, 7])
+            B = _random_matrix(rng, m, p, orders, 9, [1, 4, 5])
+            _assert_products_agree(A, B)
+
+
+def test_packed_mat_mul_zero_and_shared_entries():
+    rng = random.Random(12)
+    zero = rational(0)
+    Z = [[zero] * 3 for _ in range(2)]
+    B = _random_matrix(rng, 3, 2, MIXED_ORDERS, 5, [1, 2])
+    _assert_products_agree(Z, B)
+    # one shared entry object across both factors, plus plain ints
+    e = zeta(40, 7) + Fraction(2, 3)
+    _assert_products_agree([[e, 1], [e, e]], [[e, Fraction(-1, 2)], [0, e]])
+
+
+def test_packed_mat_mul_width_holds_huge_coefficients():
+    # equal-sign coefficients near 10^30 push every slot towards its bound
+    rng = random.Random(13)
+    big = 10**30
+    for n in (4, 5, 8, 15, 24, 40):
+        for m in (1, 2, 3, 5):
+            for sign in (1, -1):
+                A = [[CycNumber(n, [sign * (big - rng.randint(0, 9))] * n) for _ in range(m)]
+                     for _ in range(2)]
+                B = [[CycNumber(n, [big - rng.randint(0, 9)] * n) for _ in range(2)]
+                     for _ in range(m)]
+                _assert_products_agree(A, B)
+    A = _random_matrix(rng, 3, 4, MIXED_ORDERS, big, [1, 3, big + 1])
+    B = _random_matrix(rng, 4, 2, MIXED_ORDERS, big, [1, 7])
+    _assert_products_agree(A, B)
+
+
+def test_packed_mat_mul_rejects_mismatched_shapes():
+    with pytest.raises(ValueError):
+        _mat_mul([[1, 1, 1]], [[1], [1]])
+    with pytest.raises(ValueError):
+        _mat_mul([[1]], [])
+    with pytest.raises(ValueError):
+        _mat_mul([[1, 2], [3]], [[1], [2]])
+    with pytest.raises(ValueError):
+        _mat_mul([[1, 2]], [[1], [2, 3]])
+    # an empty inner dimension gives the (empty) zero product
+    assert _mat_mul([[], []], []) == ((), ())
+    assert _mat_mul([[zeta(5)]], [[]]) == ((),)

@@ -22,12 +22,14 @@ the acceptance suite reports the closed-form comparison.
 
 from fractions import Fraction
 from math import gcd
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from verlkit import cyclo, fusion
 from verlkit.cyclo import cos_frac, rational, sqrt_int, zeta
 from verlkit.fusion import (
     FusionRing,
@@ -199,6 +201,54 @@ def test_su2_level2_products(su2):
     _, ring = su2[2]
     assert ring.product(1, 1) == {0: 1, 2: 1}
     assert ring.N[1][1][1] == 0
+
+
+def _edited_su2_4(edit):
+    """Duck-typed data with the S of SU(2)_4, edited in place by `edit`."""
+    md = su2_modular_data(4)
+    S = [list(row) for row in md.S]
+    edit(S)
+    return SimpleNamespace(labels=md.labels, S=S)
+
+
+def test_verlinde_failure_messages_name_the_first_bad_pair():
+    def halve_row_2(S):
+        S[2] = [e / 2 for e in S[2]]
+
+    def twist_entry(S):
+        S[3][1] = S[3][1] * zeta(5)
+
+    with pytest.raises(NonIntegralFusion) as err:
+        verlinde_matrices(_edited_su2_4(halve_row_2))
+    assert str(err.value) == "fusion coefficient 1/4 at 0 x 2"
+    with pytest.raises(NonIntegralFusion) as err:
+        verlinde_matrices(_edited_su2_4(twist_entry))
+    assert str(err.value) == "non-rational fusion coefficient at 0 x 0"
+
+
+def test_modular_checks_reduce_once_per_product_entry(monkeypatch):
+    # a product that reduces every term modulo Phi_L unpacks m^3 times;
+    # the packed product unpacks twice per output entry
+    unpack, mat_mul = cyclo._unpack, fusion._mat_mul
+    inside, per_product = [], []
+
+    def counting_unpack(*args):
+        if inside:
+            inside[-1] += 1
+        return unpack(*args)
+
+    def counting_mat_mul(A, B):
+        inside.append(0)
+        out = mat_mul(A, B)
+        per_product.append(inside.pop())
+        return out
+
+    monkeypatch.setattr(cyclo, "_unpack", counting_unpack)
+    monkeypatch.setattr(fusion, "_mat_mul", counting_mat_mul)
+    su2_modular_data(10)
+    m = 11
+    assert len(per_product) >= 2
+    assert max(per_product) <= 4 * m * m
 
 
 def test_verlinde_rejects_zero_in_vacuum_row():
