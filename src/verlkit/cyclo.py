@@ -25,7 +25,7 @@ m * phi(L) * max|a| * max|b| * (1 + phi(L) * max reduced-power entry).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import mul
 
 import mpmath
@@ -84,6 +84,19 @@ def _cyclotomic_poly(n: int):
                         new[i + j] += a * b
             den = new
     return _poly_divexact(num, den)
+
+
+def _real_cyclotomic_poly(d: int):
+    """Minimal polynomial Psi_d of 2cos(2pi/d), d >= 3, low degree first:
+    Phi_d(z) = z^r Psi_d(z + 1/z), r = phi(d)/2, peeled from the top down."""
+    c = _cyclotomic_poly(d)
+    r = len(c) // 2
+    psi = [0] * (r + 1)
+    for i in range(r, -1, -1):
+        psi[i] = c[r + i]
+        for t in range(i + 1):
+            c[r + i - 2 * t] -= psi[i] * comb(i, t)
+    return psi
 
 
 class _CondData:

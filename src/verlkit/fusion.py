@@ -11,7 +11,8 @@ from fractions import Fraction
 from math import gcd
 
 from .cyclo import (
-    DivisionByZero, _mat_mul, _prime_factors, rational, sin_frac, sqrt_int, zeta,
+    DivisionByZero, _mat_mul, _pack, _prime_factors, _width, rational, sin_frac, sqrt_int,
+    zeta,
 )
 from .exactla import FGAbelianGroup, IntMatrix, cokernel
 
@@ -269,15 +270,22 @@ class FusionRing:
 def _fusion_failure(ring, mats):
     """First (lam, mu), lam <= mu, where the integer matrices `mats`, one per
     label, fail M_lam M_mu = sum_nu N_{lam mu}^nu M_nu; None if they represent
-    the ring.  With the ring's own fusion matrices this is associativity."""
+    the ring.  With the ring's own fusion matrices this is associativity.
+    Rows are packed once, P_nu[i], at a slot width bounding g max|M|^2 and
+    sum_nu N max|M|: row i of M_lam M_mu is sum_t (M_lam)_it P_mu[t]."""
     m = len(ring.labels)
+    rows = [M.to_lists() for M in mats]
+    top = max((abs(c) for M in rows for row in M for c in row), default=0)
+    spread = max(sum(row) for plane in ring.N for row in plane)
+    width = _width(max(len(rows[0]) * top * top, spread * top))
+    packed = [[_pack(row, width) for row in M] for M in rows]
+    terms = [[[(t, c) for t, c in enumerate(row) if c] for row in M] for M in rows]
     for lam in range(m):
         for mu in range(lam, m):
-            rhs = IntMatrix.zero(*mats[lam].shape)
-            for nu, c in ring.product(lam, mu).items():
-                rhs = rhs + mats[nu] * c
-            if mats[lam] * mats[mu] != rhs:
-                return lam, mu
+            P, rhs = packed[mu], ring.product(lam, mu).items()
+            for i, row in enumerate(terms[lam]):
+                if sum(c * P[t] for t, c in row) != sum(c * packed[nu][i] for nu, c in rhs):
+                    return lam, mu
     return None
 
 

@@ -6,8 +6,9 @@ coefficient is 1.  `enumerate_invariants` finds every one at a given
 truncation level by exact integer linear algebra, `embed_invariant`
 builds the block invariants coming from a branching of a larger theory,
 and `nimrep_from_graph` grows the graph representation of the truncated
-fusion rules from an A-D-E adjacency matrix, certifying its spectrum by
-exact characteristic-polynomial deflation.
+fusion rules from an A-D-E adjacency matrix, its spectrum certified by
+integer division of the characteristic polynomial and cross-checked by
+the exact truncation identity, with no floating point.
 
 The invariance axioms are integer identities: XT = TX asks X to vanish
 across T classes, and for an integer X, XS = SX holds exactly when
@@ -37,7 +38,9 @@ from math import gcd, lcm
 
 import mpmath
 
-from .cyclo import CycNumber, _coordinate_matrices, cos_frac, rational, real_embed
+from .cyclo import (
+    CycNumber, _coordinate_matrices, _poly_divexact, _real_cyclotomic_poly, real_embed,
+)
 from .exactla import IntMatrix, _bareiss, _row_hermite, kernel_basis
 from .fusion import (
     _cyclic_orders, _fusion_failure, _tuples, su2_fusion_truncated, su2_modular_data,
@@ -49,6 +52,7 @@ __all__ = [
     "SpectrumMismatch",
     "SearchBudgetExceeded",
     "DiagonalNotContained",
+    "SelfCheckFailure",
     "ModularInvariant",
     "BranchingRule",
     "Nimrep",
@@ -97,6 +101,10 @@ class DiagonalNotContained(Exception):
     """The subgroup of the square misses part of the diagonal."""
 
 
+class SelfCheckFailure(RuntimeError):
+    """An identity the computation guarantees failed when verified."""
+
+
 def _bad_entry(grid):
     """First (i, j) whose entry is not a nonnegative integer, or None."""
     return next(
@@ -107,9 +115,7 @@ def _bad_entry(grid):
 
 
 def _int_grid(Z):
-    if isinstance(Z, ModularInvariant):
-        return Z.matrix
-    if isinstance(Z, BranchingRule):
+    if isinstance(Z, (ModularInvariant, BranchingRule)):
         return Z.matrix
     if isinstance(Z, IntMatrix):
         return tuple(tuple(row) for row in Z.to_lists())
@@ -553,19 +559,8 @@ def _charpoly(grid):
     ]
     det, (coeffs,) = _bareiss([[x**j for j in range(n + 1)] for x in range(n + 1)], [ys])
     if any(c % det for c in coeffs):
-        raise RuntimeError("interpolation of an integer polynomial failed")
+        raise SelfCheckFailure("interpolation of an integer polynomial failed")
     return [c // det for c in coeffs]
-
-
-def _deflate(desc, root):
-    """Divide a monic polynomial (descending coefficients) by x - root."""
-    out = [desc[0]]
-    for c in desc[1:]:
-        out.append(c + root * out[-1])
-    rem = out.pop()
-    if not rem.is_zero():
-        return None
-    return out
 
 
 def nimrep_from_graph(adjacency, level: int) -> Nimrep:
@@ -574,13 +569,11 @@ def nimrep_from_graph(adjacency, level: int) -> Nimrep:
     G_0 = 1 and G_1 = A, then the three-term recursion
     G_{l+1} = G_1 G_l - G_{l-1}; a negative coefficient anywhere raises
     NegativeEntry.  The spectrum of A must consist of the level's
-    exponent values 2 cos(pi (e+1) / (level+2)), certified by exact
-    deflation of the characteristic polynomial and cross-checked
-    numerically; otherwise SpectrumMismatch is raised.
+    exponent values 2 cos(pi (e+1) / (level+2)), certified by integer
+    division of the characteristic polynomial and cross-checked by the
+    exact truncation identity; otherwise SpectrumMismatch is raised.
     """
-    A = adjacency if isinstance(adjacency, IntMatrix) else IntMatrix.from_rows(
-        [list(row) for row in adjacency]
-    )
+    A = adjacency if isinstance(adjacency, IntMatrix) else IntMatrix.from_rows(adjacency)
     g, g2 = A.shape
     if g != g2:
         raise ValueError("adjacency matrix must be square")
@@ -591,60 +584,49 @@ def nimrep_from_graph(adjacency, level: int) -> Nimrep:
     if level < 0:
         raise ValueError("level must be nonnegative")
 
-    mats = [IntMatrix.identity(g)]
-    if level >= 1:
-        mats.append(A)
+    mats = [IntMatrix.identity(g), A][: level + 1]
     for lam in range(2, level + 1):
         nxt = A * mats[-1] - mats[-2]
-        lists = nxt.to_lists()
-        for i in range(g):
-            for j in range(g):
-                if lists[i][j] < 0:
-                    raise NegativeEntry(
-                        "entry (%d, %d) of the step-%d matrix is %d"
-                        % (i, j, lam, lists[i][j])
-                    )
+        bad = _bad_entry(nxt.to_lists())
+        if bad:
+            raise NegativeEntry(
+                "entry (%d, %d) of the step-%d matrix is %d" % (*bad, lam, nxt[bad])
+            )
         mats.append(nxt)
 
-    n = level + 2
-    desc = [rational(c) for c in reversed(_charpoly(A.to_lists()))]
+    # Psi_d, d | 2n, d >= 3, has the roots 2cos(2 pi a/d), a prime to d, 2a < d:
+    # the exponents 2n a/d - 1, Galois conjugates of one multiplicity
+    n2 = 2 * (level + 2)
+    poly = _charpoly(A.to_lists())
     exponents = []
-    for kappa in range(level + 1):
-        root = cos_frac(kappa + 1, 2 * n) * 2
-        while len(desc) > 1:
-            quotient = _deflate(desc, root)
-            if quotient is None:
+    for d in (d for d in range(3, n2 + 1) if n2 % d == 0):
+        psi = _real_cyclotomic_poly(d)
+        while True:
+            try:
+                poly = _poly_divexact(poly, psi)
+            except ArithmeticError:
                 break
-            desc = quotient
-            exponents.append(kappa)
-    if len(desc) != 1:
+            exponents += [a * n2 // d - 1 for a in range(1, d // 2 + 1) if gcd(a, d) == 1]
+    if len(poly) != 1:
         raise SpectrumMismatch(
             "%d eigenvalues of the graph lie outside the level-%d exponent set"
-            % (len(desc) - 1, level)
+            % (len(poly) - 1, level)
         )
     exponents.sort()
 
     # the spectrum certificate makes these identities theorems; verify anyway
     if level >= 1 and _fusion_failure(su2_fusion_truncated(level), mats):
-        raise RuntimeError("graph matrices fail the fusion identity")
-    for lam in range(level + 1):
-        if mats[lam] != mats[lam].transpose():
-            raise RuntimeError("graph matrices fail transpose symmetry")
+        raise SelfCheckFailure("graph matrices fail the fusion identity")
+    if any(M != M.transpose() for M in mats):
+        raise SelfCheckFailure("graph matrices fail transpose symmetry")
 
-    with mpmath.workdps(60):
-        eigs = sorted(mpmath.eigsy(mpmath.matrix(A.to_lists()), eigvals_only=True))
-        targets = sorted(
-            real_embed(cos_frac(e + 1, 2 * n) * 2).real for e in exponents
-        )
-        numeric_ok = all(
-            abs(a - b) < mpmath.mpf("1e-20") for a, b in zip(eigs, targets)
-        )
-
+    # G_{level+1} = U_{level+1}(A/2) = 0 alone puts every eigenvalue of the
+    # symmetric A at some 2cos(pi j/(level+2)), with no floating point
     report = {
         "fusion_representation": True,
         "transpose_symmetry": True,
         "spectrum_exact": True,
-        "spectrum_numeric": bool(numeric_ok),
+        "spectrum_numeric": A * mats[-1] == (mats[-2] if level else IntMatrix.zero(g, g)),
     }
     return Nimrep(level, A, mats, exponents, report)
 
@@ -881,7 +863,7 @@ def permutation_orbifold_count(
             total += base_primary_count**cycles
         count, extra = divmod(total, len(perms))
         if extra:
-            raise RuntimeError("orbit count of a group action must be integral")
+            raise SelfCheckFailure("orbit count of a group action must be integral")
         return count
 
     seen = set()

@@ -1007,26 +1007,30 @@ def classify_graded(rho, grading: Grading = None) -> str:
 
 
 def _kernel_group(G: QuaternionGroup, grading: Grading) -> QuaternionGroup:
-    """The kernel as a standalone group with its own irreps."""
-    elems = [G.elements[i] for i in sorted(grading.kernel)]
-    elemset = set(elems)
-    for known in ("E6",):
-        K = quaternion_group(known)
-        if len(K.elements) == len(elems) and set(K.elements) == elemset:
-            return K
-    # cyclic kernels: take a maximal-order generator
-    m = len(elems)
-    for a in sorted(grading.kernel):
-        powers, _, right = _closure([a], one=0, mul=G.mul)
-        if len(powers) == m:
-            closure = [G.elements[p] for p in powers]
-            index = {q: i for i, q in enumerate(closure)}
-            return QuaternionGroup(
-                "C%d" % m, closure, index, _cyclic_specs(m), [G.elements[a]], right
+    """The kernel as a standalone group with its own irreps: E6, cyclic on an
+    element of order m = |kernel|, or binary dihedral BD_(m/4) on an element
+    a of order m/2 and any b outside <a>."""
+    kernel = sorted(grading.kernel)
+    E6 = quaternion_group("E6")
+    if set(E6.elements) == {G.elements[i] for i in kernel}:
+        return E6
+    m = len(kernel)
+    cycles = {a: _closure([a], one=0, mul=G.mul)[0] for a in kernel}
+    a = next((a for a in kernel if len(cycles[a]) == m), None)
+    if a is not None:
+        name, gens, specs = "C%d" % m, [a], _cyclic_specs(m)
+    else:
+        a = next((a for a in kernel if 2 * len(cycles[a]) == m), None)
+        if a is None:
+            raise NotImplementedError(
+                "kernel of order %d is neither cyclic nor a supported group" % m
             )
-    raise NotImplementedError(
-        "kernel of order %d is neither cyclic nor a supported group" % m
-    )
+        b = next(x for x in kernel if x not in cycles[a])
+        name, gens, specs = "BD%d" % (m // 4), [a, b], _binary_dihedral_specs(m // 4)
+    powers, _, right = _closure(gens, one=0, mul=G.mul)
+    closure = [G.elements[p] for p in powers]
+    index = {q: i for i, q in enumerate(closure)}
+    return QuaternionGroup(name, closure, index, specs, [G.elements[x] for x in gens], right)
 
 
 def graded_fold(G: QuaternionGroup, grading: Grading = None):

@@ -25,6 +25,7 @@ from verlkit.cyclo import (
     _coordinate_matrices,
     _mat_mul,
     _mul_int_vecs,
+    _real_cyclotomic_poly,
     _reduce_int_vec,
     cos_frac,
     cyc_arith,
@@ -61,6 +62,19 @@ def test_conjugate_moves_exponents():
 
 def test_two_cos_is_sqrt_three():
     assert 2 * cos_frac(1, 12) == sqrt_int(3)
+
+
+def test_real_cyclotomic_poly_is_the_minimal_polynomial_of_two_cos():
+    # monic of degree phi(d)/2 with 2cos(2pi/d) as a root, which has that
+    # degree over Q: so it is the minimal polynomial
+    for d in range(3, 61):
+        psi = _real_cyclotomic_poly(d)
+        x = 2 * cos_frac(1, d)
+        value = rational(0)
+        for c in reversed(psi):
+            value = value * x + c
+        assert value.is_zero(), d
+        assert psi[-1] == 1 and 2 * (len(psi) - 1) == _cond(d).phi
 
 
 def test_zeta_six_normalizes_to_order_three():

@@ -20,6 +20,7 @@ oracle both give Z_2 x Z_18.  That point is frozen here as constructed;
 the acceptance suite reports the closed-form comparison.
 """
 
+import random
 from fractions import Fraction
 from math import gcd
 from types import SimpleNamespace
@@ -31,6 +32,7 @@ from hypothesis import strategies as st
 
 from verlkit import cyclo, fusion
 from verlkit.cyclo import cos_frac, rational, sqrt_int, zeta
+from verlkit.exactla import IntMatrix
 from verlkit.fusion import (
     FusionRing,
     InvalidTwist,
@@ -48,6 +50,7 @@ from verlkit.fusion import (
     torus_fusion,
     verlinde_matrices,
 )
+from verlkit.modinv import ade_graph, nimrep_from_graph
 from verlkit.repring import quaternion_group
 
 MAX_LEVEL = 16
@@ -195,6 +198,73 @@ def test_fusion_identity_failure_is_the_first_pair():
     # swapping the matrices of labels 2 and 3 breaks 1 x 1 = 0 + 2 first
     mats[2], mats[3] = mats[3], mats[2]
     assert _fusion_failure(ring, mats) == (1, 1)
+
+
+def _fusion_failure_reference(ring, mats):
+    """The IntMatrix sums that the packed row comparison replaced."""
+    m = len(ring.labels)
+    for lam in range(m):
+        for mu in range(lam, m):
+            rhs = IntMatrix.zero(*mats[lam].shape)
+            for nu, c in ring.product(lam, mu).items():
+                rhs = rhs + mats[nu] * c
+            if mats[lam] * mats[mu] != rhs:
+                return lam, mu
+    return None
+
+
+def _conjugated(mats, c):
+    """P M P^-1 for P = 1 + c E_(0, g-1): still a representation, now with
+    entries near -c^2 as well as small ones."""
+    g = mats[0].rows
+
+    def shear(x):
+        return IntMatrix.from_rows(
+            [[int(i == j) + (x if (i, j) == (0, g - 1) else 0) for j in range(g)]
+             for i in range(g)]
+        )
+
+    return [shear(c) * M * shear(-c) for M in mats]
+
+
+def test_packed_fusion_failure_matches_the_matrix_sums():
+    families = [(su2_fusion_truncated(k), None) for k in (3, 6, 10)]
+    families += [
+        (su2_fusion_truncated(k), g) for g, k in (("D4", 4), ("D6", 8), ("E6", 10), ("E7", 16))
+    ]
+    rng = random.Random(2008)
+    firsts = set()
+    for ring, graph in families:
+        m = len(ring.labels)
+        if graph is None:
+            base = [ring.matrix(lam) for lam in range(m)]
+        else:
+            base = list(nimrep_from_graph(ade_graph(graph)[0], m - 1).matrices)
+        for mats in (base, _conjugated(base, 10**6)):
+            assert _fusion_failure(ring, mats) is None
+            g = mats[0].rows
+            for _ in range(25):
+                lam, i, j = rng.randrange(m), rng.randrange(g), rng.randrange(g)
+                rows = mats[lam].to_lists()
+                rows[i][j] += rng.choice((1, -1))
+                bent = mats[:lam] + [IntMatrix.from_rows(rows)] + mats[lam + 1:]
+                want = _fusion_failure_reference(ring, bent)
+                assert _fusion_failure(ring, bent) == want
+                firsts.add(want)
+    # the entries reach -10^12, and many different first pairs occur
+    entries = [c for M in _conjugated(base, 10**6) for c in M.data]
+    assert min(entries) < -(10**11)
+    assert None not in firsts and len(firsts) > 10
+    # each row of X^2 - 1 is some (-2^w y, y), y != 0: packed at slot width
+    # w it sums to 0, so a slot narrower than the bound misses this failure
+    z2 = FusionRing(("1", "g"), [[[1, 0], [0, 1]], [[0, 1], [1, 0]]])
+    for w in (16, 32, 48, 64):
+        a, d = 1 - 2**w, 10**6
+        X = IntMatrix.from_rows([[a, 1], [2**w * (a - d) + 2 ** (2 * w), d]])
+        rows = (X * X - IntMatrix.identity(2)).to_lists()
+        assert all(y and u == -(2**w) * y for u, y in rows)
+        mats = [IntMatrix.identity(2), X]
+        assert _fusion_failure(z2, mats) == _fusion_failure_reference(z2, mats) == (1, 1)
 
 
 def test_su2_level2_products(su2):

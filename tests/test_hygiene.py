@@ -1,9 +1,10 @@
 """Source hygiene that needs no linter: no module imports a name it neither
 uses nor exports through its __all__, no module defines a private
 top-level function or class that nothing in the library or its tests
-refers to, no check is a bare `assert`, which `python -O` strips, and
-every module states its public names in a literal __all__ that lists
-every public top-level function and class it defines."""
+refers to, no check is a bare `assert`, which `python -O` strips, no
+decision rests on mpmath's floating-point linear algebra, and every
+module states its public names in a literal __all__ that lists every
+public top-level function and class it defines."""
 
 import ast
 from pathlib import Path
@@ -72,6 +73,30 @@ def test_no_dead_private_definitions(path):
 def test_no_bare_asserts(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)] == []
+
+
+MPMATH_LINEAR_ALGEBRA = {"eigsy", "eig", "eighe", "matrix", "lu_solve"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_mpmath_linear_algebra(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = [
+        n.attr
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute)
+        and isinstance(n.value, ast.Name)
+        and n.value.id == "mpmath"
+        and n.attr in MPMATH_LINEAR_ALGEBRA
+    ]
+    used += [
+        a.name
+        for n in ast.walk(tree)
+        if isinstance(n, ast.ImportFrom) and n.module == "mpmath"
+        for a in n.names
+        if a.name in MPMATH_LINEAR_ALGEBRA
+    ]
+    assert used == []
 
 
 def _top_level_names(tree):

@@ -32,10 +32,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from verlkit.cyclo import CycNumber, zeta
+from verlkit.cyclo import CycNumber, cos_frac, rational, zeta
 from verlkit.exactla import IntMatrix, kernel_basis
 from verlkit.fusion import double_abelian, level1_data, su2_modular_data
 from verlkit.modinv import (
+    _charpoly,
     _commutant_rows,
     _row_hermite,
     BranchingRule,
@@ -45,6 +46,7 @@ from verlkit.modinv import (
     ModularInvariant,
     NegativeEntry,
     SearchBudgetExceeded,
+    SelfCheckFailure,
     SpectrumMismatch,
     ade_graph,
     alpha_induction_abelian,
@@ -320,6 +322,83 @@ def test_nimrep_rejects_bad_adjacency():
         nimrep_from_graph([[0, 1], [0, 0]], 2)
     with pytest.raises(ValueError):
         nimrep_from_graph([[0, -1], [-1, 0]], 2)
+
+
+def _nimrep_reference(A, level):
+    """Exponents by the cyclotomic deflation that certified nimrep spectra
+    before: the recursion's first negative entry raises NegativeEntry, then
+    the charpoly is divided by x - 2cos(pi(kappa+1)/(level+2)) as long as
+    the CycNumber remainder is zero, for kappa = 0..level."""
+    g = A.rows
+    mats = [IntMatrix.identity(g), A][: level + 1]
+    for lam in range(2, level + 1):
+        nxt = A * mats[-1] - mats[-2]
+        for i, j in product(range(g), repeat=2):
+            if nxt[i, j] < 0:
+                raise NegativeEntry(
+                    "entry (%d, %d) of the step-%d matrix is %d" % (i, j, lam, nxt[i, j])
+                )
+        mats.append(nxt)
+    desc = [rational(c) for c in reversed(_charpoly(A.to_lists()))]
+    exponents = []
+    for kappa in range(level + 1):
+        root = cos_frac(kappa + 1, 2 * (level + 2)) * 2
+        while len(desc) > 1:
+            out = [desc[0]]
+            for c in desc[1:]:
+                out.append(c + root * out[-1])
+            if not out.pop().is_zero():
+                break
+            desc = out
+            exponents.append(kappa)
+    if len(desc) != 1:
+        raise SpectrumMismatch(
+            "%d eigenvalues of the graph lie outside the level-%d exponent set"
+            % (len(desc) - 1, level)
+        )
+    return tuple(sorted(exponents))
+
+
+_COXETER = dict(
+    [("A%d" % n, n + 1) for n in range(1, 26)]
+    + [("D%d" % n, 2 * n - 2) for n in range(4, 20)]
+    + [("E6", 12), ("E7", 18), ("E8", 30)]
+)
+
+
+@pytest.mark.parametrize("name", sorted(_COXETER))
+def test_nimrep_exponents_match_the_cyclotomic_deflation(name):
+    A, _ = ade_graph(name)
+    h = _COXETER[name]
+    passing = []
+    for level in (h - 3, h - 2, h - 1):
+        if level < 0:
+            continue
+        try:
+            want = _nimrep_reference(A, level)
+        except (NegativeEntry, SpectrumMismatch) as exc:
+            want = (type(exc), str(exc))
+        try:
+            nr = nimrep_from_graph(A, level)
+        except (NegativeEntry, SpectrumMismatch) as exc:
+            got = (type(exc), str(exc))
+        else:
+            got = nr.exponents
+            passing.append(level)
+            # the truncation identity holds wherever the spectrum certifies
+            assert nr.report["spectrum_numeric"] is True
+        assert got == want
+    # the graph is a nimrep at its Coxeter level, and at neither neighbour
+    assert passing == [h - 2]
+
+
+def test_nimrep_self_check_failure_is_typed(monkeypatch):
+    from verlkit import modinv
+
+    assert issubclass(SelfCheckFailure, RuntimeError)
+    monkeypatch.setattr(modinv, "_fusion_failure", lambda ring, mats: (1, 1))
+    with pytest.raises(SelfCheckFailure, match="graph matrices fail the fusion identity"):
+        nimrep_from_graph(ade_graph("A3")[0], 2)
 
 
 # -- central charges -----------------------------------------------------------

@@ -312,6 +312,23 @@ def test_graded_folds():
         assert r["dim_graded_ring_1"] == 2
 
 
+@pytest.mark.parametrize("m", [4, 6, 8])
+def test_every_binary_dihedral_grading_folds(m):
+    # BD_m (affine D_(m+2)) has three gradings: the cyclic kernel C_2m, and
+    # two binary dihedral kernels BD_(m/2), whose graph is affine D_(m/2+2);
+    # graded_fold verifies each fold against the kernel's own irreps
+    G = quaternion_group("BD%d" % m)
+    folds = sorted(
+        (r["folded_graph"], r["folded_nodes"], r["dim_graded_ring"], r["dim_graded_ring_1"])
+        for r in (graded_fold(G, gr) for gr in gradings(G))
+    )
+    half = m // 2
+    assert folds == sorted(
+        [("A%d" % (2 * m - 1), 2 * m, m - 1, 2)]
+        + [("D%d" % (half + 2), half + 3, 1, half + 1)] * 2
+    )
+
+
 def test_fold_refused_without_grading():
     for name in ("E6", "E8", "C3"):
         with pytest.raises(NoGradingExists):
