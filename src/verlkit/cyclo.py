@@ -11,20 +11,27 @@ cross-order equality lifts both sides to the lcm order first.
 Multiplication packs coefficient vectors into single big integers (one
 machine multiply replaces the whole convolution) and reduces with packed
 rows of the power table; the test suite cross-checks it against a naive
-convolution.  Inversion and descent to a smaller order are integer-only
+convolution.  Slots are 16, 32 or 64 bits, or a multiple of 64; a bias
+of 2^(w-1) per slot makes them unsigned, so one `int.to_bytes` reads them.
+A rational (order 1) factor only scales the other numerator.
+Inversion and descent to a smaller order are integer-only
 as well: each solves its linear system by the one fraction-free Bareiss
 elimination, `exactla._bareiss`, and the descent projector is cached as
 an integer matrix over a common denominator.
 Matrices go to integer coordinates at one order L (`_coordinates`), so
 `_coordinate_matrices` callers test linear identities over Z, and the
-product `_mat_mul` forms each entry as a plain sum of m packed products,
-folded modulo Phi_L once: m^2 reductions, not m^3.  Its slot width bounds
+product by a matrix B, prepared once by `_times(B)` (its lift and packing
+cached per order L and slot width), forms each entry as a plain sum of m
+packed products, folded modulo Phi_L once: m^2 reductions, not m^3.  The
+slot width bounds
 m * phi(L) * max|a| * max|b| * (1 + phi(L) * max reduced-power entry).
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, gcd, lcm
 from operator import mul
 
@@ -153,19 +160,30 @@ def _pack(vec, width: int) -> int:
     return out
 
 
+@lru_cache(maxsize=None)
+def _bias(count: int, width: int) -> int:
+    """2^(width-1) in each of `count` slots: it makes signed slots nonnegative."""
+    return _pack([1 << (width - 1)] * count, width)
+
+
+_WORD = {16: "H", 32: "I", 64: "Q"}
+
+
 def _unpack(n: int, count: int, width: int):
+    """The `count` signed slots of a packed integer, low slot first, read by
+    one `int.to_bytes` of the biased value: as machine words up to 64 bits,
+    by byte slices beyond.  Raises OverflowError if n does not fit."""
+    size = width >> 3
+    raw = (n + _bias(count, width)).to_bytes(count * size, sys.byteorder)
+    if width in _WORD:
+        slots = memoryview(raw).cast(_WORD[width])
+    else:
+        cuts = range(0, len(raw), size)
+        slots = [int.from_bytes(raw[i : i + size], sys.byteorder) for i in cuts]
+    if sys.byteorder == "big":
+        slots = slots[::-1]
     half = 1 << (width - 1)
-    full = 1 << width
-    mask = full - 1
-    out = []
-    for _ in range(count):
-        d = n & mask
-        n >>= width
-        if d >= half:
-            d -= full
-            n += 1
-        out.append(d)
-    return out
+    return [d - half for d in slots]
 
 
 def _reduce_int_vec(vec, cond: _CondData):
@@ -182,19 +200,25 @@ def _reduce_int_vec(vec, cond: _CondData):
 
 
 def _width(bound: int) -> int:
-    """Slot width in bits that holds signed values up to `bound`."""
-    return ((bound.bit_length() + 4) + 15) // 16 * 16
+    """Slot width in bits that holds signed values up to `bound`, with four
+    bits to spare: 16, 32 or 64 when that fits, else a multiple of 64."""
+    bits = bound.bit_length() + 4
+    return next((w for w in (16, 32, 64) if bits <= w), (bits + 63) // 64 * 64)
 
 
 def _fold(prod: int, width: int, cond: _CondData):
-    """Canonical vector of a packed convolution of two length-phi vectors:
-    the high slots fold down with packed rows of the power table."""
+    """Canonical vector of a packed convolution of two length-phi vectors.
+    The biased low phi slots are a plain bit field, so one shift splits off
+    the phi - 1 high slots; only those are unpacked and folded down with
+    packed rows of the power table."""
     phi, n = cond.phi, cond.n
-    conv = _unpack(prod, 2 * phi - 1, width)
+    if phi == 1:
+        return [prod]
+    shift = phi * width
+    high = (prod + _bias(phi, width)) >> shift
+    acc = prod - (high << shift)
     packed = cond.packed_rows(width)
-    acc = _pack(conv[:phi], width)
-    for e in range(phi, 2 * phi - 1):
-        c = conv[e]
+    for e, c in enumerate(_unpack(high, phi - 1, width), phi):
         if c:
             acc += c * packed[e % n]
     return _unpack(acc, phi, width)
@@ -216,8 +240,6 @@ def _mul_int_vecs(a, b, cond: _CondData):
     multiply, then folds the high part down with packed reduction rows.
     """
     phi = cond.phi
-    if phi == 1:
-        return [a[0] * b[0]]
     ma = max(abs(x) for x in a) or 1
     mb = max(abs(x) for x in b) or 1
     width = _width(phi * ma * mb * (1 + phi * cond.row_max))
@@ -352,6 +374,10 @@ class CycNumber:
 
     def __mul__(self, other):
         other = _coerce(other)
+        if self.order == 1 or other.order == 1:
+            # a rational factor scales the other numerator: no lift, no fold
+            q, b = (self, other) if self.order == 1 else (other, self)
+            return _raw(b.order, [q.num[0] * c for c in b.num], q.den * b.den)
         a, b = CycNumber._common(self, other)
         num = _mul_int_vecs(list(a.num), list(b.num), _cond(a.order))
         return _raw(a.order, num, a.den * b.den)
@@ -604,18 +630,18 @@ def sin_frac(num: int, den: int) -> CycNumber:
     return (zeta(n, k) - zeta(n, -k % n)) * zeta(4, 3) / 2
 
 
-def _coordinates(mats, shared: bool):
+def _coordinates(mats, shared: bool, order: int = 1):
     """Entries of cyclotomic matrices at one order, over one denominator.
 
     Returns (L, [(d, rows), ...]): rows[i][j] is M[i][j] lifted to the lcm
-    order L of every entry, so d * M[i][j] = (d // e.den) * sum_t e.num[t]
-    zeta_L^t for e = rows[i][j], with d one denominator per matrix (one for
-    all when `shared`).  Modular data share entry objects (S = S^t,
-    repeated sines), so each distinct object is lifted once.
+    order L of `order` and every entry, so d * M[i][j] = (d // e.den) *
+    sum_t e.num[t] zeta_L^t for e = rows[i][j], with d one denominator per
+    matrix (one for all when `shared`).  Modular data share entry objects
+    (S = S^t, repeated sines), so each distinct object is lifted once.
     """
     mats = [[[_coerce(e) for e in row] for row in M] for M in mats]
     cells = {id(e): e for M in mats for row in M for e in row}
-    L = lcm(*(e.order for e in cells.values()))
+    L = lcm(order, *(e.order for e in cells.values()))
     cells = {k: e._lift(L) for k, e in cells.items()}
     rows = [[[cells[id(e)] for e in row] for row in M] for M in mats]
     dens = [lcm(*(e.den for row in M for e in row)) for M in rows]
@@ -624,25 +650,43 @@ def _coordinates(mats, shared: bool):
     return L, list(zip(dens, rows))
 
 
-def _mat_mul(A, B):
-    """Product of two matrices of CycNumbers, given as row sequences: one
-    packed product per output entry, folded modulo Phi_L once."""
-    m = len(B)
-    p = len(B[0]) if B else 0
-    if any(len(row) != m for row in A) or any(len(row) != p for row in B):
+def _times(B):
+    """M -> M * B for a matrix of CycNumbers B, given as rows.  B's columns
+    are lifted per order L and packed per slot width when a left factor
+    first needs them; each entry is one packed sum, folded modulo Phi_L once."""
+    m, p = len(B), len(B[0]) if B else 0
+    if any(len(row) != p for row in B):
         raise ValueError("matrix shapes do not match for a product")
-    L, ((dA, a), (dB, b)) = _coordinates((A, B), shared=False)
-    cond = _cond(L)
-    ma = max((max(map(abs, e.num)) * (dA // e.den) for r in a for e in r), default=0) or 1
-    mb = max((max(map(abs, e.num)) * (dB // e.den) for r in b for e in r), default=0) or 1
-    width = _width(m * cond.phi * ma * mb * (1 + cond.phi * cond.row_max))
-    # packing is linear, so scaling the packed integer scales every slot
-    pa = [[_pack(e.num, width) * (dA // e.den) for e in row] for row in a]
-    pb = [[_pack(e.num, width) * (dB // e.den) for e in col] for col in zip(*b)]
-    return tuple(
-        tuple(_raw(L, _fold(sum(map(mul, ra, cb)), width, cond), dA * dB) for cb in pb)
-        for ra in pa
-    )
+    LB, ((dB, b),) = _coordinates((B,), shared=False)
+    cache = {}
+
+    def times(A):
+        if any(len(row) != m for row in A):
+            raise ValueError("matrix shapes do not match for a product")
+        L, ((dA, a),) = _coordinates((A,), shared=False, order=LB)
+        if L not in cache:
+            cols = [[e._lift(L) for e in col] for col in zip(*b)]
+            top = max((max(map(abs, e.num)) * (dB // e.den) for c in cols for e in c), default=0)
+            cache[L] = cols, top or 1, {}
+        cols, mb, packed = cache[L]
+        cond = _cond(L)
+        ma = max((max(map(abs, e.num)) * (dA // e.den) for r in a for e in r), default=0) or 1
+        width = _width(m * cond.phi * ma * mb * (1 + cond.phi * cond.row_max))
+        # packing is linear, so scaling the packed integer scales every slot
+        if width not in packed:
+            packed[width] = [[_pack(e.num, width) * (dB // e.den) for e in c] for c in cols]
+        pb = packed[width]
+        return tuple(
+            tuple(_raw(L, _fold(sum(map(mul, ra, cb)), width, cond), dA * dB) for cb in pb)
+            for ra in ([_pack(e.num, width) * (dA // e.den) for e in r] for r in a)
+        )
+
+    return times
+
+
+def _mat_mul(A, B):
+    """Product of two matrices of CycNumbers, given as row sequences."""
+    return _times(B)(A)
 
 
 def _coordinate_matrices(*mats):

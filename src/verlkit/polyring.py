@@ -28,6 +28,7 @@ __all__ = [
     "TruncationWindow",
     "StabilizationFailure",
     "Inconclusive",
+    "SelfCheckFailure",
     "truncated_quotient",
     "stabilized_family",
     "matrix_from_columns",
@@ -42,6 +43,10 @@ class StabilizationFailure(RuntimeError):
 
 class Inconclusive(RuntimeError):
     """The bounded-degree window certified neither answer."""
+
+
+class SelfCheckFailure(AssertionError):
+    """A computation failed one of its own consistency checks."""
 
 
 class LaurentPoly:
@@ -387,7 +392,7 @@ def coprime_certificate(f: LaurentPoly, g: LaurentPoly):
         u = LaurentPoly(f.names, {(i,): sol[i] for i in range(fshift)})
         w = LaurentPoly(f.names, {(j,): sol[fshift + j] for j in range(gshift)})
         if u * f + w * g != LaurentPoly.const(1, f.names):
-            raise AssertionError("witness failed to expand to 1")
+            raise SelfCheckFailure("witness failed to expand to 1")
         return True, (u, w)
     h = _common_factor(f, g)
     if h.degree() >= 1:
@@ -468,11 +473,11 @@ def e6_tor(window_size: int = 24, stride: int = 5):
     d2f, d2g = m * B, -(m * A)
     # complex property: d1 o d2 = 0
     if not (d1f * d2f + d1g * d2g).is_zero():
-        raise AssertionError("d1 o d2 != 0; maps entered wrong")
+        raise SelfCheckFailure("d1 o d2 != 0; maps entered wrong")
 
     ok, witness = coprime_certificate(A, B)
     if not ok:
-        raise AssertionError("cofactors unexpectedly share a factor")
+        raise SelfCheckFailure("cofactors unexpectedly share a factor")
 
     d2_top = max(d2f.degree(), d2g.degree())
 
@@ -492,7 +497,7 @@ def e6_tor(window_size: int = 24, stride: int = 5):
                 _poly_to_vec(d2f, w, shift) + _poly_to_vec(d2g, w, shift)
             )
             if any(y[j] for j in bound):
-                raise AssertionError("im d2 escaped ker d1 on the window")
+                raise SelfCheckFailure("im d2 escaped ker d1 on the window")
             coords.append([y[j] for j in free])
         C = IntMatrix.from_cols(coords) if coords else IntMatrix.zero(len(free), 0)
         h1 = cokernel(C, labels=["k%d" % i for i in range(len(free))])

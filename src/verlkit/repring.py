@@ -7,9 +7,11 @@ generator matrices over small cyclotomic fields), embeddings and gradings
 (signs +-1 on the generators) are values assigned along a walk of that
 graph; a failed check on any edge means the generator images do not
 define a homomorphism, so construction aborts or, for a sign tuple, no
-grading exists.  Character tables are self-verified against the
-orthogonality relations (OrthogonalityFailure otherwise).  A graded fold
-restricts irreps along the embedding of the grading's kernel.
+grading exists.  Each walk multiplies by generator values prepared once
+(`cyclo._times`).  Character tables are self-verified against the
+orthogonality relations (OrthogonalityFailure, a SelfCheckFailure like
+every failed self-check).  A graded fold restricts irreps along the
+embedding of the grading's kernel.
 
 Infinite groups appear symbolically: the circle ring Z[a^(+-1)], the O(2)
 ring Span{1, delta, kappa_1, ...}, and the SU(2) ring Z[sigma].  Dirac
@@ -28,7 +30,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from .cyclo import CycNumber, _coerce, _mat_mul, cos_frac, rational, sin_frac, sqrt_int, zeta
+from .cyclo import (
+    CycNumber, _coerce, _mat_mul, _times, cos_frac, rational, sin_frac, sqrt_int, zeta,
+)
 from .exactla import IntMatrix
 
 __all__ = [
@@ -42,6 +46,7 @@ __all__ = [
     "GroupMismatch",
     "NotASubgroup",
     "OrthogonalityFailure",
+    "SelfCheckFailure",
     "NoGradingExists",
     "InvalidEmbedding",
     "quaternion_group",
@@ -74,7 +79,11 @@ class NotASubgroup(ValueError):
     """No canonical embedding between the named groups."""
 
 
-class OrthogonalityFailure(AssertionError):
+class SelfCheckFailure(AssertionError):
+    """A construction failed one of its own consistency checks."""
+
+
+class OrthogonalityFailure(SelfCheckFailure):
     """A built character table failed the orthogonality self-test."""
 
 
@@ -94,25 +103,25 @@ _HALF = rational(Fraction(1, 2))
 class Quaternion:
     """Unit quaternion with exact cyclotomic coordinates."""
 
-    __slots__ = ("w", "x", "y", "z", "_hash")
+    __slots__ = ("w", "x", "y", "z", "_hash", "_times")
 
     def __init__(self, w, x, y, z) -> None:
         for name, v in zip("wxyz", (w, x, y, z)):
             object.__setattr__(self, name, v)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_times", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Quaternion is immutable")
 
     def __mul__(self, o: "Quaternion") -> "Quaternion":
-        w1, x1, y1, z1 = self.w, self.x, self.y, self.z
-        w2, x2, y2, z2 = o.w, o.x, o.y, o.z
-        return Quaternion(
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        )
+        # the row (w, x, y, z) times o's right-multiplication matrix, prepared once
+        times = o._times
+        if times is None:
+            w, x, y, z = o.w, o.x, o.y, o.z
+            times = _times(((w, x, y, z), (-x, w, -z, y), (-y, z, w, -x), (-z, -y, x, w)))
+            object.__setattr__(o, "_times", times)
+        return Quaternion(*times(((self.w, self.x, self.y, self.z),))[0])
 
     def inverse(self) -> "Quaternion":
         # unit quaternions only: inverse is the conjugate
@@ -191,7 +200,7 @@ def _closure(gens, expected_order=None, one=_Q_ONE, mul=Quaternion.__mul__):
         if len(elems) > 512:
             raise RuntimeError("group closure ran away")
     if expected_order is not None and len(elems) != expected_order:
-        raise AssertionError(
+        raise SelfCheckFailure(
             "closure has %d elements, expected %d" % (len(elems), expected_order)
         )
     return elems, index, right
@@ -271,9 +280,10 @@ def _extend_irrep(group, gen_mats, label):
     eye = _as_mat(
         [[1 if r == c else 0 for c in range(dim)] for r in range(dim)]
     )
-    mats = _walk(group._right, eye, lambda M, k: _mat_mul(M, gen_mats[k]))
+    steps = [_times(B) for B in gen_mats]
+    mats = _walk(group._right, eye, lambda M, k: steps[k](M))
     if mats is None:
-        raise AssertionError(
+        raise SelfCheckFailure(
             "generator matrices for %r are not a homomorphism" % label
         )
     return Irrep(label, dim, tuple(mats))
@@ -901,7 +911,7 @@ def mckay_graph(G: QuaternionGroup):
     for i in range(len(dims)):
         s = sum(A[(i, j)] * dims[j] for j in range(len(dims)))
         if s != 2 * dims[i]:
-            raise AssertionError("affine Cartan property failed for %s" % G.name)
+            raise SelfCheckFailure("affine Cartan property failed for %s" % G.name)
     return A, list(ct.labels)
 
 
@@ -1003,7 +1013,7 @@ def classify_graded(rho, grading: Grading = None) -> str:
         return "2_1"
     if norm_val == 2:
         return "1_2"
-    raise AssertionError("restriction norm %d is impossible" % norm_val)
+    raise SelfCheckFailure("restriction norm %d is impossible" % norm_val)
 
 
 def _kernel_group(G: QuaternionGroup, grading: Grading) -> QuaternionGroup:
@@ -1051,7 +1061,7 @@ def graded_fold(G: QuaternionGroup, grading: Grading = None):
     ct = character_table(G)
     psi = grading.psi_label
     if psi is None:
-        raise AssertionError("grading has no matching sign character")
+        raise SelfCheckFailure("grading has no matching sign character")
     # involution rho -> rho (x) psi
     invol = {}
     for lab in ct.labels:
@@ -1074,17 +1084,17 @@ def graded_fold(G: QuaternionGroup, grading: Grading = None):
         dec = restrict(rho, emb)
         if lab in fixed:
             if kind != "1_2":
-                raise AssertionError("fixed node %s is not type 1_2" % lab)
+                raise SelfCheckFailure("fixed node %s is not type 1_2" % lab)
             if sorted(dec.coeffs.values()) != [1, 1]:
-                raise AssertionError("type 1_2 restriction did not split in two")
+                raise SelfCheckFailure("type 1_2 restriction did not split in two")
         elif kind != "2_1":
-            raise AssertionError("swapped node %s is not type 2_1" % lab)
+            raise SelfCheckFailure("swapped node %s is not type 2_1" % lab)
         elif list(dec.coeffs.values()) != [1]:
-            raise AssertionError("type 2_1 restriction is not irreducible")
+            raise SelfCheckFailure("type 2_1 restriction is not irreducible")
         for sub_lab in dec.coeffs:
             seen[sub_lab] = seen.get(sub_lab, 0) + 1
     if seen != {lab: 1 for lab in ct_k.labels}:
-        raise AssertionError("folded nodes do not biject with kernel irreps")
+        raise SelfCheckFailure("folded nodes do not biject with kernel irreps")
     A_k, labels_k = mckay_graph(K)
     folded_name = recognize_affine_ade(A_k)
     parent_name = recognize_affine_ade(mckay_graph(G)[0])
@@ -1287,5 +1297,5 @@ def dirac_induce_finite_to_O2(rho: VirtualRep, d: str) -> int:
 def _trivial_label(ct: CharacterTable) -> str:
     lab = _one_dim_label(ct, [1] * len(ct.classes))
     if lab is None:
-        raise AssertionError("no trivial irrep found")
+        raise SelfCheckFailure("no trivial irrep found")
     return lab

@@ -23,10 +23,15 @@ from verlkit.cyclo import (
     DivisionByZero,
     _cond,
     _coordinate_matrices,
+    _fold,
     _mat_mul,
     _mul_int_vecs,
+    _pack,
     _real_cyclotomic_poly,
     _reduce_int_vec,
+    _times,
+    _unpack,
+    _width,
     cos_frac,
     cyc_arith,
     cyc_conjugate,
@@ -354,3 +359,122 @@ def test_packed_mat_mul_rejects_mismatched_shapes():
     # an empty inner dimension gives the (empty) zero product
     assert _mat_mul([[], []], []) == ((), ())
     assert _mat_mul([[zeta(5)]], [[]]) == ((),)
+
+
+def _unpack_reference(n, count, width):
+    """Shift-loop slot reader; oracle for `_unpack` (it drops what does not
+    fit in `count` slots)."""
+    half = 1 << (width - 1)
+    full = 1 << width
+    mask = full - 1
+    out = []
+    for _ in range(count):
+        d = n & mask
+        n >>= width
+        if d >= half:
+            d -= full
+            n += 1
+        out.append(d)
+    return out
+
+
+def _fold_reference(prod, width, cond):
+    """Unpack every slot, repack the low ones, fold; oracle for `_fold`."""
+    phi, n = cond.phi, cond.n
+    conv = _unpack_reference(prod, 2 * phi - 1, width)
+    packed = cond.packed_rows(width)
+    acc = _pack(conv[:phi], width)
+    for e in range(phi, 2 * phi - 1):
+        c = conv[e]
+        if c:
+            acc += c * packed[e % n]
+    return _unpack_reference(acc, phi, width)
+
+
+# every width `_width` returns up to 640 bits: 16, 32, 64, 128, 192, ...
+slot_widths = st.integers(min_value=0, max_value=600).map(lambda b: _width((1 << b) - 1))
+
+
+def _slots(data, count, low, high):
+    """`count` slot values in [low, high], the ends and zero drawn often."""
+    value = st.one_of(st.sampled_from([low, high, 0]), st.integers(low, high))
+    return data.draw(st.lists(value, min_size=count, max_size=count))
+
+
+@given(st.integers(min_value=1, max_value=150), slot_widths, st.booleans(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_byte_slot_unpack_matches_shift_loop(order, width, convolution, data):
+    phi = _cond(order).phi
+    count = 2 * phi - 1 if convolution else phi
+    half = 1 << (width - 1)
+    vals = _slots(data, count, -half, half - 1)
+    n = _pack(vals, width)
+    assert _unpack(n, count, width) == _unpack_reference(n, count, width) == vals
+
+
+@given(st.integers(min_value=1, max_value=150), slot_widths, st.booleans(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_bit_field_fold_matches_unpack_and_repack(order, width, low_only, data):
+    cond = _cond(order)
+    phi = cond.phi
+    half = 1 << (width - 1)
+    if low_only:
+        # nothing to fold: the low slots may take every value of a slot
+        conv = _slots(data, phi, -half, half - 1) + [0] * (phi - 1)
+    else:
+        # high slots small enough that every folded slot still fits
+        bound = (half - 1) // (1 + (phi - 1) * cond.row_max)
+        conv = _slots(data, 2 * phi - 1, -bound, bound)
+    prod = _pack(conv, width)
+    assert _fold(prod, width, cond) == _fold_reference(prod, width, cond)
+
+
+@given(st.integers(min_value=0, max_value=2**700))
+@settings(max_examples=200, deadline=None)
+def test_width_is_a_machine_word_or_a_multiple_of_64_that_holds_the_bound(bound):
+    w = _width(bound)
+    assert w in (16, 32, 64) or w % 64 == 0
+    assert bound < 1 << (w - 1)
+    assert _width(0) == 16 and _width(2**40) == 64 and _width(2**60) == 128
+
+
+def test_unpack_rejects_values_that_do_not_fit_in_the_slots():
+    # deliberate change: the shift loop dropped the excess without a word
+    for width in (16, 32, 64, 128):
+        half = 1 << (width - 1)
+        top, bottom = _pack([half - 1] * 3, width), _pack([-half] * 3, width)
+        assert _unpack(top, 3, width) == [half - 1] * 3
+        assert _unpack(bottom, 3, width) == [-half] * 3
+        for n in (top + 1, bottom - 1, 1 << (3 * width), -(1 << (3 * width))):
+            assert _pack(_unpack_reference(n, 3, width), width) != n
+            with pytest.raises(OverflowError):
+                _unpack(n, 3, width)
+
+
+def test_prepared_factor_follows_left_factors_to_new_orders_and_widths():
+    # one `_times(B)` meets new lcm orders (8, 40, 120) and a wider slot at
+    # order 8, then returns to sizes it has already lifted and packed
+    rng = random.Random(14)
+    B = _random_matrix(rng, 3, 2, [8], 5, [1, 3])
+    times = _times(B)
+    for orders, size in (
+        ([1], 3), ([8], 3), ([5], 3), ([8], 10**30), ([1, 4], 3),
+        ([5, 12], 10**12), ([8], 3), ([1], 10**30),
+    ):
+        A = _random_matrix(rng, 2, 3, orders, size, [1, 2, 7])
+        got, want = times(A), _mat_mul_reference(A, B)
+        assert [len(row) for row in got] == [len(row) for row in want]
+        for g_row, w_row in zip(got, want):
+            for g, w in zip(g_row, w_row):
+                assert g == w and hash(g) == hash(w)
+
+
+def test_prepared_factor_checks_shapes():
+    with pytest.raises(ValueError):
+        _times([[1, 2], [3]])
+    times = _times([[zeta(8)], [1]])
+    assert times([[1, zeta(8, 3)]]) == ((zeta(8) + zeta(8, 3),),)
+    with pytest.raises(ValueError):
+        times([[1, 2, 3]])
+    with pytest.raises(ValueError):
+        times([[1, 2], [3]])

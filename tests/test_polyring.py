@@ -21,6 +21,7 @@ from verlkit.exactla import FGAbelianGroup, IntMatrix, cokernel, kernel_basis, s
 from verlkit.polyring import (
     Inconclusive,
     LaurentPoly,
+    SelfCheckFailure,
     StabilizationFailure,
     TruncationWindow,
     coprime_certificate,
@@ -231,3 +232,10 @@ def test_e6_tor_matches_kernel_then_solve_reference():
                 want.torsion,
                 want.generators,
             )
+
+
+def test_e6_tor_self_check_failure_is_typed(monkeypatch):
+    assert issubclass(SelfCheckFailure, AssertionError)
+    monkeypatch.setattr(polyring, "coprime_certificate", lambda f, g: (False, None))
+    with pytest.raises(SelfCheckFailure, match="cofactors unexpectedly share a factor"):
+        e6_tor(8)

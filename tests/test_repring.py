@@ -22,16 +22,23 @@ Hand derivations frozen as expectations:
   so its graded type is 1_2.
 """
 
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from verlkit import repring
+from verlkit.cyclo import CycNumber
 from verlkit.repring import (
     GroupMismatch,
     InvalidEmbedding,
     NoGradingExists,
     NotASubgroup,
+    OrthogonalityFailure,
+    Quaternion,
     QuaternionGroup,
+    SelfCheckFailure,
     character_table,
     classify_graded,
     dirac_induce_T_to_SU2,
@@ -459,3 +466,56 @@ def test_gradings_match_coset_mask_oracle(name):
     got = [(sorted(g.kernel), g.values, g.psi_label) for g in gradings(G)]
     assert got == _coset_mask_gradings(G)
 
+
+def _hamilton_reference(p, q):
+    """The 16-term Hamilton product; oracle for `Quaternion.__mul__`."""
+    w1, x1, y1, z1 = p.w, p.x, p.y, p.z
+    w2, x2, y2, z2 = q.w, q.x, q.y, q.z
+    return (
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+    )
+
+
+def test_quaternion_product_matches_hamilton_formula():
+    # non-unit quaternions with coordinates of orders 1, 5, 8 and 12; each
+    # right factor is reused, so its prepared matrix meets new left orders
+    rng = random.Random(21)
+
+    def coord():
+        n = rng.choice([1, 5, 8, 12])
+        size = rng.choice([0, 1, 6])
+        coeffs = [Fraction(rng.randint(-size, size), rng.choice([1, 2, 3])) for _ in range(n)]
+        return CycNumber(n, coeffs)
+
+    rights = [Quaternion(*(coord() for _ in range(4))) for _ in range(6)]
+    for _ in range(60):
+        p, q = Quaternion(*(coord() for _ in range(4))), rng.choice(rights)
+        got = p * q
+        for g, w in zip((got.w, got.x, got.y, got.z), _hamilton_reference(p, q)):
+            assert (g.order, g.num, g.den) == (w.order, w.num, w.den)
+
+
+def test_irreps_prepare_each_generator_matrix_once(monkeypatch):
+    # E7: 8 irreps x 3 generators, not one preparation per Cayley edge (1,152)
+    G = repring._build_e7()
+    calls = []
+    prepare = repring._times
+
+    def counting(B):
+        calls.append(B)
+        return prepare(B)
+
+    monkeypatch.setattr(repring, "_times", counting)
+    assert len(G.irreps()) == 8
+    assert len(calls) == 24
+    assert 8 * sum(map(len, G._right)) == 1152
+
+
+def test_self_check_failures_are_typed():
+    assert issubclass(SelfCheckFailure, AssertionError)
+    assert issubclass(OrthogonalityFailure, SelfCheckFailure)
+    with pytest.raises(SelfCheckFailure, match="closure has 4 elements, expected 3"):
+        repring._closure([repring._Q_I], expected_order=3)
