@@ -16,12 +16,15 @@ factorization, so a caller that needs several of them
 by `smith_with_inverses`.  Square rational systems are solved by one
 fraction-free Bareiss elimination, `_bareiss`, which the cyclotomic
 inverse and descent and the characteristic polynomials of graph
-adjacencies all call.
+adjacencies all call.  Every group closure is one breadth-first walk,
+`_closure`, and `_cayley_invariants` presents a finite abelian group by
+the relations of its Cayley graph and reads it off the same Smith engine.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from math import prod
 
 __all__ = [
     "IntMatrix",
@@ -430,6 +433,91 @@ def _solve_with(snf, target):
     if any(y[D.cols :]):
         return None
     return V.mul_vec(tuple(x_d))
+
+
+def _closure(gens, one, mul, cap=512):
+    """All products of the generators, in breadth-first discovery order,
+    with the Cayley graph found on the way: right[a][k] indexes elems[a]*g_k.
+
+    `mul` multiplies two elements and `one` is the identity.  A closure
+    past `cap` elements raises RuntimeError: a generator of infinite order.
+    """
+    elems = [one]
+    index = {one: 0}
+    right = []
+    frontier = [one]
+    while frontier:
+        nxt = []
+        for e in frontier:
+            edges = []
+            for g in gens:
+                p = mul(e, g)
+                if p not in index:
+                    index[p] = len(elems)
+                    elems.append(p)
+                    nxt.append(p)
+                edges.append(index[p])
+            right.append(edges)  # frontiers run in discovery order
+        frontier = nxt
+        if len(elems) > cap:
+            raise RuntimeError("group closure ran away")
+    return elems, index, right
+
+
+def _cayley_invariants(mul, n, unit):
+    """Invariant factors of the finite abelian group on labels 0..n-1 with
+    product `mul` and identity `unit`; ValueError for any other table.
+
+    Generators are picked greedily, each the smallest label not yet reached.
+    Along the breadth-first tree of the Cayley graph each element a gets a
+    vector vec(a) in Z^r, and each other edge a*g_k = b the relation
+    vec(a) + e_k - vec(b).  In an abelian group these span the kernel L of
+    Z^r -> G (Schreier's lemma; Holt, Eick and O'Brien, Handbook of
+    Computational Group Theory, 2005), and the Smith form U R V = D of the
+    relation columns reads off Z^r/L.  Certificate: `unit` is an identity
+    and a -> U vec(a) mod D is additive on all n^2 products, so it is a
+    bijection onto Z^r/L and an isomorphism that proves the table a group.
+    """
+    if any(mul(unit, x) != x for x in range(n)):
+        raise ValueError("label %d is not an identity" % unit)
+    gens = []
+    elems, _, right = _closure(gens, unit, mul, n)
+    while len(elems) < n:
+        gens.append(min(set(range(n)).difference(elems)))
+        elems, _, right = _closure(gens, unit, mul, n)
+    r = len(gens)
+    vec = [(0,) * r] + [None] * (n - 1)
+    relations = []
+    for a, edges in enumerate(right):
+        for k, b in enumerate(edges):
+            step = vec[a][:k] + (vec[a][k] + 1,) + vec[a][k + 1:]
+            if vec[b] is None:
+                vec[b] = step
+            else:
+                relations.append([s - t for s, t in zip(step, vec[b])])
+    R = _matrix(r, len(relations), [rel[i] for i in range(r) for rel in relations])
+    U, _, D, _, _ = _smith_engine(R, u=True)
+    diag = [_factor(D, i) for i in range(r)]
+    keep = [i for i in range(r) if diag[i] != 1]
+    # the powers of g_k run into a cycle, whose edges add up to a multiple of
+    # e_k in L: no factor is 0
+    torsion = tuple(diag[i] for i in keep)
+    # a point of Z^r/L as one integer, with a spare bit per factor so that
+    # the sum of two codes never carries from one factor into the next
+    stride = [prod(2 * d for d in torsion[:i]) for i in range(len(torsion) + 1)]
+    code = [None] * n
+    for a, v in zip(elems, vec):
+        y = U.mul_vec(v)
+        code[a] = sum(y[i] % diag[i] * s for i, s in zip(keep, stride))
+    at_sum = [None] * stride[-1]
+    for a in range(n):
+        for wrap in product(*[(0, d * s) for d, s in zip(torsion, stride)]):
+            at_sum[code[a] + sum(wrap)] = a
+    # row `unit` reads b = at_sum[code[b]]: the codes are a bijection onto Z^r/L
+    for a in range(n):
+        if [mul(a, b) for b in range(n)] != [at_sum[code[a] + c] for c in code]:
+            raise ValueError("table is not an abelian group: row %d is not additive" % a)
+    return torsion
 
 
 def _bareiss(rows, rhs_columns):

@@ -11,10 +11,9 @@ from fractions import Fraction
 from math import gcd
 
 from .cyclo import (
-    DivisionByZero, _mat_mul, _pack, _prime_factors, _width, rational, sin_frac, sqrt_int,
-    zeta,
+    DivisionByZero, _mat_mul, _pack, _width, rational, sin_frac, sqrt_int, zeta,
 )
-from .exactla import FGAbelianGroup, IntMatrix, cokernel
+from .exactla import FGAbelianGroup, IntMatrix, _cayley_invariants, cokernel
 
 __all__ = [
     "ModularCheckFailure",
@@ -224,47 +223,22 @@ class FusionRing:
 
     def is_group_like(self) -> bool:
         """True when every product is a single label with coefficient 1."""
-        m = len(self.labels)
-        for lam in range(m):
-            for mu in range(m):
-                row = self.N[lam][mu]
-                if sum(row) != 1 or max(row) != 1:
-                    return False
-        return True
+        # the coefficients are nonnegative integers, so a sum of 1 is one 1
+        return all(sum(row) == 1 for plane in self.N for row in plane)
 
     def fusion_group(self) -> FGAbelianGroup:
-        """The abelian group underlying a group-like ring, in normal form."""
-        m = len(self.labels)
+        """The abelian group underlying a group-like ring, in normal form.
+
+        Read off a Cayley presentation Z^r/L of the table by a Smith form
+        (Schreier's lemma; Holt, Eick and O'Brien, Handbook of Computational
+        Group Theory, 2005) and certified by an explicit isomorphism onto
+        Z^r/L that is additive on every product; ValueError otherwise.
+        """
         if not self.is_group_like():
             raise ValueError("fusion ring is not group-like")
-        table = [
-            [self.N[lam][mu].index(1) for mu in range(m)] for lam in range(m)
-        ]
-        full = frozenset(range(m))
-        for row in table:
-            if frozenset(row) != full:
-                raise ValueError("group-like table is not cancellative")
-        # Light's test: associativity on a magma generating set suffices
-        gens = []
-        closure = {self.unit}
-        while len(closure) < m:
-            g = min(full - closure)
-            gens.append(g)
-            closure.add(g)
-            grew = True
-            while grew:
-                new = {table[a][b] for a in closure for b in closure}
-                grew = not new <= closure
-                closure |= new
-        for g in gens:
-            for a in range(m):
-                ag = table[a][g]
-                row_a = table[a]
-                for b in range(m):
-                    if table[ag][b] != row_a[table[g][b]]:
-                        raise ValueError("group-like table is not associative")
-        invariants = _abelian_invariants(lambda a, b: table[a][b], m, self.unit)
-        return FGAbelianGroup(0, invariants)
+        table = [[row.index(1) for row in plane] for plane in self.N]
+        mul = lambda a, b: table[a][b]
+        return FGAbelianGroup(0, _cayley_invariants(mul, len(table), self.unit))
 
 
 def _fusion_failure(ring, mats):
@@ -287,56 +261,6 @@ def _fusion_failure(ring, mats):
                 if sum(c * P[t] for t, c in row) != sum(c * packed[nu][i] for nu, c in rhs):
                     return lam, mu
     return None
-
-
-def _abelian_invariants(mul, n, unit):
-    """Invariant factors of the finite abelian group on labels 0..n-1 with
-    product `mul` and identity `unit`, read off its element orders."""
-    orders = []
-    for x in range(n):
-        y, o = x, 1
-        while y != unit:
-            y = mul(y, x)
-            o += 1
-        orders.append(o)
-    per_prime = {}
-    for p in _prime_factors(n):
-        # c_k = #{x : ord(x) | p^k} is p^(sum_i min(k, part_i))
-        exps = [0]
-        k = 1
-        while True:
-            c = sum(1 for o in orders if (p**k) % o == 0)
-            e = 0
-            while c % p == 0:
-                c //= p
-                e += 1
-            if c != 1:
-                raise ValueError("element orders inconsistent with an abelian group")
-            if e == exps[-1]:
-                break
-            exps.append(e)
-            k += 1
-        parts_ge = [exps[i] - exps[i - 1] for i in range(1, len(exps))]
-        partition = []
-        for i, ge in enumerate(parts_ge):
-            nxt = parts_ge[i + 1] if i + 1 < len(parts_ge) else 0
-            partition.extend([i + 1] * (ge - nxt))
-        per_prime[p] = sorted(partition, reverse=True)
-    width = max((len(v) for v in per_prime.values()), default=0)
-    factors = []
-    for i in range(width):
-        d = 1
-        for p, partition in per_prime.items():
-            if i < len(partition):
-                d *= p ** partition[i]
-        factors.append(d)
-    factors.reverse()
-    total = 1
-    for d in factors:
-        total *= d
-    if total != n:
-        raise ValueError("element orders inconsistent with an abelian group")
-    return tuple(factors)
 
 
 def su2_modular_data(k: int) -> ModularData:
@@ -439,12 +363,10 @@ def torus_fusion(tau) -> FGAbelianGroup:
 
 def _cyclic_orders(G):
     """Normalize a finite abelian group to a tuple of cyclic orders."""
-    if isinstance(G, int):
-        if G < 1:
-            raise ValueError("cyclic order must be >= 1")
-        return (G,)
-    if isinstance(G, (tuple, list)):
-        orders = tuple(int(mi) for mi in G)
+    if isinstance(G, (int, tuple, list)):
+        orders = tuple(G) if isinstance(G, (tuple, list)) else (G,)
+        if any(isinstance(mi, bool) or not isinstance(mi, int) for mi in orders):
+            raise TypeError("cyclic orders must be ints, got %r" % (G,))
         if not orders or any(mi < 1 for mi in orders):
             raise ValueError("cyclic orders must be >= 1")
         return orders
@@ -454,7 +376,7 @@ def _cyclic_orders(G):
             for b in range(a):
                 if G.mul(a, b) != G.mul(b, a):
                     raise NonAbelian("group is not abelian")
-        return _abelian_invariants(G.mul, n, 0)
+        return _cayley_invariants(G.mul, n, 0)
     raise TypeError("expected an int, a tuple of ints, or a finite group")
 
 

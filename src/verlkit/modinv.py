@@ -41,7 +41,7 @@ import mpmath
 from .cyclo import (
     CycNumber, _coordinate_matrices, _poly_divexact, _real_cyclotomic_poly, real_embed,
 )
-from .exactla import IntMatrix, _bareiss, _row_hermite, kernel_basis
+from .exactla import IntMatrix, _bareiss, _closure, _row_hermite, kernel_basis
 from .fusion import (
     _cyclic_orders, _fusion_failure, _tuples, su2_fusion_truncated, su2_modular_data,
 )
@@ -662,11 +662,11 @@ def _coerce_elt(x, orders):
     return t
 
 
-def _add(a, b, orders):
+def _elt_add(a, b, orders):
     return tuple((ai + bi) % mi for ai, bi, mi in zip(a, b, orders))
 
 
-def _sub(a, b, orders):
+def _elt_sub(a, b, orders):
     return tuple((ai - bi) % mi for ai, bi, mi in zip(a, b, orders))
 
 
@@ -707,14 +707,14 @@ def alpha_induction_abelian(G, H) -> dict:
             raise DiagonalNotContained("missing diagonal pair for %s" % (g,))
     for a, b in pairs:
         for c, d in pairs:
-            if (_add(a, c, orders), _add(b, d, orders)) not in pairs:
+            if (_elt_add(a, c, orders), _elt_add(b, d, orders)) not in pairs:
                 raise ValueError("H is not closed under the group law")
 
-    N = sorted({_sub(a, b, orders) for a, b in pairs})
-    coset_rep = {g: min(_add(g, n, orders) for n in N) for g in elements}
+    N = sorted({_elt_sub(a, b, orders) for a, b in pairs})
+    coset_rep = {g: min(_elt_add(g, n, orders) for n in N) for g in elements}
     ell_labels = sorted(set(coset_rep.values()))
     annihilator = [x for x in elements if _char_trivial_on(x, N, orders)]
-    nu_rep = {x: min(_add(x, a, orders) for a in annihilator) for x in elements}
+    nu_rep = {x: min(_elt_add(x, a, orders) for a in annihilator) for x in elements}
     nu_labels = sorted(set(nu_rep.values()))
 
     full = [
@@ -751,19 +751,6 @@ def alpha_induction_abelian(G, H) -> dict:
     }
 
 
-def _closure(seed, orders):
-    out = set(seed)
-    frontier = list(out)
-    while frontier:
-        a = frontier.pop()
-        for b in list(out):
-            for c in (_add(a, b, orders), _sub((0,) * len(orders), a, orders)):
-                if c not in out:
-                    out.add(c)
-                    frontier.append(c)
-    return frozenset(out)
-
-
 def overgroups_of_diagonal(G):
     """All subgroups of the square containing the diagonal.
 
@@ -773,6 +760,7 @@ def overgroups_of_diagonal(G):
     orders = _cyclic_orders(G)
     elements = _tuples(orders)
     zero = (0,) * len(orders)
+    add = lambda a, b: _elt_add(a, b, orders)
     subgroups = {frozenset({zero})}
     frontier = [frozenset({zero})]
     while frontier:
@@ -780,18 +768,12 @@ def overgroups_of_diagonal(G):
         for g in elements:
             if g in S:
                 continue
-            T = _closure(S | {g}, orders)
+            T = frozenset(_closure(sorted(S | {g}), zero, add, len(elements))[0])
             if T not in subgroups:
                 subgroups.add(T)
                 frontier.append(T)
-    out = []
-    for N in subgroups:
-        H = frozenset(
-            (a, _sub(a, n, orders)) for a in elements for n in N
-        )
-        out.append(H)
-    out.sort(key=lambda h: (len(h), sorted(h)))
-    return out
+    out = [frozenset((a, _elt_sub(a, n, orders)) for a in elements for n in N) for N in subgroups]
+    return sorted(out, key=lambda h: (len(h), sorted(h)))
 
 
 def _compose(a, b):

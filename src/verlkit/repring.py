@@ -33,7 +33,7 @@ from itertools import product
 from .cyclo import (
     CycNumber, _coerce, _mat_mul, _times, cos_frac, rational, sin_frac, sqrt_int, zeta,
 )
-from .exactla import IntMatrix
+from .exactla import IntMatrix, _closure
 
 __all__ = [
     "Quaternion",
@@ -174,35 +174,11 @@ _Q_J = _quat(0, 0, 1, 0)
 _Q_K = _quat(0, 0, 0, 1)
 
 
-def _closure(gens, expected_order=None, one=_Q_ONE, mul=Quaternion.__mul__):
-    """All products of the generators, in breadth-first discovery order,
-    with the Cayley graph found on the way: right[a][k] indexes elems[a]*g_k.
-
-    Quaternions by default; element indices of a group with one=0, mul=G.mul.
-    """
-    elems = [one]
-    index = {one: 0}
-    right = []
-    frontier = [one]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            edges = []
-            for g in gens:
-                p = mul(e, g)
-                if p not in index:
-                    index[p] = len(elems)
-                    elems.append(p)
-                    nxt.append(p)
-                edges.append(index[p])
-            right.append(edges)  # frontiers run in discovery order
-        frontier = nxt
-        if len(elems) > 512:
-            raise RuntimeError("group closure ran away")
-    if expected_order is not None and len(elems) != expected_order:
-        raise SelfCheckFailure(
-            "closure has %d elements, expected %d" % (len(elems), expected_order)
-        )
+def _quaternion_closure(gens, order):
+    """`_closure` of the unit quaternions `gens`, checked to have `order` elements."""
+    elems, index, right = _closure(gens, _Q_ONE, Quaternion.__mul__)
+    if len(elems) != order:
+        raise SelfCheckFailure("closure has %d elements, expected %d" % (len(elems), order))
     return elems, index, right
 
 
@@ -709,7 +685,7 @@ def _build_group(name: str) -> QuaternionGroup:
 
 def _build_cyclic(name: str, m: int) -> QuaternionGroup:
     g = _quat(cos_frac(1, m), sin_frac(1, m), 0, 0)
-    elems, index, right = _closure([g], expected_order=m)
+    elems, index, right = _quaternion_closure([g], m)
     specs = _cyclic_specs(m)
     group = QuaternionGroup(name, elems, index, specs, [g], right)
     if m in _PAPER_CYCLIC_ORDER:
@@ -725,7 +701,7 @@ def _reorder_specs(specs, order):
 def _build_binary_dihedral(name: str, m: int) -> QuaternionGroup:
     a = _quat(cos_frac(1, 2 * m), sin_frac(1, 2 * m), 0, 0)
     b = _Q_J
-    elems, index, right = _closure([a, b], expected_order=4 * m)
+    elems, index, right = _quaternion_closure([a, b], 4 * m)
     specs = _binary_dihedral_specs(m)
     group = QuaternionGroup(name, elems, index, specs, [a, b], right)
     if name == "D4":
@@ -739,7 +715,7 @@ def _build_binary_dihedral(name: str, m: int) -> QuaternionGroup:
 
 def _build_e6() -> QuaternionGroup:
     g = _quat(_HALF, _HALF, _HALF, _HALF)
-    elems, index, right = _closure([_Q_I, g], expected_order=24)
+    elems, index, right = _quaternion_closure([_Q_I, g], 24)
     return QuaternionGroup("E6", elems, index, _e6_specs(), [_Q_I, g], right)
 
 
@@ -747,7 +723,7 @@ def _build_e7() -> QuaternionGroup:
     g = _quat(_HALF, _HALF, _HALF, _HALF)
     s8 = sqrt_int(2) * _HALF
     s = Quaternion(s8, s8, _ZERO, _ZERO)
-    elems, index, right = _closure([_Q_I, g, s], expected_order=48)
+    elems, index, right = _quaternion_closure([_Q_I, g, s], 48)
     return QuaternionGroup("E7", elems, index, _e7_specs(), [_Q_I, g, s], right)
 
 
@@ -759,7 +735,7 @@ def _build_e8() -> QuaternionGroup:
     phinv_half = phi_half - _HALF
     g1 = _quat(_HALF, _HALF, _HALF, _HALF)
     g2 = Quaternion(phi_half, phinv_half, _HALF, _ZERO)
-    elems, index, right = _closure([g1, g2, _Q_I], expected_order=120)
+    elems, index, right = _quaternion_closure([g1, g2, _Q_I], 120)
     return QuaternionGroup("E8", elems, index, None, [g1, g2, _Q_I], right)
 
 
@@ -1025,7 +1001,7 @@ def _kernel_group(G: QuaternionGroup, grading: Grading) -> QuaternionGroup:
     if set(E6.elements) == {G.elements[i] for i in kernel}:
         return E6
     m = len(kernel)
-    cycles = {a: _closure([a], one=0, mul=G.mul)[0] for a in kernel}
+    cycles = {a: _closure([a], 0, G.mul)[0] for a in kernel}
     a = next((a for a in kernel if len(cycles[a]) == m), None)
     if a is not None:
         name, gens, specs = "C%d" % m, [a], _cyclic_specs(m)
@@ -1037,7 +1013,7 @@ def _kernel_group(G: QuaternionGroup, grading: Grading) -> QuaternionGroup:
             )
         b = next(x for x in kernel if x not in cycles[a])
         name, gens, specs = "BD%d" % (m // 4), [a, b], _binary_dihedral_specs(m // 4)
-    powers, _, right = _closure(gens, one=0, mul=G.mul)
+    powers, _, right = _closure(gens, 0, G.mul)
     closure = [G.elements[p] for p in powers]
     index = {q: i for i, q in enumerate(closure)}
     return QuaternionGroup(name, closure, index, specs, [G.elements[x] for x in gens], right)

@@ -11,7 +11,9 @@ Derived expectations computed by hand before implementation:
 import random
 from fractions import Fraction
 from itertools import product
+from math import prod
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from verlkit.exactla import (
@@ -19,6 +21,8 @@ from verlkit.exactla import (
     IntMatrix,
     PresentedModule,
     _bareiss,
+    _cayley_invariants,
+    _closure,
     _row_hermite,
     _smith_engine,
     cokernel,
@@ -466,3 +470,77 @@ def test_row_hermite_matches_the_modinv_reduction():
             assert row[lead] > 0
             assert all(0 <= other[lead] < row[lead] for other in H if other is not row)
     assert min(seen.values()) >= 50
+
+
+# --- group closure and Cayley presentations ------------------------------
+
+
+def test_closure_cap():
+    step = lambda a, g: (a + g) % 600
+    elems, index, right = _closure([1], 0, step, cap=600)
+    assert elems == list(range(600)) and right[599] == [0]
+    with pytest.raises(RuntimeError, match="ran away"):
+        _closure([1], 0, step)
+
+
+def _is_abelian_group(table):
+    """Brute force for a commutative table: label 0 is an identity, the
+    product is associative and every row is a permutation."""
+    m = range(len(table))
+    return table[0] == list(m) and all(sorted(row) == list(m) for row in table) and all(
+        table[table[a][b]][c] == table[a][table[b][c]] for a in m for b in m for c in m
+    )
+
+
+def _relabelled_product(orders, rng):
+    """Z_o1 x ... x Z_ok on shuffled labels: (table, unit)."""
+    elements = list(product(*[range(o) for o in orders]))
+    labels = list(range(len(elements)))
+    rng.shuffle(labels)
+    label = dict(zip(elements, labels))
+    table = [[None] * len(labels) for _ in labels]
+    for x in elements:
+        for y in elements:
+            table[label[x]][label[y]] = label[tuple((a + b) % o for a, b, o in zip(x, y, orders))]
+    return table, label[(0,) * len(orders)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 6), max_size=3), st.randoms(use_true_random=False))
+def test_cayley_invariants_of_relabelled_products(orders, rng):
+    table, unit = _relabelled_product(orders, rng)
+    k = len(orders)
+    want = cokernel(IntMatrix.from_rows([[orders[i] * (i == j) for j in range(k)] for i in range(k)]))
+    assert _cayley_invariants(lambda a, b: table[a][b], len(table), unit) == want.torsion
+
+
+def test_cayley_invariants_raise_exactly_on_non_groups():
+    # random commutative tables, most with identity 0; about half of them
+    # relabelled cyclic groups, of which half then have one product changed
+    rng = random.Random(3)
+    seen = {True: 0, False: 0}
+    for _ in range(400):
+        m = rng.randint(2, 7)
+        if rng.random() < 0.5:
+            table, unit = _relabelled_product([m], rng)
+            perm = list(range(m))
+            perm[0], perm[unit] = unit, 0  # move the unit to label 0
+            table = [[perm[table[perm[a]][perm[b]]] for b in range(m)] for a in range(m)]
+            if rng.random() < 0.5:
+                a, b = rng.randint(1, m - 1), rng.randint(1, m - 1)
+                table[a][b] = table[b][a] = rng.randrange(m)
+        else:
+            identity = rng.random() < 0.8
+            table = [[0] * m for _ in range(m)]
+            for a in range(m):
+                for b in range(a, m):
+                    table[a][b] = table[b][a] = b if a == 0 and identity else rng.randrange(m)
+        group = _is_abelian_group(table)
+        seen[group] += 1
+        mul = lambda a, b: table[a][b]
+        if group:
+            assert prod(_cayley_invariants(mul, m, 0)) == m
+        else:
+            with pytest.raises(ValueError):
+                _cayley_invariants(mul, m, 0)
+    assert min(seen.values()) >= 100

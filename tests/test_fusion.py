@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 
 from verlkit import cyclo, fusion
 from verlkit.cyclo import cos_frac, rational, sqrt_int, zeta
-from verlkit.exactla import IntMatrix
+from verlkit.exactla import IntMatrix, cokernel
 from verlkit.fusion import (
     FusionRing,
     InvalidTwist,
@@ -405,6 +405,51 @@ def test_double_abelian_duck_typed_group():
         double_abelian(quaternion_group("D4"))
 
 
+def test_cyclic_orders_of_group_objects():
+    for m in (1, 2, 3, 4, 6, 12):
+        want = (m,) if m > 1 else ()
+        assert fusion._cyclic_orders(quaternion_group("C%d" % m)) == want
+
+
+def test_double_abelian_rejects_fractional_orders():
+    with pytest.raises(TypeError):
+        double_abelian((2.7,))
+
+
+@pytest.mark.parametrize("G", [(2.5,), True, (True,), [2, 2.0]], ids=repr)
+def test_cyclic_orders_must_be_ints(G):
+    with pytest.raises(TypeError):
+        fusion._cyclic_orders(G)
+
+
+def _table_ring(table):
+    """The fusion ring whose product of labels a and b is table[a][b]."""
+    m = len(table)
+    N = [[[int(table[a][b] == c) for c in range(m)] for b in range(m)] for a in range(m)]
+    return FusionRing(range(m), N)
+
+
+def test_fusion_group_rejects_tables_that_are_not_groups():
+    # a commutative loop of order 6: unit 0, every row a permutation,
+    # but (2 * 2) * 4 = 3 and 2 * (2 * 4) = 2
+    loop = _table_ring([
+        [0, 1, 2, 3, 4, 5],
+        [1, 0, 3, 2, 5, 4],
+        [2, 3, 4, 5, 0, 1],
+        [3, 2, 5, 4, 1, 0],
+        [4, 5, 0, 1, 3, 2],
+        [5, 4, 1, 0, 2, 3],
+    ])
+    assert loop.is_group_like()
+    with pytest.raises(ValueError):
+        loop.fusion_group()
+    # commutative with unit 0, but row 1 repeats the label 0
+    repeat = _table_ring([[0, 1, 2], [1, 0, 0], [2, 0, 0]])
+    assert repeat.is_group_like()
+    with pytest.raises(ValueError):
+        repeat.fusion_group()
+
+
 def test_twisted_double_examples():
     assert double_cyclic_twisted(2, 1).fusion_group().torsion == (4,)
     assert double_cyclic_twisted(2, 2).fusion_group().torsion == (2, 2)
@@ -450,10 +495,13 @@ def test_twisted_double_group_form():
 
 
 def test_twisted_double_order_property():
+    # the flux/charge presentation of the pointwise convention:
+    # n * charge = 0 and n * flux = sigma * charge
     for n in range(1, 13):
         for s in _valid_twists(n):
             G = double_cyclic_twisted(n, s).fusion_group()
             assert _group_order(G) == n * n
+            assert G == cokernel(IntMatrix.from_rows([[0, n], [n, -s]])), (n, s)
 
 
 def test_level1_su3():

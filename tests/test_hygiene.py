@@ -1,7 +1,8 @@
 """Source hygiene that needs no linter: no module imports a name it neither
 uses nor exports through its __all__, no module defines a private
 top-level function or class that nothing in the library or its tests
-refers to, no check is a bare `assert`, which `python -O` strips, no
+refers to, no private top-level function or class is defined in two
+modules, no check is a bare `assert`, which `python -O` strips, no
 decision rests on mpmath's floating-point linear algebra, and every
 module states its public names in a literal __all__ that lists every
 public top-level function and class it defines."""
@@ -56,17 +57,30 @@ def _references(paths):
 REFERENCES = _references(MODULES + TESTS)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_no_dead_private_definitions(path):
+def _private_definitions(path):
     tree = ast.parse(path.read_text(), filename=str(path))
-    private = {
+    return {
         node.name
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and node.name.startswith("_")
         and not node.name.endswith("__")
     }
-    assert sorted(private - REFERENCES) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dead_private_definitions(path):
+    assert sorted(_private_definitions(path) - REFERENCES) == []
+
+
+def test_no_private_definition_in_two_modules():
+    # one implementation per idea: a helper shared by two modules lives in
+    # one and is imported by the other
+    where = {}
+    for path in MODULES:
+        for name in _private_definitions(path):
+            where.setdefault(name, []).append(path.name)
+    assert {name: paths for name, paths in where.items() if len(paths) > 1} == {}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -513,6 +513,12 @@ def test_overgroup_lattice_sizes():
     assert len(overgroups_of_diagonal(2)) == 2
     assert len(overgroups_of_diagonal(4)) == 3
     assert len(overgroups_of_diagonal((2, 2))) == 5
+    # subgroup counts: Z_12 one per divisor of 12; Z_2 x Z_4 has 8;
+    # (Z_2)^3 has 1 + 7 + 7 + 1; (Z_3)^2 has 1 + 4 + 1
+    assert len(overgroups_of_diagonal(12)) == 6
+    assert len(overgroups_of_diagonal((2, 4))) == 8
+    assert len(overgroups_of_diagonal((2, 2, 2))) == 16
+    assert len(overgroups_of_diagonal((3, 3))) == 6
     for H in overgroups_of_diagonal(3):
         assert len(H) % 3 == 0
 

@@ -518,4 +518,4 @@ def test_self_check_failures_are_typed():
     assert issubclass(SelfCheckFailure, AssertionError)
     assert issubclass(OrthogonalityFailure, SelfCheckFailure)
     with pytest.raises(SelfCheckFailure, match="closure has 4 elements, expected 3"):
-        repring._closure([repring._Q_I], expected_order=3)
+        repring._quaternion_closure([repring._Q_I], 3)
