@@ -14,10 +14,10 @@ rows of the power table; the test suite cross-checks it against a naive
 convolution.  Slots are 16, 32 or 64 bits, or a multiple of 64; a bias
 of 2^(w-1) per slot makes them unsigned, so one `int.to_bytes` reads them.
 A rational (order 1) factor only scales the other numerator.
-Inversion and descent to a smaller order are integer-only
-as well: each solves its linear system by the one fraction-free Bareiss
-elimination, `exactla._bareiss`, and the descent projector is cached as
-an integer matrix over a common denominator.
+Inversion and descent walk the Galois tower by integer substitutions:
+`_descend` reads the coordinates of a value in Q(zeta_(N/p)) off its power
+basis, and `inverse` multiplies by the conjugates over each subfield in
+turn until the relative norm is rational (Itoh-Tsujii).
 Matrices go to integer coordinates at one order L (`_coordinates`), so
 `_coordinate_matrices` callers test linear identities over Z, and the
 product by a matrix B, prepared once by `_times(B)` (its lift and packing
@@ -31,13 +31,13 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb, gcd, lcm
 from operator import mul
 
 import mpmath
 
-from .exactla import IntMatrix, _bareiss
+from .exactla import IntMatrix
 
 __all__ = [
     "CycNumber",
@@ -109,12 +109,12 @@ def _real_cyclotomic_poly(d: int):
 class _CondData:
     """Per-order tables: phi, the power-basis reduction rows, packing caches."""
 
-    __slots__ = ("n", "phi", "cyc_poly", "rows", "row_max", "_packed")
+    __slots__ = ("n", "phi", "rows", "row_max", "_packed")
 
     def __init__(self, n: int) -> None:
         self.n = n
-        self.cyc_poly = tuple(_cyclotomic_poly(n))
-        self.phi = len(self.cyc_poly) - 1
+        cyc_poly = _cyclotomic_poly(n)
+        self.phi = len(cyc_poly) - 1
         # rows[i] = canonical vector of z^i, i = 0..n-1
         rows = []
         cur = [0] * self.phi
@@ -127,7 +127,7 @@ class _CondData:
             cur = [0] + cur[:-1]
             if top:
                 for j in range(self.phi):
-                    cur[j] -= top * self.cyc_poly[j]
+                    cur[j] -= top * cyc_poly[j]
         self.rows = tuple(rows)
         self.row_max = max((max(abs(c) for c in r) if r else 0) for r in rows) or 1
         self._packed = {}
@@ -246,40 +246,25 @@ def _mul_int_vecs(a, b, cond: _CondData):
     return _fold(_pack(a, width) * _pack(b, width), width, cond)
 
 
-# (N, d) -> (B^T, det G, det G * P) for descending Q(zeta_N) -> Q(zeta_d)
-_DESCENT: dict = {}
-
-
-def _descend_data(n: int, d: int):
-    """Embedding matrix B of Q(zeta_d)'s power basis into Q(zeta_N)'s, as
-    the rows of B^T, plus the projector P = G^-1 B^T (G = B^T B, the Gram
-    matrix) as the integer columns of det(G) * P.  A vector v lies in the
-    subfield iff B(Pv) = v, and Pv are then its subfield coordinates."""
-    key = (n, d)
-    try:
-        return _DESCENT[key]
-    except KeyError:
-        cn, cd = _cond(n), _cond(d)
-        step = n // d
-        bt = [cn.rows[(i * step) % n] for i in range(cd.phi)]
-        gram = [[sum(x * y for x, y in zip(r1, r2)) for r2 in bt] for r1 in bt]
-        det, proj = _bareiss(gram, list(zip(*bt)))
-        _DESCENT[key] = (bt, det, proj)
-        return _DESCENT[key]
-
-
-def _try_descend(n: int, d: int, vec):
-    """(x, det) with x / det the coordinates of vec in Q(zeta_d), or None
-    when vec does not lie there."""
-    bt, det, proj = _descend_data(n, d)
-    x = [0] * len(bt)
-    for v, col in zip(vec, proj):
-        if v:
-            x = [a + v * c for a, c in zip(x, col)]
-    for j, target in enumerate(vec):
-        if sum(x[i] * bt[i][j] for i in range(len(x))) != det * target:
+def _descend(n: int, p: int, vec):
+    """Coordinates at order d = n / p of the canonical vector `vec` at
+    order n, or None when its value does not lie in Q(zeta_d)."""
+    d = n // p
+    if d % p == 0:
+        # Phi_n(z) = Phi_d(z^p): the subfield is the span of the z^(p*i)
+        if any(c for e, c in enumerate(vec) if e % p):
             return None
-    return x, det
+        return list(vec[::p])
+    # zeta_n = zeta_d^a * zeta_p^b; over Q(zeta_d), Q(zeta_n) has the basis
+    # zeta_p^j, j < p - 1, and zeta_p^(p-1) = -(1 + zeta_p + ... + zeta_p^(p-2))
+    a, b = pow(p, -1, d), pow(d, -1, p)
+    buckets = [[0] * d for _ in range(p)]
+    for e, c in enumerate(vec):
+        if c:
+            buckets[b * e % p][a * e % d] += c
+    last, cond = buckets.pop(), _cond(d)
+    coords = [_reduce_int_vec([x - y for x, y in zip(bk, last)], cond) for bk in buckets]
+    return None if any(map(any, coords[1:])) else coords[0]
 
 
 class CycNumber:
@@ -302,16 +287,9 @@ class CycNumber:
             raise ValueError("coefficient vector longer than order")
         if not all(isinstance(c, (int, Fraction)) for c in coeffs):
             raise TypeError("coefficients must be int or Fraction")
-        if any(isinstance(c, Fraction) for c in coeffs):
-            coeffs = [Fraction(c) for c in coeffs]
-            lcm = 1
-            for c in coeffs:
-                lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-            num = [int(c * lcm) for c in coeffs]
-            den = den * lcm
-        else:
-            num = [int(c) for c in coeffs]
-        _raw(order, _reduce_int_vec(num, cond), den, self)
+        scale = lcm(*(c.denominator for c in coeffs))
+        num = [int(c * scale) for c in coeffs]
+        _raw(order, _reduce_int_vec(num, cond), den * scale, self)
 
     def __setattr__(self, name, value):
         raise AttributeError("CycNumber is immutable")
@@ -387,21 +365,28 @@ class CycNumber:
     def inverse(self) -> "CycNumber":
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
-        if self.is_rational():
-            f = 1 / self.as_fraction()
-            return rational(f, self.order)
-        cond = _cond(self.order)
-        phi = cond.phi
-        # columns: canonical vectors of self * z^j (times z: shift, then
-        # fold the overflow back with the monic cyclotomic polynomial)
-        cols = [list(self.num)]
-        for _ in range(phi - 1):
-            top = cols[-1][-1]
-            cols.append([a - top * c for a, c in zip([0] + cols[-1][:-1], cond.cyc_poly)])
-        det, x = _bareiss(list(zip(*cols)), [[self.den] + [0] * (phi - 1)])
-        if x is None:
-            raise ArithmeticError("inversion failed; not a field element?")
-        return _raw(self.order, x[0], det)
+        # x * cof, cof the product of x's conjugates over Q(zeta_d), is the
+        # relative norm of x in Q(zeta_d); descending until the norm is
+        # rational, 1/x is the product of the cofactors over that rational
+        n, vec, tower = self.order, list(self.num), []
+        while any(vec[1:]):
+            p = _prime_factors(n)[0]
+            d = n // p
+            cond = _cond(n)
+            conj = [_substitute(vec, j, cond) for j in range(1 + d, n, d) if gcd(j, n) == 1]
+            if conj:
+                cof = reduce(lambda u, v: _mul_int_vecs(u, v, cond), conj)
+                tower.append((n, cof))
+                vec = _mul_int_vecs(vec, cof, cond)
+            vec = _descend(n, p, vec)
+            if vec is None:
+                raise ArithmeticError("relative norm did not descend to order %d" % d)
+            n = d
+        m, acc = 1, [self.den]
+        for k, cof in reversed(tower):
+            cond = _cond(k)
+            acc, m = _mul_int_vecs(_substitute(acc, k // m, cond), cof, cond), k
+        return _raw(self.order, _substitute(acc, self.order // m, _cond(self.order)), vec[0])
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -467,24 +452,18 @@ class CycNumber:
         cached = self._norm
         if cached is not None:
             return cached
-        cur = self
-        if cur.is_rational():
-            cur = _raw(1, [cur.num[0] if cur.num else 0], cur.den)
+        if self.is_rational():
+            cur = _raw(1, [self.num[0] if self.num else 0], self.den)
         else:
-            changed = True
-            while changed:
-                changed = False
-                n = cur.order
-                for p in _prime_factors(n):
-                    d = n // p
-                    if d < 1:
-                        continue
-                    found = _try_descend(n, d, cur.num)
-                    if found is not None:
-                        x, det = found
-                        cur = CycNumber(d, x, cur.den * det)
-                        changed = True
+            # a prime that fails once fails at every divisor of the order
+            n, vec = self.order, self.num
+            for p in _prime_factors(n):
+                while n % p == 0:
+                    sub = _descend(n, p, vec)
+                    if sub is None:
                         break
+                    n, vec = n // p, sub
+            cur = self if n == self.order else _raw(n, vec, self.den)
         object.__setattr__(self, "_norm", cur)
         object.__setattr__(cur, "_norm", cur)
         return cur

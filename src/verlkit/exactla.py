@@ -1,4 +1,4 @@
-"""Exact linear algebra: Smith normal form over Z, Bareiss elimination over Q.
+"""Exact linear algebra: Smith normal form over Z.
 
 Everything here works with arbitrary-precision integers.  The central
 object is :class:`IntMatrix` (immutable, row-major); on top of it sit the
@@ -13,10 +13,7 @@ none for `rank`, V for `kernel_basis`, U and V for `solve_int`, U^-1 and
 V for `connecting_solve`.  Cokernel, kernel and integer solving read one
 factorization, so a caller that needs several of them
 (``polyring.e6_tor``) factors its matrix once, with all four transforms,
-by `smith_with_inverses`.  Square rational systems are solved by one
-fraction-free Bareiss elimination, `_bareiss`, which the cyclotomic
-inverse and descent and the characteristic polynomials of graph
-adjacencies all call.  Every group closure is one breadth-first walk,
+by `smith_with_inverses`.  Every group closure is one breadth-first walk,
 `_closure`, and `_cayley_invariants` presents a finite abelian group by
 the relations of its Cayley graph and reads it off the same Smith engine.
 """
@@ -518,42 +515,6 @@ def _cayley_invariants(mul, n, unit):
         if [mul(a, b) for b in range(n)] != [at_sum[code[a] + c] for c in code]:
             raise ValueError("table is not an abelian group: row %d is not additive" % a)
     return torsion
-
-
-def _bareiss(rows, rhs_columns):
-    """Fraction-free Gauss-Jordan elimination over Z (Bareiss 1968).
-
-    `rows` is a square integer matrix A given as rows, `rhs_columns` the
-    columns of an integer matrix B with as many rows.  Returns (det A, X)
-    with X = det(A) * A^-1 * B as a list of columns, integral by Cramer's
-    rule, or (0, None) when A is singular.  After step k every entry is a
-    (k+1)-minor of [A | B], so each division by the previous pivot is exact
-    and entries never outgrow Hadamard's bound.
-    """
-    n = len(rows)
-    a = [list(row) + [col[i] for col in rhs_columns] for i, row in enumerate(rows)]
-    width = n + len(rhs_columns)
-    sign, prev = 1, 1
-    for k in range(n):
-        p = next((i for i in range(k, n) if a[i][k]), None)
-        if p is None:
-            return 0, None
-        if p != k:
-            a[k], a[p] = a[p], a[k]
-            sign = -sign
-        ak = a[k]
-        piv = ak[k]
-        for i in range(n):
-            if i == k:
-                continue
-            ai = a[i]
-            f = ai[k]
-            # rows above k keep the pivot on their diagonal implicitly
-            for j in range(k + 1, width):
-                ai[j] = (piv * ai[j] - f * ak[j]) // prev
-            ai[k] = 0
-        prev = piv
-    return sign * prev, [[sign * a[i][j] for i in range(n)] for j in range(n, width)]
 
 
 def _format_combo(coeffs, labels) -> str:

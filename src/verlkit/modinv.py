@@ -41,7 +41,7 @@ import mpmath
 from .cyclo import (
     CycNumber, _coordinate_matrices, _poly_divexact, _real_cyclotomic_poly, real_embed,
 )
-from .exactla import IntMatrix, _bareiss, _closure, _row_hermite, kernel_basis
+from .exactla import IntMatrix, _closure, _row_hermite, kernel_basis
 from .fusion import (
     _cyclic_orders, _fusion_failure, _tuples, su2_fusion_truncated, su2_modular_data,
 )
@@ -543,24 +543,32 @@ def ade_graph(name: str):
 
 
 def _charpoly(grid):
-    """Coefficients of det(xI - A), low to high, exact integers.
+    """Coefficients c_0..c_n of det(xI - A), low to high, exact integers.
 
-    The determinants at x = 0..n interpolate the degree-n polynomial; the
-    Vandermonde system for its coefficients is solved by the same Bareiss
-    elimination that computes each determinant.
+    Faddeev-LeVerrier on the sparse rows of A: M_1 = I,
+    c_(n-k) = -tr(A M_k) / k and M_(k+1) = A M_k + c_(n-k) I, so each step
+    costs nnz(A) row additions.  Every trace must divide exactly, and
+    M_(n+1) = 0 is the Cayley-Hamilton check on the result.
     """
     n = len(grid)
-    ys = [
-        _bareiss(
-            [[(x if i == j else 0) - grid[i][j] for j in range(n)] for i in range(n)],
-            [],
-        )[0]
-        for x in range(n + 1)
-    ]
-    det, (coeffs,) = _bareiss([[x**j for j in range(n + 1)] for x in range(n + 1)], [ys])
-    if any(c % det for c in coeffs):
-        raise SelfCheckFailure("interpolation of an integer polynomial failed")
-    return [c // det for c in coeffs]
+    sparse = [[(j, a) for j, a in enumerate(row) if a] for row in grid]
+    coeffs = [0] * n + [1]
+    M = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        AM = [[0] * n for _ in range(n)]
+        for out, row in zip(AM, sparse):
+            for j, a in row:
+                out[:] = [x + a * y for x, y in zip(out, M[j])]
+        t = sum(AM[i][i] for i in range(n))
+        if t % k:
+            raise SelfCheckFailure("Faddeev-LeVerrier trace %d is not divisible by %d" % (t, k))
+        coeffs[n - k] = -t // k
+        for i in range(n):
+            AM[i][i] += coeffs[n - k]
+        M = AM
+    if any(any(row) for row in M):
+        raise SelfCheckFailure("the characteristic polynomial does not annihilate A")
+    return coeffs
 
 
 def nimrep_from_graph(adjacency, level: int) -> Nimrep:

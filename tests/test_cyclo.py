@@ -12,7 +12,7 @@ Hand-derived expectations used below:
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import mpmath
 import pytest
@@ -181,6 +181,47 @@ def test_normalized_preserves_value(a):
     assert n == a
     assert a.order % n.order == 0
     assert n.normalized().order == n.order
+
+
+# orders with odd prime squares, two or three odd primes, and 2^3 * 17
+TOWER_ORDERS = [9, 15, 18, 20, 21, 27, 30, 45, 105, 136]
+
+
+@st.composite
+def lifted_cyc(draw):
+    """(x, N): x built at a random divisor of N, with N in TOWER_ORDERS."""
+    n = draw(st.sampled_from(TOWER_ORDERS))
+    d = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+    coeffs = draw(st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=12))
+    return CycNumber(d, coeffs[:d], draw(st.integers(min_value=1, max_value=6))), n
+
+
+@given(lifted_cyc())
+@settings(max_examples=80, deadline=None)
+def test_lifted_values_descend_to_one_minimal_order(case):
+    x, n = case
+    y = x._lift(n)
+    a, b = x.normalized(), y.normalized()
+    assert (a.order, a.num, a.den) == (b.order, b.num, b.den)
+    assert hash(x) == hash(y)
+    m = b.order
+    assert m % 4 != 2 and n % m == 0 and b == y
+    # minimality: for each prime p | m, the value is not fixed by the
+    # Galois group of Q(zeta_m) over Q(zeta_(m/p)), the j = 1 mod m/p
+    for p in (p for p in range(2, m + 1) if m % p == 0 and all(p % q for q in range(2, p))):
+        step = m // p
+        assert any(b.galois(j) != b for j in range(1 + step, m, step) if gcd(j, m) == 1), p
+    if not x.is_zero():
+        assert x * x.inverse() == 1
+        assert y * y.inverse() == 1
+
+
+def test_inverse_raises_when_a_norm_does_not_descend(monkeypatch):
+    from verlkit import cyclo
+
+    monkeypatch.setattr(cyclo, "_descend", lambda n, p, vec: None)
+    with pytest.raises(ArithmeticError, match="did not descend"):
+        (zeta(5) + 2).inverse()
 
 
 def _mul_reference(a, b, cond):

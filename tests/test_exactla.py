@@ -9,7 +9,6 @@ Derived expectations computed by hand before implementation:
 """
 
 import random
-from fractions import Fraction
 from itertools import product
 from math import prod
 
@@ -20,7 +19,6 @@ from verlkit.exactla import (
     FGAbelianGroup,
     IntMatrix,
     PresentedModule,
-    _bareiss,
     _cayley_invariants,
     _closure,
     _row_hermite,
@@ -228,92 +226,6 @@ def test_solve_int_reproduces_target():
         sol = solve_int(M, t)
         assert sol is not None
         assert M.mul_vec(sol) == t
-
-
-# --- _bareiss against a Fraction Gauss-Jordan oracle ----------------------
-
-
-def _solve_fraction_system(mat, rhs):
-    """Solve mat * x = rhs exactly over Q; mat is a list of rows.
-
-    Returns the solution list, or None when the system is inconsistent.
-    Free variables (if any) are set to 0.
-    """
-    m = [list(map(Fraction, row)) + [Fraction(v)] for row, v in zip(mat, rhs)]
-    rows, cols = len(m), (len(m[0]) - 1 if m else 0)
-    piv_cols = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if m[i][cols]:
-            return None
-    x = [Fraction(0)] * cols
-    for i, c in enumerate(piv_cols):
-        x[c] = m[i][cols]
-    return x
-
-
-def _det_fraction(mat):
-    """Determinant as the signed product of Fraction elimination pivots."""
-    m = [list(map(Fraction, row)) for row in mat]
-    det = Fraction(1)
-    for c in range(len(m)):
-        piv = next((i for i in range(c, len(m)) if m[i][c]), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        for i in range(c + 1, len(m)):
-            f = m[i][c] / m[c][c]
-            m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return det
-
-
-def test_bareiss_matches_fraction_oracle():
-    rng = random.Random(1968)
-    singular = 0
-    for _ in range(400):
-        n = rng.randrange(10)
-        # a product through rank r < n is singular; r = n usually is not
-        r = rng.choice([n, n, rng.randrange(n + 1)])
-        L = [[rng.randrange(-3, 4) for _ in range(r)] for _ in range(n)]
-        R = [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(r)]
-        A = [[sum(L[i][t] * R[t][j] for t in range(r)) for j in range(n)] for i in range(n)]
-        B = [[rng.randrange(-5, 6) for _ in range(n)] for _ in range(rng.randrange(4))]
-        det, X = _bareiss(A, B)
-        assert det == _det_fraction(A) == _bareiss(A, [])[0]
-        units = [[int(i == j) for i in range(n)] for j in range(n)]
-        if any(_solve_fraction_system(A, e) is None for e in units):
-            singular += 1
-            assert (det, X) == (0, None)
-            continue
-        assert len(X) == len(B)
-        for b, x in zip(B, X):
-            assert x == [det * v for v in _solve_fraction_system(A, b)]
-    assert 100 < singular < 300
-
-
-def test_bareiss_empty_system():
-    assert _bareiss([], []) == (1, [])
-    assert _bareiss([], [[], []]) == (1, [[], []])
-    assert _bareiss([[0]], [[1]]) == (0, None)
-    assert _bareiss([[2, 1], [1, 1]], [[1, 0], [0, 1]]) == (1, [[1, -1], [-1, 2]])
 
 
 # --- hypothesis property: SNF round trip on small matrices ----------------

@@ -25,6 +25,7 @@ Derived oracles, frozen after computing them by hand:
 
 import random
 from collections import defaultdict
+from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 
@@ -390,6 +391,49 @@ def test_nimrep_exponents_match_the_cyclotomic_deflation(name):
         assert got == want
     # the graph is a nimrep at its Coxeter level, and at neither neighbour
     assert passing == [h - 2]
+
+
+def _det_fraction(mat):
+    """Determinant as the signed product of Fraction elimination pivots."""
+    m = [list(map(Fraction, row)) for row in mat]
+    det = Fraction(1)
+    for c in range(len(m)):
+        piv = next((i for i in range(c, len(m)) if m[i][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        det *= m[c][c]
+        for i in range(c + 1, len(m)):
+            if m[i][c]:
+                f = m[i][c] / m[c][c]
+                m[i][c:] = [x - f * y for x, y in zip(m[i][c:], m[c][c:])]
+    return det
+
+
+def _symmetric_grids(rng, count):
+    for _ in range(count):
+        n = rng.randrange(9)
+        grid = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                grid[i][j] = grid[j][i] = rng.choice([0, 0, 1, 2])
+        yield grid
+
+
+def test_charpoly_evaluates_to_the_fraction_determinant():
+    graphs = [ade_graph("A%d" % n)[0].to_lists() for n in range(1, 31)]
+    graphs += [ade_graph("D%d" % n)[0].to_lists() for n in range(4, 31)]
+    graphs += [ade_graph(name)[0].to_lists() for name in ("E6", "E7", "E8")]
+    graphs += list(_symmetric_grids(random.Random(1968), 60))
+    for grid in graphs:
+        n = len(grid)
+        coeffs = _charpoly(grid)
+        assert len(coeffs) == n + 1 and coeffs[-1] == 1
+        for x in range(n + 2):
+            shifted = [[x * (i == j) - grid[i][j] for j in range(n)] for i in range(n)]
+            assert sum(c * x**i for i, c in enumerate(coeffs)) == _det_fraction(shifted)
 
 
 def test_nimrep_self_check_failure_is_typed(monkeypatch):
