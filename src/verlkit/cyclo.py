@@ -19,11 +19,11 @@ Inversion and descent walk the Galois tower by integer substitutions:
 basis, and `inverse` multiplies by the conjugates over each subfield in
 turn until the relative norm is rational (Itoh-Tsujii).
 Matrices go to integer coordinates at one order L (`_coordinates`), so
-`_coordinate_matrices` callers test linear identities over Z, and the
-product by a matrix B, prepared once by `_times(B)` (its lift and packing
-cached per order L and slot width), forms each entry as a plain sum of m
-packed products, folded modulo Phi_L once: m^2 reductions, not m^3.  The
-slot width bounds
+`_coordinate_matrices` callers test linear identities over Z, or to keys
+(L, d, flat) (`_key`): d * M row-major at L, gcd(d, *flat) = 1 and d > 0,
+canonical at each L and hashable.  `_mat_mul` wraps the key -> key step of
+`_times(B)`: each entry is a sum of m packed products folded modulo Phi_L
+once, m^2 reductions, not m^3.  The slot width bounds
 m * phi(L) * max|a| * max|b| * (1 + phi(L) * max reduced-power entry).
 """
 
@@ -32,6 +32,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import chain
 from math import comb, gcd, lcm
 from operator import mul
 
@@ -209,13 +210,15 @@ def _width(bound: int) -> int:
 def _fold(prod: int, width: int, cond: _CondData):
     """Canonical vector of a packed convolution of two length-phi vectors.
     The biased low phi slots are a plain bit field, so one shift splits off
-    the phi - 1 high slots; only those are unpacked and folded down with
-    packed rows of the power table."""
+    the phi - 1 high slots; only those (when nonzero) are unpacked and folded
+    down with packed rows of the power table."""
     phi, n = cond.phi, cond.n
     if phi == 1:
         return [prod]
     shift = phi * width
     high = (prod + _bias(phi, width)) >> shift
+    if not high:
+        return _unpack(prod, phi, width)
     acc = prod - (high << shift)
     packed = cond.packed_rows(width)
     for e, c in enumerate(_unpack(high, phi - 1, width), phi):
@@ -629,37 +632,63 @@ def _coordinates(mats, shared: bool, order: int = 1):
     return L, list(zip(dens, rows))
 
 
+def _key(M, order: int = 1):
+    """(L, d, flat) for a matrix M of CycNumbers at L, the lcm of `order` and
+    the entry orders: flat holds d * M row-major, gcd(d, *flat) = 1."""
+    L, ((d, rows),) = _coordinates((M,), shared=False, order=order)
+    nums = (e.num if e.den == d else [c * (d // e.den) for c in e.num] for row in rows for e in row)
+    return L, d, tuple(chain.from_iterable(nums))
+
+
+def _unkey(key, cols: int):
+    """The matrix of a key, as rows of `cols` CycNumbers."""
+    L, d, flat = key
+    phi = _cond(L).phi
+    ents = [_raw(L, flat[i : i + phi], d) for i in range(0, len(flat), phi)]
+    return tuple(tuple(ents[i : i + cols]) for i in range(0, len(ents), cols))
+
+
 def _times(B):
-    """M -> M * B for a matrix of CycNumbers B, given as rows.  B's columns
-    are lifted per order L and packed per slot width when a left factor
-    first needs them; each entry is one packed sum, folded modulo Phi_L once."""
+    """M -> M * B for a matrix of CycNumbers B, given as rows; its `step` is
+    the product on keys.  B is keyed per order L and packed per slot width
+    when a left factor first needs it; one gcd reduces each product's key."""
     m, p = len(B), len(B[0]) if B else 0
     if any(len(row) != p for row in B):
         raise ValueError("matrix shapes do not match for a product")
-    LB, ((dB, b),) = _coordinates((B,), shared=False)
-    cache = {}
+    kB, cache = _key(B), {}
+
+    def step(key):
+        n, d, fa = key
+        L = lcm(n, kB[0])
+        if L not in cache:
+            _, dB, fb = kB if L == kB[0] else _key(B, L)
+            cache[L] = dB, fb, max(map(abs, fb), default=0) or 1, {}
+        dB, fb, mb, packed = cache[L]
+        cond = _cond(L)
+        phi = cond.phi
+        if n != L:  # lift a key of lower order
+            f, k = _cond(n).phi, L // n
+            fa = [c for i in range(0, len(fa), f) for c in _substitute(fa[i : i + f], k, cond)]
+        ma = max(map(abs, fa), default=0) or 1
+        width = _width(m * phi * ma * mb * (1 + phi * cond.row_max))
+        if width not in packed:
+            pk = [_pack(fb[i : i + phi], width) for i in range(0, len(fb), phi)]
+            packed[width] = [pk[j::p] for j in range(p)]
+        ra = [_pack(fa[i : i + phi], width) for i in range(0, len(fa), phi)]
+        out = [c for i in range(0, len(ra), m) for cb in packed[width]
+               for c in _fold(sum(map(mul, ra[i : i + m], cb)), width, cond)]
+        d *= dB
+        g = gcd(d, *out)
+        if g > 1:
+            d, out = d // g, [c // g for c in out]
+        return L, d, tuple(out)
 
     def times(A):
         if any(len(row) != m for row in A):
             raise ValueError("matrix shapes do not match for a product")
-        L, ((dA, a),) = _coordinates((A,), shared=False, order=LB)
-        if L not in cache:
-            cols = [[e._lift(L) for e in col] for col in zip(*b)]
-            top = max((max(map(abs, e.num)) * (dB // e.den) for c in cols for e in c), default=0)
-            cache[L] = cols, top or 1, {}
-        cols, mb, packed = cache[L]
-        cond = _cond(L)
-        ma = max((max(map(abs, e.num)) * (dA // e.den) for r in a for e in r), default=0) or 1
-        width = _width(m * cond.phi * ma * mb * (1 + cond.phi * cond.row_max))
-        # packing is linear, so scaling the packed integer scales every slot
-        if width not in packed:
-            packed[width] = [[_pack(e.num, width) * (dB // e.den) for e in c] for c in cols]
-        pb = packed[width]
-        return tuple(
-            tuple(_raw(L, _fold(sum(map(mul, ra, cb)), width, cond), dA * dB) for cb in pb)
-            for ra in ([_pack(e.num, width) * (dA // e.den) for e in r] for r in a)
-        )
+        return _unkey(step(_key(A, kB[0])), p) if p else ((),) * len(A)
 
+    times.step = step
     return times
 
 

@@ -8,8 +8,9 @@ generator matrices over small cyclotomic fields), embeddings and gradings
 graph; a failed check on any edge means the generator images do not
 define a homomorphism, so construction aborts or, for a sign tuple, no
 grading exists.  Each walk multiplies by generator values prepared once
-(`cyclo._times`).  Character tables are self-verified against the
-orthogonality relations (OrthogonalityFailure, a SelfCheckFailure like
+(`cyclo._times`); closures and irreps walk on keys (`cyclo._key`), whose
+edge check is key equality.  Character tables are self-verified against
+the orthogonality relations (OrthogonalityFailure, a SelfCheckFailure like
 every failed self-check).  A graded fold restricts irreps along the
 embedding of the grading's kernel.
 
@@ -29,9 +30,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from .cyclo import (
-    CycNumber, _coerce, _mat_mul, _times, cos_frac, rational, sin_frac, sqrt_int, zeta,
+    CycNumber, _coerce, _key, _mat_mul, _times, _unkey, cos_frac, rational, sin_frac,
+    sqrt_int, zeta,
 )
 from .exactla import IntMatrix, _closure
 
@@ -115,13 +118,7 @@ class Quaternion:
         raise AttributeError("Quaternion is immutable")
 
     def __mul__(self, o: "Quaternion") -> "Quaternion":
-        # the row (w, x, y, z) times o's right-multiplication matrix, prepared once
-        times = o._times
-        if times is None:
-            w, x, y, z = o.w, o.x, o.y, o.z
-            times = _times(((w, x, y, z), (-x, w, -z, y), (-y, z, w, -x), (-z, -y, x, w)))
-            object.__setattr__(o, "_times", times)
-        return Quaternion(*times(((self.w, self.x, self.y, self.z),))[0])
+        return Quaternion(*_right_times(o)(((self.w, self.x, self.y, self.z),))[0])
 
     def inverse(self) -> "Quaternion":
         # unit quaternions only: inverse is the conjugate
@@ -164,6 +161,16 @@ class Quaternion:
         )
 
 
+def _right_times(q: Quaternion):
+    """`cyclo._times` of q's right-multiplication matrix, prepared once per q."""
+    times = q._times
+    if times is None:
+        w, x, y, z = q.w, q.x, q.y, q.z
+        times = _times(((w, x, y, z), (-x, w, -z, y), (-y, z, w, -x), (-z, -y, x, w)))
+        object.__setattr__(q, "_times", times)
+    return times
+
+
 def _quat(w, x, y, z) -> Quaternion:
     return Quaternion(*map(_coerce, (w, x, y, z)))
 
@@ -175,11 +182,15 @@ _Q_K = _quat(0, 0, 0, 1)
 
 
 def _quaternion_closure(gens, order):
-    """`_closure` of the unit quaternions `gens`, checked to have `order` elements."""
-    elems, index, right = _closure(gens, _Q_ONE, Quaternion.__mul__)
-    if len(elems) != order:
-        raise SelfCheckFailure("closure has %d elements, expected %d" % (len(elems), order))
-    return elems, index, right
+    """`_closure` of the unit quaternions `gens` on 1x4 keys at their lcm order,
+    by generator index (equal generators stay apart), checked to have `order` elements."""
+    steps = [_right_times(g).step for g in gens]
+    L = lcm(*(c.order for g in gens for c in (g.w, g.x, g.y, g.z)))
+    keys, _, right = _closure(range(len(gens)), _key([[1, 0, 0, 0]], L), lambda v, k: steps[k](v))
+    if len(keys) != order:
+        raise SelfCheckFailure("closure has %d elements, expected %d" % (len(keys), order))
+    elems = [Quaternion(*_unkey(key, 4)[0]) for key in keys]
+    return elems, {q: i for i, q in enumerate(elems)}, right
 
 
 def _walk(right, start, step):
@@ -187,11 +198,11 @@ def _walk(right, start, step):
 
     `right[a][k]` is the index of a*g_k.  Breadth-first from index 0, the
     walk sets val(a*g_k) = step(val(a), k) on first arrival and returns None
-    if that equation fails on any other edge.  When step(x, k) = x*phi_k and
-    `start` is the identity, passing every edge makes val a homomorphism:
-    for b = g_k1...g_kn, induction on n along edges gives
-    val(a*b) = val(a)*phi_k1...phi_kn, and a = 1 shows that product is
-    val(b).  So no second multiplicativity sweep is needed.
+    if that equation fails on any other edge; values may be keys, compared
+    as tuples.  When step(x, k) = x*phi_k and `start` is the identity,
+    passing every edge makes val a homomorphism: for b = g_k1...g_kn,
+    induction on n along edges gives val(a*b) = val(a)*phi_k1...phi_kn, and
+    a = 1 shows that product is val(b): no multiplicativity sweep is needed.
     """
     vals = [None] * len(right)
     vals[0] = start
@@ -251,18 +262,17 @@ class Irrep:
 
 
 def _extend_irrep(group, gen_mats, label):
-    """Extend generator matrices to the whole group along its Cayley graph."""
+    """Extend generator matrices along the Cayley graph, on keys at the lcm order L."""
     dim = len(gen_mats[0])
-    eye = _as_mat(
-        [[1 if r == c else 0 for c in range(dim)] for r in range(dim)]
-    )
-    steps = [_times(B) for B in gen_mats]
-    mats = _walk(group._right, eye, lambda M, k: steps[k](M))
-    if mats is None:
+    steps = [_times(B).step for B in gen_mats]
+    L = lcm(*(e.order for B in gen_mats for row in B for e in row))
+    eye = _key([[int(r == c) for c in range(dim)] for r in range(dim)], L)
+    keys = _walk(group._right, eye, lambda key, k: steps[k](key))
+    if keys is None:
         raise SelfCheckFailure(
             "generator matrices for %r are not a homomorphism" % label
         )
-    return Irrep(label, dim, tuple(mats))
+    return Irrep(label, dim, tuple(_unkey(key, dim) for key in keys))
 
 
 class QuaternionGroup:
@@ -279,26 +289,27 @@ class QuaternionGroup:
         self._classes = None
         self._table = None
         self._gradings = None
-        self._mtab = None
-        self._inverse = [index[e.inverse()] for e in elements]
         # the Cayley graph: _right[a][k] is the index of a * generators[k]
-        self._right = right or [[index[e * g] for g in generators] for e in elements]
+        try:
+            self._right = r = right or [[index[e * g] for g in generators] for e in elements]
+        except KeyError:
+            raise GroupMismatch("elements are not closed under the generators") from None
+        # column b of the multiplication table lists a*b for every a; a*(b*g_k)
+        # is one Cayley-graph step from a*b, and b's inverse is where b's column holds 0
+        try:
+            tab = _walk(r, list(range(self.order)), lambda c, k: [r[x][k] for x in c])
+            inverse = tab and [col.index(0) for col in tab]
+        except ValueError:  # a generator reaches too little, or a column has no 0
+            inverse = None
+        if not inverse:
+            raise SelfCheckFailure("%s: the Cayley graph is not a group's" % name)
+        self._mtab, self._inverse = tab, inverse
 
     def __repr__(self):
         return "QuaternionGroup(%s, order %d)" % (self.name, self.order)
 
-    def _mul_table(self):
-        # column b lists a*b for every a; a*(b*g_k) is one Cayley-graph step
-        # from a*b, so each column follows from its predecessor's
-        if self._mtab is None:
-            right = self._right
-            self._mtab = _walk(
-                right, list(range(self.order)), lambda c, k: [right[x][k] for x in c]
-            )
-        return self._mtab
-
     def mul(self, a: int, b: int) -> int:
-        return self._mul_table()[b][a]
+        return self._mtab[b][a]
 
     def inv(self, a: int) -> int:
         return self._inverse[a]

@@ -24,12 +24,14 @@ from verlkit.cyclo import (
     _cond,
     _coordinate_matrices,
     _fold,
+    _key,
     _mat_mul,
     _mul_int_vecs,
     _pack,
     _real_cyclotomic_poly,
     _reduce_int_vec,
     _times,
+    _unkey,
     _unpack,
     _width,
     cos_frac,
@@ -519,3 +521,54 @@ def test_prepared_factor_checks_shapes():
         times([[1, 2, 3]])
     with pytest.raises(ValueError):
         times([[1, 2], [3]])
+
+
+KEY_ORDERS = [1, 4, 5, 8, 12, 40]
+
+
+def test_keys_are_canonical_at_one_order():
+    # entries lifted from a divisor order, or written with num and den scaled
+    # by a common factor, give the key of the matrix itself at the same L
+    rng = random.Random(15)
+    for rows, cols in ((1, 1), (1, 4), (2, 3), (3, 3)):
+        M = _random_matrix(rng, rows, cols, KEY_ORDERS, 9, [1, 2, 3, 7])
+        lifted = [[e._lift(120) for e in row] for row in M]
+        scaled = [[CycNumber(e.order, [6 * c for c in e.num], 6 * e.den) for e in row]
+                  for row in M]
+        key = _key(M, 120)
+        assert key[0] == 120 and key[1] > 0 and gcd(key[1], *key[2]) == 1
+        assert _key(lifted) == _key(scaled, 120) == key
+        assert _key(M, 120) == _key(lifted, 24)
+
+
+def test_different_matrices_get_different_keys():
+    rng = random.Random(16)
+    M = _random_matrix(rng, 2, 3, KEY_ORDERS, 9, [1, 2, 3])
+    key = _key(M, 120)
+    assert _key([[2 * e for e in row] for row in M], 120) != key
+    for i, j, t in ((0, 0, 0), (1, 2, 7), (0, 1, 31)):
+        other = [list(row) for row in M]
+        other[i][j] = other[i][j] + zeta(120, t) / 5
+        assert _key(other, 120) != key
+
+
+def test_unkey_rebuilds_every_entry():
+    rng = random.Random(17)
+    for rows, cols in ((1, 1), (1, 4), (3, 2), (4, 4)):
+        M = _random_matrix(rng, rows, cols, KEY_ORDERS, 9, [1, 2, 5])
+        got = _unkey(_key(M), cols)
+        assert [len(row) for row in got] == [cols] * rows
+        assert all(g == e for g_row, row in zip(got, M) for g, e in zip(g_row, row))
+
+
+def test_key_step_matches_entrywise_products():
+    # mixed orders, and entries up to 10^30 that force slots wider than 64 bits
+    rng = random.Random(18)
+    for size in (3, 10**12, 10**30):
+        for n, m, p in SHAPES:
+            A = _random_matrix(rng, n, m, KEY_ORDERS, size, [1, 2, 7])
+            B = _random_matrix(rng, m, p, KEY_ORDERS, size, [1, 3])
+            got = _times(B).step(_key(A))
+            want = _mat_mul_reference(A, B)
+            assert got == _key(want, got[0])
+            assert _unkey(got, p) == want

@@ -519,3 +519,46 @@ def test_self_check_failures_are_typed():
     assert issubclass(OrthogonalityFailure, SelfCheckFailure)
     with pytest.raises(SelfCheckFailure, match="closure has 4 elements, expected 3"):
         repring._quaternion_closure([repring._Q_I], 3)
+
+
+BUILT = ["A1", "A3", "A5", "A7", "C5", "D4", "D5", "BD4", "BD6", "BD7", "E6", "E7", "E8"]
+
+
+@pytest.mark.parametrize("name", BUILT)
+def test_keyed_closure_matches_the_quaternion_closure(name):
+    G = quaternion_group(name)
+    elems, index, right = repring._quaternion_closure(G.generators, G.order)
+    want = repring._closure(G.generators, repring._Q_ONE, Quaternion.__mul__)
+    assert (elems, index, right) == want
+
+
+@pytest.mark.parametrize("name", BUILT)
+def test_inverses_read_off_the_cayley_table(name):
+    G = quaternion_group(name)
+    assert all(G._inverse[a] == G.index[e.inverse()] for a, e in enumerate(G.elements))
+
+
+def test_generators_failing_on_a_non_tree_edge_are_not_a_homomorphism():
+    # (rho(i), -rho(g)) on E6's y: (-rho(g))^3 = I but rho(i)^2 = -I, so only
+    # the relation g^3 = i^2 fails, on an edge outside the walk's tree
+    E6 = quaternion_group("E6")
+    rho_i, rho_g = dict(repring._e6_specs())["y"]
+    neg_g = [[-CycNumber(1, [1]) * e for e in row] for row in rho_g]
+    bad = QuaternionGroup(
+        "E6", E6.elements, E6.index, [("y", [rho_i, neg_g])], E6.generators, E6._right
+    )
+    with pytest.raises(SelfCheckFailure, match="not a homomorphism"):
+        bad.irreps()
+
+
+def test_construction_errors_are_typed():
+    one, i = repring._Q_ONE, repring._Q_I
+    # i * i = -1 is not among the elements
+    with pytest.raises(GroupMismatch):
+        QuaternionGroup("bad", [one, i], {one: 0, i: 1}, None, [i])
+    # a column of the table without the identity, an edge where the walk
+    # fails, and a generator that reaches nothing
+    elems = [one, i, -i]
+    for right in ([[1], [1]], [[1, 2], [0, 0], [0, 0]], [[0], [1]]):
+        with pytest.raises(SelfCheckFailure, match="not a group's"):
+            QuaternionGroup("bad", elems[: len(right)], {}, None, [i], right)
