@@ -25,6 +25,11 @@ canonical at each L and hashable.  `_mat_mul` wraps the key -> key step of
 `_times(B)`: each entry is a sum of m packed products folded modulo Phi_L
 once, m^2 reductions, not m^3.  The slot width bounds
 m * phi(L) * max|a| * max|b| * (1 + phi(L) * max reduced-power entry).
+Real values are bounded with integers alone: `_real_enclosure` writes
+den * x = sum_t c_t cos(2 pi t / N) and sums a fixed-point cosine table
+(`_cos_table`: Machin's pi and Taylor series in integers, each entry
+within 1 of 2^bits cos(2 pi t / N)) into integers lo <= 2^bits den x <= hi.
+Only `real_embed` uses mpmath, and imports it on its first call.
 """
 
 from __future__ import annotations
@@ -35,8 +40,6 @@ from functools import lru_cache, reduce
 from itertools import chain
 from math import comb, gcd, lcm
 from operator import mul
-
-import mpmath
 
 from .exactla import IntMatrix
 
@@ -735,12 +738,101 @@ def cyc_conjugate(a: CycNumber) -> CycNumber:
     return a.conjugate()
 
 
+# -- real values without floating point ---------------------------------------
+
+
+def _pi_fixed(p: int) -> int:
+    """An integer within 10p + 40 of 2^p * pi, by Machin's formula
+    pi = 16 atan(1/5) - 4 atan(1/239).
+
+    Term k of atan(1/m) = sum_k (-1)^k / ((2k + 1) m^(2k+1)) is taken as
+    floor(2^p / ((2k + 1) m^(2k+1))): nested floors of positive integers
+    compose, so `power // (2k + 1)` is that floor and errs by less than 1.
+    The loop keeps the terms with m^(2k+1) <= 2^p, at most p/2 + 1 of them,
+    and the alternating tail is below its first term, which is below 1.  So
+    each arctangent errs by less than p/2 + 2, and pi by less than
+    16(p/2 + 2) + 4(p/2 + 2).
+    """
+
+    def atan_inv(m):
+        total, power, k = 0, (1 << p) // m, 0
+        while power:
+            term = power // (2 * k + 1)
+            total += -term if k % 2 else term
+            power //= m * m
+            k += 1
+        return total
+
+    return 16 * atan_inv(5) - 4 * atan_inv(239)
+
+
+@lru_cache(maxsize=64)
+def _cos_table(n: int, bits: int):
+    """Integers T_t with |T_t - 2^bits cos(2 pi t / n)| < 1, t = 0..n-1.
+
+    Each entry is computed at p = bits + g bits, g = bitlen(bits) + 8, and
+    rounded.  With 8t = qn + r, the angle 2 pi t / n is a multiple of pi/2
+    plus or minus phi = (pi/4) s/n, s = r or n - r, so phi lies in
+    [0, pi/4] and cos is +-cos phi or +-sin phi.  The fixed-point angle
+    a = floor(pi_p * s / 4n) errs from 2^p phi by less than
+    (10p + 40)/4 + 1 (`_pi_fixed`), so a' = a / 2^p < 1, and since cos and
+    sin are 1-Lipschitz that costs less than 2.5p + 11 units.  The Taylor
+    terms u_j = floor(u_(j-1) a / (j 2^p)) of 2^p a'^j / j! err by
+    e_j <= e_(j-1) a'/j + 1 < 2 (e_0 = e_1 = 0); they stop at the first
+    u_J = 0, J <= p, where the exact term is below e_J < 2 and the exact
+    tail, with ratios below 1/2, is below it again.  So the series errs
+    by less than 2J + 4 <= 2p + 4, and the sum by less than 4.5p + 15,
+    which is below 2^(g-2) for every bits >= 1; the final rounding adds
+    at most 1/2 unit at `bits`.  t = 0, n/4 and n/2 come out exact.
+    """
+    g = bits.bit_length() + 8
+    p = bits + g
+    pi = _pi_fixed(p)
+    half = []
+    for t in range(n // 2 + 1):
+        q, r = divmod(8 * t, n)
+        if q % 2:  # 2 pi t / n = m pi/2 - phi
+            m, s, sign = (q + 1) // 2, n - r, -1
+        else:  # 2 pi t / n = m pi/2 + phi
+            m, s, sign = q // 2, r, 1
+        a = pi * s // (4 * n)
+        cos_phi = sin_phi = 0
+        u, j = 1 << p, 0
+        while u:
+            if j % 2:
+                sin_phi += -u if j % 4 == 3 else u
+            else:
+                cos_phi += -u if j % 4 == 2 else u
+            j += 1
+            u = u * a // (j << p)
+        v = (cos_phi, -sign * sin_phi, -cos_phi, sign * sin_phi)[m % 4]
+        half.append((v + (1 << (g - 1))) >> g)
+    return tuple(half[min(t, n - t)] for t in range(n))
+
+
+def _real_enclosure(x: CycNumber, bits: int):
+    """Integers lo <= 2^bits * x.den * x <= hi for a real x, hi - lo = 2E.
+
+    A real x equals its real part, so x.den * x = sum_t c_t cos(2 pi t / n)
+    over its numerator c at order n; each `_cos_table` entry errs by less
+    than 1, so the sum errs by less than E = sum_t |c_t|.
+    """
+    mid = sum(c * cos for c, cos in zip(x.num, _cos_table(x.order, bits)))
+    err = sum(map(abs, x.num))
+    return mid - err, mid + err
+
+
 def real_embed(a: CycNumber):
-    """High-precision complex embedding zeta_N -> exp(2*pi*i/N).
+    """High-precision complex embedding zeta_N -> exp(2*pi*i/N), an mpmath mpc.
 
     The working precision scales with the coefficient sizes so the stated
     error bound (1e-30 relative to the coefficient magnitude) always holds.
+    mpmath loads on the first call, not when verlkit is imported; no
+    library decision reads this value (`_real_enclosure` gives certified
+    integer bounds instead).
     """
+    import mpmath
+
     size = max((abs(c) for c in a.num), default=0) + a.den
     extra = len(str(size))
     with mpmath.workdps(45 + extra + len(a.num) // 4):

@@ -36,10 +36,8 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 
-import mpmath
-
 from .cyclo import (
-    CycNumber, _coordinate_matrices, _poly_divexact, _real_cyclotomic_poly, real_embed,
+    CycNumber, _coordinate_matrices, _poly_divexact, _real_cyclotomic_poly, _real_enclosure,
 )
 from .exactla import IntMatrix, _closure, _row_hermite, kernel_basis
 from .fusion import (
@@ -351,19 +349,35 @@ def check_invariant(Z, data) -> CheckReport:
 
 
 def _floor_exact(x: CycNumber) -> int:
-    """Floor of a real cyclotomic value.
+    """Floor of a real cyclotomic value, from integers alone.
 
-    Rational values are floored exactly; irrational ones sit a bounded
-    distance from the integer lattice, far above the embedding error.
+    Rational values are floored exactly.  A value equal to an integer is
+    rational, because the canonical power-basis vector is unique, so an
+    irrational x at order n is never an integer.  With d x = sum_t c_t
+    zeta^t (d = x.den) and E = sum_t |c_t|, `_real_enclosure` bounds
+    2^b d x by an enclosure of width 2E at any precision b.  Suppose an
+    integer N lies in it once 2^b >= 2E: then |x - N| <= 1, so
+    y = d (x - N) is a nonzero algebraic integer of the real subfield, of
+    degree m = phi(n)/2, whose conjugates are bounded by H = 2E + d.  Its
+    norm is a nonzero integer, so |y| >= H^-(m-1), and 2^b |y| <= 2E.
+    At b >= bitlen(2E) + (m - 1) bitlen(H) that is false, so the
+    enclosure holds no integer and its two ends share one floor: one
+    evaluation decides, with no loop.  b is rounded up to a multiple of
+    64 so that values share cosine tables.
     """
+    if x != x.conjugate():
+        raise ValueError("floor of a non-real value: %s" % x.render())
     if x.is_rational():
         f = x.as_fraction()
         return f.numerator // f.denominator
-    v = real_embed(x).real
-    near = int(mpmath.nint(v))
-    if (x - near).is_zero():
-        return near
-    return int(mpmath.floor(v))
+    err = sum(map(abs, x.num))
+    need = (2 * err).bit_length() + (len(x.num) // 2 - 1) * (2 * err + x.den).bit_length()
+    bits = -(-need // 64) * 64
+    lo, hi = _real_enclosure(x, bits)
+    unit = x.den << bits
+    if lo // unit != hi // unit:
+        raise SelfCheckFailure("the enclosure of %s holds an integer" % x.render())
+    return lo // unit
 
 
 def _commutant_rows(S, positions):

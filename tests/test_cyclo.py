@@ -23,12 +23,14 @@ from verlkit.cyclo import (
     DivisionByZero,
     _cond,
     _coordinate_matrices,
+    _cos_table,
     _fold,
     _key,
     _mat_mul,
     _mul_int_vecs,
     _pack,
     _real_cyclotomic_poly,
+    _real_enclosure,
     _reduce_int_vec,
     _times,
     _unkey,
@@ -126,6 +128,34 @@ def test_real_embed_precision():
     with mpmath.workdps(50):
         delta = real_embed(sqrt_int(2)) - mpmath.sqrt(2)
         assert abs(delta) < mpmath.mpf("1e-30")
+
+
+def test_real_enclosure_contains_the_embedding():
+    # x = a + conj(a) is real.  Its embedding is summed here at 120 digits:
+    # real_embed fixes its own precision near 45 digits, too coarse for an
+    # enclosure of width 2 sum |c_t| units of 2^-256.
+    rng = random.Random(14)
+    for n in range(1, 241):
+        a = CycNumber(n, [rng.randint(-10**6, 10**6) for _ in range(n)], rng.randint(1, 50))
+        x = a + a.conjugate()
+        with mpmath.workdps(120):
+            total = sum(c * mpmath.cospi(mpmath.mpf(2 * t) / n) for t, c in enumerate(x.num))
+            for bits in (64, 256):
+                lo, hi = _real_enclosure(x, bits)
+                assert lo <= total * 2**bits <= hi, (n, bits)
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+def test_cos_table_is_exact_at_the_quarter_points(bits):
+    # the stated entry error is below 1, so these integer entries are exact
+    for n in range(1, 241):
+        table = _cos_table(n, bits)
+        assert len(table) == n
+        assert abs(table[0] - 2**bits) < 1
+        if n % 4 == 0:
+            assert abs(table[n // 4]) < 1
+        if n % 2 == 0:
+            assert abs(table[n // 2] + 2**bits) < 1
 
 
 def test_sin_cos_pythagoras():

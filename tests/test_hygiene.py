@@ -3,11 +3,15 @@ uses nor exports through its __all__, no module defines a private
 top-level function or class that no library code refers to (a helper
 that only tests call is dead), no private top-level function or class is defined in two
 modules, no check is a bare `assert`, which `python -O` strips, no
-decision rests on mpmath's floating-point linear algebra, and every
-module states its public names in a literal __all__ that lists every
-public top-level function and class it defines."""
+decision rests on mpmath's floating-point linear algebra, no module
+imports mpmath when it is imported (only `cyclo.real_embed` loads it, on
+its first call), and every module states its public names in a literal
+__all__ that lists every public top-level function and class it defines."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -110,6 +114,47 @@ def test_no_mpmath_linear_algebra(path):
         if a.name in MPMATH_LINEAR_ALGEBRA
     ]
     assert used == []
+
+
+def _import_time_nodes(tree):
+    """Nodes that run when the module is imported: not function bodies."""
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_mpmath_import_at_module_level(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [
+        n.lineno
+        for n in _import_time_nodes(tree)
+        if isinstance(n, ast.Import) and any(a.name.split(".")[0] == "mpmath" for a in n.names)
+        or isinstance(n, ast.ImportFrom) and (n.module or "").split(".")[0] == "mpmath"
+    ]
+    assert found == []
+
+
+def test_library_work_leaves_mpmath_unloaded():
+    script = """
+import sys
+import verlkit.cyclo, verlkit.exactla, verlkit.fusion, verlkit.modinv, verlkit.polyring, verlkit.repring
+from verlkit.modinv import ade_graph, enumerate_invariants, nimrep_from_graph
+enumerate_invariants(10)
+nimrep_from_graph(ade_graph("E6")[0], 10)
+print("mpmath" in sys.modules)
+from verlkit.cyclo import real_embed, sqrt_int
+print(float(real_embed(sqrt_int(2)).real) == 2 ** 0.5)
+"""
+    src = str(Path(verlkit.__file__).parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, timeout=120, check=True,
+    )
+    assert out.stdout.split() == ["False", "True"]
 
 
 def _top_level_names(tree):

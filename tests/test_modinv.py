@@ -29,16 +29,18 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from verlkit.cyclo import CycNumber, cos_frac, rational, zeta
+from verlkit.cyclo import CycNumber, cos_frac, rational, real_embed, sin_frac, sqrt_int, zeta
 from verlkit.exactla import IntMatrix, kernel_basis
 from verlkit.fusion import double_abelian, level1_data, su2_modular_data
 from verlkit.modinv import (
     _charpoly,
     _commutant_rows,
+    _floor_exact,
     _row_hermite,
     BranchingRule,
     CheckReport,
@@ -142,6 +144,84 @@ def test_budget_exception_carries_diagnostics():
     for b in err.pivot_bounds:
         vol *= b + 1
     assert vol == err.volume
+
+
+# -- the search-box floor ------------------------------------------------------
+
+
+def _mpmath_floor(x):
+    """The floor enumerate_invariants read off real_embed before the integer
+    enclosure, kept as the oracle.  nint and floor run at mpmath's default
+    53 bits, so it is only right well below 2^53, which covers every box
+    bound: they are at most (k + 1)^2."""
+    v = real_embed(x).real
+    near = int(mpmath.nint(v))
+    if (x - near).is_zero():
+        return near
+    return int(mpmath.floor(v))
+
+
+def _box_bounds(level):
+    """d_i d_j over the positions with T_i = T_j, from the closed forms
+    d_j = sin(pi (j+1)/n) / sin(pi/n) and T_j = zeta_8n^(2(j+1)^2 - n),
+    n = level + 2, in enumerate_invariants' order."""
+    n, m = level + 2, level + 1
+    inv = sin_frac(1, 2 * n).inverse()
+    dims = [sin_frac(j + 1, 2 * n) * inv for j in range(m)]
+    return [
+        dims[i] * dims[j]
+        for i in range(m)
+        for j in range(m)
+        if ((i + 1) ** 2 - (j + 1) ** 2) % (4 * n) == 0
+    ]
+
+
+def test_box_bounds_follow_the_modular_data():
+    data = su2_modular_data(10)
+    inv00 = data.S[0][0].inverse()
+    dims = [data.S[0][j] * inv00 for j in range(11)]
+    want = [dims[i] * dims[j] for i in range(11) for j in range(11) if data.T[i] == data.T[j]]
+    assert _box_bounds(10) == want
+
+
+def test_floor_matches_the_mpmath_oracle_on_every_box_bound():
+    values = [v for level in range(1, 29) for v in _box_bounds(level)]
+    assert len(values) == 636
+    for v in values:
+        assert _floor_exact(v) == _mpmath_floor(v), v
+        assert _floor_exact(-v) == _mpmath_floor(-v), v
+
+
+@pytest.mark.parametrize("k", [1, 2, 40, 41, 80, 120, 121])
+def test_floor_beside_an_integer(k):
+    # (1 + sqrt 2)^k + (1 - sqrt 2)^k and phi^k + psi^k are integers (the
+    # recurrences below), and the second terms, below 10^-46 at k = 120,
+    # are positive for even k.  Beyond 2^53 the mpmath oracle is no oracle.
+    pell, lucas = [2, 2], [2, 1]
+    for _ in range(k):
+        pell.append(2 * pell[-1] + pell[-2])
+        lucas.append(lucas[-1] + lucas[-2])
+    for x, near in (((1 + sqrt_int(2)) ** k, pell[k]), (((1 + sqrt_int(5)) / 2) ** k, lucas[k])):
+        want = near - 1 if k % 2 == 0 else near
+        assert _floor_exact(x) == want
+        assert _floor_exact(-x) == -want - 1
+
+
+def test_floor_of_rationals_written_at_higher_orders():
+    # the canonical power-basis vector is unique, so these take the exact branch
+    c = zeta(5) + zeta(5, 4)
+    s = sqrt_int(3)
+    cases = [(c * c + c, 1, -1), ((s + 1) * (s - 1), 2, -2), (cos_frac(1, 6), 0, -1), (s * s / 4, 0, -1)]
+    for x, up, down in cases:
+        assert x.order > 1 and x.is_rational()
+        assert _floor_exact(x) == up == _mpmath_floor(x)
+        assert _floor_exact(-x) == down == _mpmath_floor(-x)
+
+
+def test_floor_rejects_a_non_real_value():
+    for x in (zeta(8), 1 + zeta(4), zeta(4) * sqrt_int(2)):
+        with pytest.raises(ValueError, match="non-real"):
+            _floor_exact(x)
 
 
 # -- axiom checking ------------------------------------------------------------
