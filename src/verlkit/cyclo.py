@@ -25,6 +25,14 @@ canonical at each L and hashable.  `_mat_mul` wraps the key -> key step of
 `_times(B)`: each entry is a sum of m packed products folded modulo Phi_L
 once, m^2 reductions, not m^3.  The slot width bounds
 m * phi(L) * max|a| * max|b| * (1 + phi(L) * max reduced-power entry).
+Roots of unity are exponents: `_root_exponent` finds x = zeta_n^e by one
+lookup in the power table, and `_rotate` writes zeta_n^q * x (or times
+conj(x)) by substituting into the rows, with no product.  With them
+`fusion.ModularData` checks (ST)^3 = S^2 in Q(zeta_B), the field of S:
+when every prime of R = L/B divides B, Phi_L(z) = Phi_B(z^R) (Washington,
+Introduction to Cyclotomic Fields, ch. 2), so zeta_L^0, ..., zeta_L^(R-1)
+are a basis of Q(zeta_L) over Q(zeta_B), and the coordinates on it of a
+canonical vector at L are its stride-R slices, as in `_descend` for p | d.
 Real values are bounded with integers alone: `_real_enclosure` writes
 den * x = sum_t c_t cos(2 pi t / N) and sums a fixed-point cosine table
 (`_cos_table`: Machin's pi and Taylor series in integers, each entry
@@ -111,9 +119,10 @@ def _real_cyclotomic_poly(d: int):
 
 
 class _CondData:
-    """Per-order tables: phi, the power-basis reduction rows, packing caches."""
+    """Per-order tables: phi, the power-basis reduction rows, packing caches,
+    and the exponent of each row (`exponents`, built on first use)."""
 
-    __slots__ = ("n", "phi", "rows", "row_max", "_packed")
+    __slots__ = ("n", "phi", "rows", "row_max", "_packed", "_exponents")
 
     def __init__(self, n: int) -> None:
         self.n = n
@@ -135,6 +144,13 @@ class _CondData:
         self.rows = tuple(rows)
         self.row_max = max((max(abs(c) for c in r) if r else 0) for r in rows) or 1
         self._packed = {}
+        self._exponents = None
+
+    def exponents(self):
+        """{rows[e]: e}: the canonical vectors of the powers of zeta_n."""
+        if self._exponents is None:
+            self._exponents = {row: e for e, row in enumerate(self.rows)}
+        return self._exponents
 
     def packed_rows(self, width: int):
         try:
@@ -230,12 +246,12 @@ def _fold(prod: int, width: int, cond: _CondData):
     return _unpack(acc, phi, width)
 
 
-def _substitute(vec, k: int, cond: _CondData):
-    """Canonical vector of the sum of vec[i] * z^(i*k), z = zeta_{cond.n}."""
+def _substitute(vec, k: int, cond: _CondData, shift: int = 0):
+    """Canonical vector of the sum of vec[i] * z^(shift + i*k), z = zeta_{cond.n}."""
     out = [0] * cond.phi
     for i, c in enumerate(vec):
         if c:
-            out = [o + c * r for o, r in zip(out, cond.rows[(i * k) % cond.n])]
+            out = [o + c * r for o, r in zip(out, cond.rows[(shift + i * k) % cond.n])]
     return out
 
 
@@ -443,6 +459,8 @@ class CycNumber:
             other = _coerce(other)
         if not isinstance(other, CycNumber):
             return NotImplemented
+        if self._norm is self and other._norm is other and self.order != other.order:
+            return False  # normal forms at different orders: different values
         a, b = CycNumber._common(self, other)
         return a.den == b.den and a.num == b.num
 
@@ -613,6 +631,35 @@ def sin_frac(num: int, den: int) -> CycNumber:
     n = 2 * den if den % 2 else den
     k = 2 * num if den % 2 else num
     return (zeta(n, k) - zeta(n, -k % n)) * zeta(4, 3) / 2
+
+
+def _root_exponent(x):
+    """(n, e) with x = zeta_n^e, or None when x is not a root of unity.
+
+    n is the order of x.normalized(), which is never 2 mod 4; when it is
+    odd and x = -zeta_n^e', n is doubled.  Each is one lookup in the power
+    table of the normalized order.
+    """
+    x = _coerce(x).normalized()
+    if x.den != 1:
+        return None
+    n, table = x.order, _cond(x.order).exponents()
+    if x.num in table:
+        return n, table[x.num]
+    neg = tuple(-c for c in x.num)
+    if n % 2 and neg in table:  # -zeta_n^e = zeta_2n^(2e + n)
+        return 2 * n, (2 * table[neg] + n) % (2 * n)
+    return None
+
+
+def _rotate(x, q: int, n: int, conj: bool = False) -> CycNumber:
+    """zeta_n^q * x, or zeta_n^q * conj(x), for x at an order dividing n:
+    one substitution into the power table of n, with no multiplication."""
+    x = _coerce(x)
+    if n % x.order:
+        raise ValueError("can only rotate at a multiple of the order")
+    k = n // x.order
+    return _raw(n, _substitute(x.num, -k if conj else k, _cond(n), q), x.den)
 
 
 def _coordinates(mats, shared: bool, order: int = 1):
@@ -826,7 +873,8 @@ def real_embed(a: CycNumber):
     """High-precision complex embedding zeta_N -> exp(2*pi*i/N), an mpmath mpc.
 
     The working precision scales with the coefficient sizes so the stated
-    error bound (1e-30 relative to the coefficient magnitude) always holds.
+    error bound (1e-30 relative to the coefficient magnitude) always holds;
+    a caller's higher `mpmath.mp.dps` is kept.
     mpmath loads on the first call, not when verlkit is imported; no
     library decision reads this value (`_real_enclosure` gives certified
     integer bounds instead).
@@ -835,7 +883,7 @@ def real_embed(a: CycNumber):
 
     size = max((abs(c) for c in a.num), default=0) + a.den
     extra = len(str(size))
-    with mpmath.workdps(45 + extra + len(a.num) // 4):
+    with mpmath.workdps(max(mpmath.mp.dps, 45 + extra + len(a.num) // 4)):
         total = mpmath.mpc(0)
         n = a.order
         for i, c in enumerate(a.num):

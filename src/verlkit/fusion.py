@@ -8,10 +8,11 @@ checked exactly at construction time.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .cyclo import (
-    DivisionByZero, _mat_mul, _pack, _width, rational, sin_frac, sqrt_int, zeta,
+    DivisionByZero, _coerce, _mat_mul, _pack, _prime_factors, _root_exponent, _rotate, _width,
+    rational, sin_frac, sqrt_int, zeta,
 )
 from .exactla import FGAbelianGroup, IntMatrix, _cayley_invariants, cokernel
 
@@ -83,7 +84,11 @@ class ModularData:
     S must be symmetric and unitary, T a diagonal of roots of unity, and
     (ST)^3 = S^2 with S^2 a permutation squaring to the identity.  The
     relations are verified exactly on construction; the permutation is
-    stored as `charge_conjugation`.
+    stored as `charge_conjugation`.  A T entry that is not a root of unity
+    raises ModularCheckFailure.  The phase relation is proved in Q(zeta_B),
+    the field of S, over the relative power basis of the field of T
+    (`_phase_holds`): Phi_L(z) = Phi_B(z^R) splits each entry of
+    (ST)^3 = S^2 into R = L/B identities at order B.
     """
 
     __slots__ = ("labels", "S", "T", "charge_conjugation")
@@ -95,14 +100,15 @@ class ModularData:
         T = tuple(T)
         if len(S) != m or any(len(row) != m for row in S) or len(T) != m:
             raise ValueError("S must be square over the labels, T its diagonal")
-        for t in T:
-            if t * t.conjugate() != _ONE:
-                raise ModularCheckFailure("T entries must be unimodular")
+        roots = [_root_exponent(t) for t in T]
+        if None in roots:
+            raise ModularCheckFailure("T entries must be roots of unity")
         for i in range(m):
             for j in range(i):
                 if S[i][j] != S[j][i]:
                     raise ModularCheckFailure("S is not symmetric")
-        is_real = all(e.conjugate() == e for row in S for e in row)
+        cells = {id(e): e for row in S for e in row}  # entries are often shared
+        is_real = all(e.conjugate() == e for e in cells.values())
         if is_real:
             # real symmetric: unitarity forces S^2 = 1, one product does both
             Q = _mat_mul(S, S)
@@ -124,16 +130,8 @@ class ModularData:
                 if perm[perm[i]] != i:
                     raise ModularCheckFailure("charge conjugation must square to 1")
         # with S^{-1} = S*, (ST)^3 = S^2 is equivalent to TST = S T^-1 S*
-        lhs = [[T[i] * S[i][j] * T[j] for j in range(m)] for i in range(m)]
-        X = [
-            [T[i].conjugate() * S[i][j].conjugate() for j in range(m)]
-            for i in range(m)
-        ]
-        rhs = _mat_mul(S, X)
-        for i in range(m):
-            for j in range(m):
-                if lhs[i][j] != rhs[i][j]:
-                    raise ModularCheckFailure("(ST)^3 = S^2 fails")
+        if not _phase_holds(S, roots):
+            raise ModularCheckFailure("(ST)^3 = S^2 fails")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "S", S)
         object.__setattr__(self, "T", T)
@@ -144,6 +142,52 @@ class ModularData:
 
     def __repr__(self) -> str:
         return "ModularData(%d primaries)" % len(self.labels)
+
+
+def _phase_holds(S, roots) -> bool:
+    """Whether TST = S T^-1 S* for T_k = zeta_n^e, (n, e) = roots[k].
+
+    Let L = lcm(the orders of the S entries, the n), B = lcm(the orders
+    of the S entries, rad L) and R = L / B.  Every prime of R divides B, so
+    Phi_L(z) = Phi_B(z^R) (Washington, Introduction to Cyclotomic Fields,
+    ch. 2) and zeta_L^0, ..., zeta_L^(R-1) are a basis of Q(zeta_L) over
+    Q(zeta_B).  Write T_k = zeta_L^(e_k), -e_k = R q_k + s_k and
+    e_i + e_j = R q_ij + s_ij mod L.  Entry (i, j) of the relation reads
+    sum_s zeta_L^s P_s[i][j] = zeta_L^(s_ij) zeta_B^(q_ij) S_ij, with
+    P_s = S[:, C_s] diag(zeta_B^(q_k)) S*[C_s, :] over C_s = {k : s_k = s}.
+    Both sides have coordinates in Q(zeta_B), so it holds exactly when P_s
+    is zeta_B^(q_ij) S_ij where s_ij = s and 0 elsewhere: one product at
+    order B per class, with inner dimensions summing to m, and every
+    zeta_B^q factor a rotation of the power table of B.
+    """
+    S = [[_coerce(x) for x in row] for row in S]
+    m = len(S)
+    orders = [x.order for row in S for x in row]
+    L = lcm(*orders, *(n for n, _ in roots))
+    B = lcm(*orders, *_prime_factors(L))
+    R = L // B
+    e = [r * (L // n) for n, r in roots]
+    classes = {}
+    for k in range(m):
+        q, s = divmod(-e[k] % L, R)
+        classes.setdefault(s, []).append((k, q))
+    P = {
+        s: _mat_mul(
+            [[row[k] for k, _ in ks] for row in S],
+            [[_rotate(x, q, B, conj=True) for x in S[k]] for k, q in ks],
+        )
+        for s, ks in classes.items()
+    }
+    for i in range(m):
+        for j in range(m):
+            q, s = divmod((e[i] + e[j]) % L, R)
+            want = _rotate(S[i][j], q, B)
+            if s not in P and not want.is_zero():
+                return False
+            for t, Pt in P.items():
+                if Pt[i][j] != want if t == s else not Pt[i][j].is_zero():
+                    return False
+    return True
 
 
 class FusionRing:
@@ -268,7 +312,11 @@ def su2_modular_data(k: int) -> ModularData:
 
     S_{ab} = sqrt(2/n) sin(pi (a+1)(b+1)/n) with n = k+2, realized in
     Q(zeta_8n).  T_a is the root of unity with exponent h_a - c/24 =
-    (2(a+1)^2 - n)/(8n), which makes (ST)^3 = S^2 hold on the nose.
+    (2(a+1)^2 - n)/(8n), which makes (ST)^3 = S^2 hold on the nose.  Each
+    T_a is stored at its own order; their lcm is 4n for even n and 8n for
+    odd n.  ModularData proves the phase relation in the field of S by
+    Phi_L(z) = Phi_B(z^R): at k = 16, L = 72 and B = 36, so it computes at
+    phi(36) = 12 rather than phi(144) = 48.  At odd n, L = B = 8n.
     """
     if k < 1:
         raise ValueError("level must be >= 1")
@@ -284,7 +332,11 @@ def su2_modular_data(k: int) -> ModularData:
                 sines[key] = (pref * sin_frac(key, 2 * n)).normalized()
             row.append(sines[key])
         S.append(row)
-    T = [zeta(8 * n, (2 * (a + 1) ** 2 - n) % (8 * n)) for a in range(k + 1)]
+    T = []
+    for a in range(k + 1):
+        e = (2 * (a + 1) ** 2 - n) % (8 * n)
+        g = gcd(e, 8 * n)
+        T.append(zeta(8 * n // g, e // g).normalized())
     return ModularData(tuple(range(k + 1)), S, T)
 
 

@@ -32,6 +32,8 @@ from verlkit.cyclo import (
     _real_cyclotomic_poly,
     _real_enclosure,
     _reduce_int_vec,
+    _root_exponent,
+    _rotate,
     _times,
     _unkey,
     _unpack,
@@ -130,10 +132,15 @@ def test_real_embed_precision():
         assert abs(delta) < mpmath.mpf("1e-30")
 
 
+def test_real_embed_keeps_a_higher_caller_precision():
+    with mpmath.workdps(200):
+        delta = real_embed(sqrt_int(2)) - mpmath.sqrt(2)
+        assert abs(delta) < mpmath.mpf("1e-190")
+
+
 def test_real_enclosure_contains_the_embedding():
-    # x = a + conj(a) is real.  Its embedding is summed here at 120 digits:
-    # real_embed fixes its own precision near 45 digits, too coarse for an
-    # enclosure of width 2 sum |c_t| units of 2^-256.
+    # x = a + conj(a) is real.  Its embedding is summed here at 120 digits,
+    # fine enough for an enclosure of width 2 sum |c_t| units of 2^-256.
     rng = random.Random(14)
     for n in range(1, 241):
         a = CycNumber(n, [rng.randint(-10**6, 10**6) for _ in range(n)], rng.randint(1, 50))
@@ -296,6 +303,45 @@ def test_cross_order_equality():
     assert zeta(4) == zeta(8, 2)
     assert zeta(3) + zeta(3, 2) == rational(-1)
     assert hash(zeta(4)) == hash(zeta(8, 2))
+
+
+def test_normal_forms_at_different_orders_compare_without_a_lift(monkeypatch):
+    a, b = zeta(3).normalized(), zeta(12, 4).normalized()
+    assert a == b and a.order == b.order == 3
+
+    def no_lift(self, order):
+        raise AssertionError("lifted")
+
+    monkeypatch.setattr(CycNumber, "_lift", no_lift)
+    assert zeta(4).normalized() != zeta(3).normalized()
+    assert zeta(8).normalized() != rational(1).normalized()
+
+
+def test_root_exponent_reads_every_root_of_unity_off_the_power_table():
+    for n in range(1, 61):
+        for e in range(n):
+            x = zeta(n, e)
+            order, k = _root_exponent(x)
+            assert zeta(order, k) == x and x.normalized().order in (order, order // 2)
+            assert _root_exponent(-x) is not None
+    assert _root_exponent(-zeta(3)) == (6, 5)
+    assert _root_exponent(rational(-1)) == (2, 1)
+    for x in (rational(2), zeta(5) / 2, 1 + zeta(5), (3 + 4 * zeta(4)) / 5, rational(0)):
+        assert _root_exponent(x) is None
+
+
+def test_rotate_is_a_product_with_a_root_of_unity():
+    rng = random.Random(15)
+    for _ in range(200):
+        o = rng.choice((1, 3, 4, 5, 8, 12))
+        n = o * rng.choice((1, 2, 3, 6))
+        x = CycNumber(o, [rng.randint(-9, 9) for _ in range(o)], rng.randint(1, 5))
+        q = rng.randrange(n)
+        assert _rotate(x, q, n) == zeta(n, q) * x
+        assert _rotate(x, q, n, conj=True) == zeta(n, q) * x.conjugate()
+        assert _rotate(x, q, n).order == n
+    with pytest.raises(ValueError):
+        _rotate(zeta(5), 1, 12)
 
 
 def test_arith_dispatch():

@@ -21,6 +21,7 @@ the acceptance suite reports the closed-form comparison.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 from types import SimpleNamespace
@@ -54,6 +55,7 @@ from verlkit.modinv import ade_graph, nimrep_from_graph
 from verlkit.repring import quaternion_group
 
 MAX_LEVEL = 16
+_ONE, _ZERO = rational(1), rational(0)
 
 
 @pytest.fixture(scope="module")
@@ -342,6 +344,148 @@ def test_modular_data_validation():
     with pytest.raises(ModularCheckFailure):
         # unimodular but wrong phase breaks (ST)^3 = S^2
         ModularData(md.labels, md.S, [md.T[0] * zeta(3, 1), md.T[1]])
+
+
+def _oracle_phase_holds(S, T):
+    """TST = S T^-1 S* at the full order of T: each T_i S_ij T_j against
+    the product S (T^-1 S*), entry by entry (the check before it moved to
+    the field of S)."""
+    m = len(S)
+    lhs = [[T[i] * S[i][j] * T[j] for j in range(m)] for i in range(m)]
+    X = [[T[i].conjugate() * S[i][j].conjugate() for j in range(m)] for i in range(m)]
+    rhs = cyclo._mat_mul(S, X)
+    return all(lhs[i][j] == rhs[i][j] for i in range(m) for j in range(m))
+
+
+def _oracle_valid(S, T):
+    """Every relation ModularData checks, each by its defining product."""
+    m = len(S)
+    if any(t * t.conjugate() != 1 for t in T):
+        return False
+    if any(S[i][j] != S[j][i] for i in range(m) for j in range(i)):
+        return False
+    Sc = [[e.conjugate() for e in row] for row in S]
+    P, Q = cyclo._mat_mul(S, Sc), cyclo._mat_mul(S, S)
+    if any(P[i][j] != (1 if i == j else 0) for i in range(m) for j in range(m)):
+        return False
+    ones = [[j for j in range(m) if Q[i][j] != 0] for i in range(m)]
+    if any(len(js) != 1 or Q[i][js[0]] != 1 for i, js in enumerate(ones)):
+        return False
+    perm = [js[0] for js in ones]
+    return all(perm[perm[i]] == i for i in range(m)) and _oracle_phase_holds(S, T)
+
+
+def _verdict(S, T):
+    try:
+        ModularData(tuple(range(len(S))), S, T)
+    except ModularCheckFailure:
+        return False
+    return True
+
+
+def _phase_verdict(S, T):
+    return fusion._phase_holds(S, [cyclo._root_exponent(t) for t in T])
+
+
+def _library_data():
+    out = [su2_modular_data(k) for k in range(1, 17)]
+    out += [double_abelian(G)[0] for G in (2, 3, 4, (2, 2), 5)]
+    out += [level1_data(name)[0] for name in ("SU3", "Sp4")]
+    return out
+
+
+def test_phase_check_agrees_with_the_full_order_product_on_library_data():
+    for md in _library_data():
+        assert _oracle_valid(md.S, md.T)
+        assert _phase_verdict(md.S, md.T) and _verdict(md.S, md.T)
+
+
+def _perturbations(rng, count):
+    """Seeded edits of small library data: one T entry times zeta_m^j, two
+    T entries swapped, or one symmetric pair of S entries rotated."""
+    bases = [su2_modular_data(k) for k in range(1, 9)]
+    bases += [double_abelian(G)[0] for G in (2, 3)] + [level1_data("SU3")[0], level1_data("Sp4")[0]]
+    for _ in range(count):
+        md = rng.choice(bases)
+        S, T = [list(row) for row in md.S], list(md.T)
+        m = len(T)
+        kind = rng.choice(("phase", "swap", "rotate"))
+        if kind == "phase":
+            mm = rng.choice((2, 3, 4, 5, 8, 12, 16, 24))
+            i = rng.randrange(m)
+            T[i] = T[i] * zeta(mm, rng.randrange(1, mm))
+        elif kind == "swap":
+            i, j = rng.sample(range(m), 2)
+            T[i], T[j] = T[j], T[i]
+        else:
+            mm = rng.choice((2, 3, 4, 8, 12))
+            i, j = rng.randrange(m), rng.randrange(m)
+            S[i][j] = S[i][j] * zeta(mm, rng.randrange(1, mm))
+            S[j][i] = S[i][j]
+        yield kind, S, T
+
+
+def test_phase_check_agrees_with_the_full_order_product_on_perturbations():
+    rng = random.Random(15)
+    seen = {"phase": [], "swap": [], "rotate": []}
+    for kind, S, T in _perturbations(rng, 120):
+        want = _oracle_phase_holds(S, T)
+        assert _phase_verdict(S, T) == want
+        assert _verdict(S, T) == _oracle_valid(S, T)
+        seen[kind].append(want)
+    # every kind occurs, and the sample holds both verdicts
+    assert all(seen.values())
+    verdicts = [v for vs in seen.values() for v in vs]
+    assert True in verdicts and False in verdicts
+
+
+def test_phase_check_agrees_with_the_full_order_product_off_unitary_s():
+    # for unitary S the classes other than s_ij vanish once class s_ij
+    # matches (the trace form is positive definite); for other S they are
+    # a check of their own, as at this first case of a seeded search
+    S, T = [[-zeta(4), _ONE], [_ONE, _ONE]], [-zeta(4), -zeta(8)]
+    assert not _oracle_phase_holds(S, T) and not _phase_verdict(S, T)
+    rng = random.Random(1)
+    vals = [_ZERO, _ONE, -_ONE, zeta(4), zeta(4, 3), rational(2), zeta(8), zeta(3)]
+    for _ in range(400):
+        a, b, c = (rng.choice(vals) for _ in range(3))
+        L = rng.choice((4, 8, 12, 16))
+        S, T = [[a, b], [b, c]], [zeta(L, rng.randrange(L)) for _ in range(2)]
+        assert _phase_verdict(S, T) == _oracle_phase_holds(S, T)
+
+
+def test_unimodular_t_entry_that_is_no_root_of_unity_is_rejected():
+    md = su2_modular_data(1)
+    u = (3 + 4 * zeta(4)) / 5
+    assert u * u.conjugate() == 1
+    with pytest.raises(ModularCheckFailure, match="roots of unity"):
+        ModularData(md.labels, md.S, [u, md.T[1]])
+
+
+def test_phase_check_never_computes_at_the_order_of_t(monkeypatch):
+    # at k = 16, T lives at order 8n = 144 and S at 36: the check splits
+    # over the relative power basis and folds only at the order of S
+    md = su2_modular_data(16)
+    fold, orders = cyclo._fold, Counter()
+
+    def counting_fold(prod, width, cond):
+        orders[cond.n] += 1
+        return fold(prod, width, cond)
+
+    monkeypatch.setattr(cyclo, "_fold", counting_fold)
+    ModularData(md.labels, md.S, md.T)
+    assert orders and 144 not in orders
+    assert max(orders) == 36
+
+
+def test_su2_t_entries_are_stored_at_their_own_order():
+    for k in range(1, 17):
+        n = k + 2
+        md = su2_modular_data(k)
+        for a, t in enumerate(md.T):
+            full = zeta(8 * n, (2 * (a + 1) ** 2 - n) % (8 * n))
+            assert t == full and hash(t) == hash(full)
+            assert t.order == t.normalized().order
 
 
 def test_fusion_ring_validation():

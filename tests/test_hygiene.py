@@ -5,8 +5,11 @@ that only tests call is dead), no private top-level function or class is defined
 modules, no check is a bare `assert`, which `python -O` strips, no
 decision rests on mpmath's floating-point linear algebra, no module
 imports mpmath when it is imported (only `cyclo.real_embed` loads it, on
-its first call), and every module states its public names in a literal
-__all__ that lists every public top-level function and class it defines."""
+its first call), no module but `cyclo` imports or calls the coordinate
+internals `_lift`, `_raw`, `_cond` and `_substitute` (exponent lookups and
+rotations stay behind `cyclo`'s helpers), and every module states its
+public names in a literal __all__ that lists every public top-level
+function and class it defines."""
 
 import ast
 import os
@@ -155,6 +158,28 @@ print(float(real_embed(sqrt_int(2)).real) == 2 ** 0.5)
         text=True, timeout=120, check=True,
     )
     assert out.stdout.split() == ["False", "True"]
+
+
+CYCLO_INTERNALS = {"_lift", "_raw", "_cond", "_substitute"}
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "cyclo.py"], ids=lambda p: p.name
+)
+def test_cyclo_coordinate_internals_stay_in_cyclo(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = [
+        (n.lineno, name)
+        for n in ast.walk(tree)
+        for name in (
+            [a.name for a in n.names] if isinstance(n, ast.ImportFrom)
+            else [n.attr] if isinstance(n, ast.Attribute)
+            else [n.id] if isinstance(n, ast.Name)
+            else []
+        )
+        if name in CYCLO_INTERNALS
+    ]
+    assert used == []
 
 
 def _top_level_names(tree):
