@@ -18,26 +18,31 @@ Inversion and descent walk the Galois tower by integer substitutions:
 `_descend` reads the coordinates of a value in Q(zeta_(N/p)) off its power
 basis, and `inverse` multiplies by the conjugates over each subfield in
 turn until the relative norm is rational (Itoh-Tsujii).
-Matrices go to integer coordinates at one order L (`_coordinates`), so
-`_coordinate_matrices` callers test linear identities over Z, or to keys
-(L, d, flat) (`_key`): d * M row-major at L, gcd(d, *flat) = 1 and d > 0,
-canonical at each L and hashable.  `_mat_mul` wraps the key -> key step of
-`_times(B)`: each entry is a sum of m packed products folded modulo Phi_L
-once, m^2 reductions, not m^3.  The slot width bounds
-m * phi(L) * max|a| * max|b| * (1 + phi(L) * max reduced-power entry).
+Matrices have one coordinate format, the key (L, d, flat) of `_key`: flat
+holds d * M row-major at the lcm order L of the entries, phi(L) integers
+per entry, with gcd(d, *flat) = 1 and d > 0, so a key is canonical at each
+L and hashable.  Coordinate t of every entry, row-major, is flat[t::phi];
+the zeta_L^t, t < phi(L), are independent over Q, so a linear identity
+over Q holds exactly when it holds on every such slice.  `_times(B)`
+prepares B for the key -> key product `step`: each entry is a sum of m
+packed products folded modulo Phi_L once, m^2 reductions, not m^3.  The
+slot width bounds m * phi(L) * max|a| * max|b| * (1 + phi(L) * max
+reduced-power entry).  `_mat_mul` and `_unkey` give CycNumbers back.
 Roots of unity are exponents: `_root_exponent` finds x = zeta_n^e by one
-lookup in the power table, and `_rotate` writes zeta_n^q * x (or times
-conj(x)) by substituting into the rows, with no product.  With them
-`fusion.ModularData` checks (ST)^3 = S^2 in Q(zeta_B), the field of S:
-when every prime of R = L/B divides B, Phi_L(z) = Phi_B(z^R) (Washington,
-Introduction to Cyclotomic Fields, ch. 2), so zeta_L^0, ..., zeta_L^(R-1)
-are a basis of Q(zeta_L) over Q(zeta_B), and the coordinates on it of a
-canonical vector at L are its stride-R slices, as in `_descend` for p | d.
+lookup in the power table, and `_rotate` writes the vector of zeta_N^q * x
+by substituting into the rows, with no product.  With them
+`fusion.ModularData` checks (ST)^3 = S^2 on keys in Q(zeta_B), the field
+of S: when every prime of R = L/B divides B, Phi_L(z) = Phi_B(z^R)
+(Washington, Introduction to Cyclotomic Fields, ch. 2), so zeta_L^0, ...,
+zeta_L^(R-1) are a basis of Q(zeta_L) over Q(zeta_B), and the coordinates
+on it of a canonical vector at L are its stride-R slices, as in `_descend`
+for p | d.
 Real values are bounded with integers alone: `_real_enclosure` writes
 den * x = sum_t c_t cos(2 pi t / N) and sums a fixed-point cosine table
 (`_cos_table`: Machin's pi and Taylor series in integers, each entry
 within 1 of 2^bits cos(2 pi t / N)) into integers lo <= 2^bits den x <= hi.
-Only `real_embed` uses mpmath, and imports it on its first call.
+Only `real_embed` uses mpmath, an optional dependency (the `embed` extra),
+and imports it on its first call.
 """
 
 from __future__ import annotations
@@ -48,8 +53,6 @@ from functools import lru_cache, reduce
 from itertools import chain
 from math import comb, gcd, lcm
 from operator import mul
-
-from .exactla import IntMatrix
 
 __all__ = [
     "CycNumber",
@@ -652,42 +655,27 @@ def _root_exponent(x):
     return None
 
 
-def _rotate(x, q: int, n: int, conj: bool = False) -> CycNumber:
-    """zeta_n^q * x, or zeta_n^q * conj(x), for x at an order dividing n:
-    one substitution into the power table of n, with no multiplication."""
-    x = _coerce(x)
-    if n % x.order:
+def _rotate(vec, q: int, n: int, N: int):
+    """Canonical vector at order N of zeta_N^q * x, for x with the canonical
+    vector `vec` at an order n dividing N: one substitution into the power
+    table of N, with no multiplication."""
+    if N % n:
         raise ValueError("can only rotate at a multiple of the order")
-    k = n // x.order
-    return _raw(n, _substitute(x.num, -k if conj else k, _cond(n), q), x.den)
-
-
-def _coordinates(mats, shared: bool, order: int = 1):
-    """Entries of cyclotomic matrices at one order, over one denominator.
-
-    Returns (L, [(d, rows), ...]): rows[i][j] is M[i][j] lifted to the lcm
-    order L of `order` and every entry, so d * M[i][j] = (d // e.den) *
-    sum_t e.num[t] zeta_L^t for e = rows[i][j], with d one denominator per
-    matrix (one for all when `shared`).  Modular data share entry objects
-    (S = S^t, repeated sines), so each distinct object is lifted once.
-    """
-    mats = [[[_coerce(e) for e in row] for row in M] for M in mats]
-    cells = {id(e): e for M in mats for row in M for e in row}
-    L = lcm(order, *(e.order for e in cells.values()))
-    cells = {k: e._lift(L) for k, e in cells.items()}
-    rows = [[[cells[id(e)] for e in row] for row in M] for M in mats]
-    dens = [lcm(*(e.den for row in M for e in row)) for M in rows]
-    if shared:
-        dens = [lcm(*dens)] * len(mats)
-    return L, list(zip(dens, rows))
+    return _substitute(vec, N // n, _cond(N), q)
 
 
 def _key(M, order: int = 1):
     """(L, d, flat) for a matrix M of CycNumbers at L, the lcm of `order` and
-    the entry orders: flat holds d * M row-major, gcd(d, *flat) = 1."""
-    L, ((d, rows),) = _coordinates((M,), shared=False, order=order)
-    nums = (e.num if e.den == d else [c * (d // e.den) for c in e.num] for row in rows for e in row)
-    return L, d, tuple(chain.from_iterable(nums))
+    the entry orders: flat holds d * M row-major, gcd(d, *flat) = 1.  Modular
+    data share entry objects (S = S^t, repeated sines), so each distinct
+    object is lifted and scaled once."""
+    M = [[_coerce(e) for e in row] for row in M]
+    cells = {id(e): e for row in M for e in row}
+    L = lcm(order, *(e.order for e in cells.values()))
+    cells = {k: e._lift(L) for k, e in cells.items()}
+    d = lcm(*(e.den for e in cells.values()))
+    nums = {k: e.num if e.den == d else [c * (d // e.den) for c in e.num] for k, e in cells.items()}
+    return L, d, tuple(chain.from_iterable(nums[id(e)] for row in M for e in row))
 
 
 def _unkey(key, cols: int):
@@ -725,7 +713,7 @@ def _times(B):
             pk = [_pack(fb[i : i + phi], width) for i in range(0, len(fb), phi)]
             packed[width] = [pk[j::p] for j in range(p)]
         ra = [_pack(fa[i : i + phi], width) for i in range(0, len(fa), phi)]
-        out = [c for i in range(0, len(ra), m) for cb in packed[width]
+        out = [c for i in range(0, len(ra), m or 1) for cb in packed[width]
                for c in _fold(sum(map(mul, ra[i : i + m], cb)), width, cond)]
         d *= dB
         g = gcd(d, *out)
@@ -745,22 +733,6 @@ def _times(B):
 def _mat_mul(A, B):
     """Product of two matrices of CycNumbers, given as row sequences."""
     return _times(B)(A)
-
-
-def _coordinate_matrices(*mats):
-    """Per matrix M, the IntMatrices M_t with d * M = sum_t M_t * zeta_L^t,
-    with L and d shared by every matrix.  The zeta_L^t, t < phi(L), are
-    independent over Q, so a linear identity with rational coefficients
-    between these matrices holds exactly when it holds for every t.
-    """
-    L, coords = _coordinates(mats, shared=True)
-    return [
-        [
-            IntMatrix.from_rows([[e.num[t] * (d // e.den) for e in row] for row in rows])
-            for t in range(_cond(L).phi)
-        ]
-        for d, rows in coords
-    ]
 
 
 # -- spec operation wrappers -----------------------------------------------------
@@ -879,7 +851,10 @@ def real_embed(a: CycNumber):
     library decision reads this value (`_real_enclosure` gives certified
     integer bounds instead).
     """
-    import mpmath
+    try:
+        import mpmath
+    except ImportError as err:
+        raise ImportError("real_embed needs mpmath: install verlkit[embed]") from err
 
     size = max((abs(c) for c in a.num), default=0) + a.den
     extra = len(str(size))

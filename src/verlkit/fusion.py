@@ -11,8 +11,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .cyclo import (
-    DivisionByZero, _coerce, _mat_mul, _pack, _prime_factors, _root_exponent, _rotate, _width,
-    rational, sin_frac, sqrt_int, zeta,
+    DivisionByZero, _key, _mat_mul, _pack, _prime_factors, _root_exponent, _rotate, _times,
+    _width, rational, sin_frac, sqrt_int, zeta,
 )
 from .exactla import FGAbelianGroup, IntMatrix, _cayley_invariants, cokernel
 
@@ -58,24 +58,16 @@ _ONE = rational(1)
 _ZERO = rational(0)
 
 
-def _as_permutation(Q):
-    # rows of an exact permutation matrix: one entry 1, the rest 0
-    m = len(Q)
-    perm = []
-    for i in range(m):
-        hit = None
-        for j in range(m):
-            e = Q[i][j]
-            if e == _ZERO:
-                continue
-            if e == _ONE and hit is None:
-                hit = j
-            else:
-                return None
-        if hit is None:
-            return None
-        perm.append(hit)
-    return tuple(perm)
+def _as_permutation(key, m: int):
+    """The permutation of an m x m permutation matrix given by its key, or
+    None for any other matrix.  Coordinate 0 of each row must hold a 1; with
+    d = 1 and m as the sum of all |flat|, every other coordinate is 0."""
+    _, d, flat = key
+    phi = len(flat) // (m * m or 1)
+    rows = [flat[i * m * phi:(i + 1) * m * phi:phi] for i in range(m)]
+    if d != 1 or sum(map(abs, flat)) != m or any(1 not in row for row in rows):
+        return None
+    return tuple(row.index(1) for row in rows)
 
 
 class ModularData:
@@ -85,10 +77,11 @@ class ModularData:
     (ST)^3 = S^2 with S^2 a permutation squaring to the identity.  The
     relations are verified exactly on construction; the permutation is
     stored as `charge_conjugation`.  A T entry that is not a root of unity
-    raises ModularCheckFailure.  The phase relation is proved in Q(zeta_B),
-    the field of S, over the relative power basis of the field of T
-    (`_phase_holds`): Phi_L(z) = Phi_B(z^R) splits each entry of
-    (ST)^3 = S^2 into R = L/B identities at order B.
+    raises ModularCheckFailure.  Every check compares keys (`cyclo._key`):
+    S S and S S* are key products of S's key, and the phase relation is
+    proved in Q(zeta_B), the field of S, over the relative power basis of
+    the field of T (`_phase_holds`): Phi_L(z) = Phi_B(z^R) splits each
+    entry of (ST)^3 = S^2 into R = L/B identities at order B.
     """
 
     __slots__ = ("labels", "S", "T", "charge_conjugation")
@@ -108,29 +101,25 @@ class ModularData:
                 if S[i][j] != S[j][i]:
                     raise ModularCheckFailure("S is not symmetric")
         cells = {id(e): e for row in S for e in row}  # entries are often shared
-        is_real = all(e.conjugate() == e for e in cells.values())
-        if is_real:
+        kS = _key(S)
+        if all(e.conjugate() == e for e in cells.values()):
             # real symmetric: unitarity forces S^2 = 1, one product does both
-            Q = _mat_mul(S, S)
-            perm = _as_permutation(Q)
+            Sc = S
+            perm = _as_permutation(_times(S).step(kS), m)
             if perm != tuple(range(m)):
                 raise ModularCheckFailure("real S must square to the identity")
         else:
             Sc = [[e.conjugate() for e in row] for row in S]
-            P = _mat_mul(S, Sc)
-            for i in range(m):
-                for j in range(m):
-                    if P[i][j] != (_ONE if i == j else _ZERO):
-                        raise ModularCheckFailure("S is not unitary")
-            Q = _mat_mul(S, S)
-            perm = _as_permutation(Q)
+            if _as_permutation(_times(Sc).step(kS), m) != tuple(range(m)):
+                raise ModularCheckFailure("S is not unitary")
+            perm = _as_permutation(_times(S).step(kS), m)
             if perm is None:
                 raise ModularCheckFailure("S^2 is not a permutation")
             for i in range(m):
                 if perm[perm[i]] != i:
                     raise ModularCheckFailure("charge conjugation must square to 1")
         # with S^{-1} = S*, (ST)^3 = S^2 is equivalent to TST = S T^-1 S*
-        if not _phase_holds(S, roots):
+        if not _phase_holds(kS, Sc, roots):
             raise ModularCheckFailure("(ST)^3 = S^2 fails")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "S", S)
@@ -144,48 +133,55 @@ class ModularData:
         return "ModularData(%d primaries)" % len(self.labels)
 
 
-def _phase_holds(S, roots) -> bool:
-    """Whether TST = S T^-1 S* for T_k = zeta_n^e, (n, e) = roots[k].
+def _phase_holds(kS, Sc, roots) -> bool:
+    """Whether TST = S T^-1 S* for T_k = zeta_n^e, (n, e) = roots[k], with S
+    given by its key kS and S* by its rows Sc.
 
-    Let L = lcm(the orders of the S entries, the n), B = lcm(the orders
-    of the S entries, rad L) and R = L / B.  Every prime of R divides B, so
-    Phi_L(z) = Phi_B(z^R) (Washington, Introduction to Cyclotomic Fields,
-    ch. 2) and zeta_L^0, ..., zeta_L^(R-1) are a basis of Q(zeta_L) over
-    Q(zeta_B).  Write T_k = zeta_L^(e_k), -e_k = R q_k + s_k and
-    e_i + e_j = R q_ij + s_ij mod L.  Entry (i, j) of the relation reads
+    Let L = lcm(the order of kS, the n), B = lcm(the order of kS, rad L)
+    and R = L / B.  Every prime of R divides B, so Phi_L(z) = Phi_B(z^R)
+    (Washington, Introduction to Cyclotomic Fields, ch. 2) and
+    zeta_L^0, ..., zeta_L^(R-1) are a basis of Q(zeta_L) over Q(zeta_B).
+    Write T_k = zeta_L^(e_k), -e_k = R q_k + s_k and e_i + e_j = R q_ij + s_ij
+    mod L.  Entry (i, j) of the relation reads
     sum_s zeta_L^s P_s[i][j] = zeta_L^(s_ij) zeta_B^(q_ij) S_ij, with
     P_s = S[:, C_s] diag(zeta_B^(q_k)) S*[C_s, :] over C_s = {k : s_k = s}.
     Both sides have coordinates in Q(zeta_B), so it holds exactly when P_s
-    is zeta_B^(q_ij) S_ij where s_ij = s and 0 elsewhere: one product at
-    order B per class, with inner dimensions summing to m, and every
-    zeta_B^q factor a rotation of the power table of B.
+    is zeta_B^(q_ij) S_ij where s_ij = s and 0 elsewhere: one key product at
+    order B per class, with inner dimensions summing to m.  The left factors
+    and the right-hand sides are slices of kS rotated by zeta_B^q, and each
+    entry of a class product is compared with them as integer vectors.
     """
-    S = [[_coerce(x) for x in row] for row in S]
-    m = len(S)
-    orders = [x.order for row in S for x in row]
-    L = lcm(*orders, *(n for n, _ in roots))
-    B = lcm(*orders, *_prime_factors(L))
+    n, d, flat = kS
+    m = len(roots)
+    f = len(flat) // (m * m or 1)
+    L = lcm(n, *(r for r, _ in roots))
+    B = lcm(n, *_prime_factors(L))
     R = L // B
-    e = [r * (L // n) for n, r in roots]
+    e = [r * (L // nr) for nr, r in roots]
+
+    def entry(i, j, q):  # zeta_B^q S_ij, at order B, over d
+        return _rotate(flat[(i * m + j) * f:(i * m + j + 1) * f], q, n, B)
+
     classes = {}
     for k in range(m):
         q, s = divmod(-e[k] % L, R)
         classes.setdefault(s, []).append((k, q))
-    P = {
-        s: _mat_mul(
-            [[row[k] for k, _ in ks] for row in S],
-            [[_rotate(x, q, B, conj=True) for x in S[k]] for k, q in ks],
-        )
-        for s, ks in classes.items()
-    }
+    P = {}
+    for s, ks in classes.items():
+        left = tuple(c for i in range(m) for k, q in ks for c in entry(i, k, q))
+        P[s] = _times([Sc[k] for k, _ in ks]).step((B, d, left))
     for i in range(m):
         for j in range(m):
             q, s = divmod((e[i] + e[j]) % L, R)
-            want = _rotate(S[i][j], q, B)
-            if s not in P and not want.is_zero():
+            want = entry(i, j, q)
+            g = len(want)
+            if s not in P and any(want):
                 return False
-            for t, Pt in P.items():
-                if Pt[i][j] != want if t == s else not Pt[i][j].is_zero():
+            for t, (_, dP, fP) in P.items():
+                got = fP[(i * m + j) * g:(i * m + j + 1) * g]
+                if t != s and any(got):
+                    return False
+                if t == s and [c * d for c in got] != [c * dP for c in want]:
                     return False
     return True
 

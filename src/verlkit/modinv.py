@@ -37,7 +37,7 @@ from itertools import product
 from math import gcd, lcm
 
 from .cyclo import (
-    CycNumber, _coordinate_matrices, _poly_divexact, _real_cyclotomic_poly, _real_enclosure,
+    CycNumber, _key, _pack, _poly_divexact, _real_cyclotomic_poly, _real_enclosure, _width,
 )
 from .exactla import IntMatrix, _closure, _row_hermite, kernel_basis
 from .fusion import (
@@ -300,16 +300,24 @@ def _t_failure(X, TA, TB):
 
 def _intertwiner_failure(X, A, B):
     """First (i, j), row-major, where the integer X and cyclotomic A, B give
-    X B != A X, or None; tested as X B_t = A_t X on every coordinate t."""
-    Xm = IntMatrix.from_rows(X)
-    As, Bs = _coordinate_matrices(A, B)
-    bad = [
-        k
-        for At, Bt in zip(As, Bs)
-        for k, (u, v) in enumerate(zip((Xm * Bt).data, (At * Xm).data))
-        if u != v
-    ]
-    return divmod(min(bad), Bs[0].cols) if bad else None
+    X B != A X, or None.  A and B are keyed together, at one order L over
+    one denominator d, so X B = A X holds exactly when X B_t = A_t X for the
+    coordinate slices d B = sum_t B_t zeta_L^t, d A = sum_t A_t zeta_L^t.
+    Each entry's phi(L) coordinates are packed into one integer, in slots
+    wide enough for either side, so one integer compare tests every t."""
+    r, c = len(A), len(B)
+    _, _, flat = _key(tuple(A) + tuple(B))
+    phi = len(flat) // (r * r + c * c or 1)
+    rows, cols = ([[(k, x) for k, x in enumerate(v) if x] for v in M] for M in (X, zip(*X)))
+    width = _width(sum(abs(x) for row in X for x in row) * max(map(abs, flat), default=0))
+    cells = [_pack(flat[u * phi:(u + 1) * phi], width) for u in range(r * r + c * c)]
+    pa, pb = cells[:r * r], cells[r * r:]
+    for i in range(r):
+        for j in range(c):
+            xb = sum(x * pb[k * c + j] for k, x in rows[i])
+            if xb != sum(pa[i * r + k] * x for k, x in cols[j]):
+                return i, j
+    return None
 
 
 def check_invariant(Z, data) -> CheckReport:
@@ -383,8 +391,9 @@ def _floor_exact(x: CycNumber) -> int:
 def _commutant_rows(S, positions):
     """Primitive integer rows of the system ZS = SZ, Z unknown at `positions`.
 
-    In coordinate t of `_intertwiner_failure`'s identities, entry (i, j) of
-    Z S_t - S_t Z gives Z[p][q] the coefficient [p = i] S_t[q][j] - [q = j] S_t[i][p].
+    In coordinate t of `_intertwiner_failure`'s identities, the slice S_t =
+    flat[t::phi] of S's key, entry (i, j) of Z S_t - S_t Z gives Z[p][q] the
+    coefficient [p = i] S_t[q][j] - [q = j] S_t[i][p].
     """
     m = len(S)
     by_row = defaultdict(list)
@@ -392,17 +401,18 @@ def _commutant_rows(S, positions):
     for u, (p, q) in enumerate(positions):
         by_row[p].append((u, q))
         by_col[q].append((u, p))
-    (coords,) = _coordinate_matrices(S)
+    _, _, flat = _key(S)
+    phi = len(flat) // (m * m)
     rows = set()
-    for St in coords:
-        s = St.to_lists()
+    for t in range(phi):
+        s = flat[t::phi]
         for i in range(m):
             for j in range(m):
                 row = [0] * len(positions)
                 for u, q in by_row[i]:
-                    row[u] += s[q][j]
+                    row[u] += s[q * m + j]
                 for u, p in by_col[j]:
-                    row[u] -= s[i][p]
+                    row[u] -= s[i * m + p]
                 g = gcd(*row)
                 if g:
                     if next(c for c in row if c) < 0:

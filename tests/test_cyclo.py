@@ -22,7 +22,6 @@ from verlkit.cyclo import (
     CycNumber,
     DivisionByZero,
     _cond,
-    _coordinate_matrices,
     _cos_table,
     _fold,
     _key,
@@ -337,11 +336,11 @@ def test_rotate_is_a_product_with_a_root_of_unity():
         n = o * rng.choice((1, 2, 3, 6))
         x = CycNumber(o, [rng.randint(-9, 9) for _ in range(o)], rng.randint(1, 5))
         q = rng.randrange(n)
-        assert _rotate(x, q, n) == zeta(n, q) * x
-        assert _rotate(x, q, n, conj=True) == zeta(n, q) * x.conjugate()
-        assert _rotate(x, q, n).order == n
+        vec = _rotate(x.num, q, o, n)
+        assert len(vec) == _cond(n).phi
+        assert CycNumber(n, vec, x.den) == zeta(n, q) * x
     with pytest.raises(ValueError):
-        _rotate(zeta(5), 1, 12)
+        _rotate(zeta(5).num, 1, 5, 12)
 
 
 def test_arith_dispatch():
@@ -368,6 +367,7 @@ def test_rational_values_hash_like_int_and_fraction():
 
 
 def test_coordinate_matrices_rebuild_every_entry_at_one_order_and_scale():
+    # coordinate t of every entry of a key, row-major, is flat[t::phi]
     rng = random.Random(7)
     mats = [
         [[CycNumber(n, [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)])
@@ -375,21 +375,24 @@ def test_coordinate_matrices_rebuild_every_entry_at_one_order_and_scale():
         for n, rows, cols in ((5, 2, 3), (12, 3, 3), (8, 1, 2))
     ]
     mats.append([[1, Fraction(-3, 2)], [zeta(4), rational(0)]])
-    coords = _coordinate_matrices(*mats)
     L = lcm(5, 12, 8, 4)
-    scales = set()
-    for M, Ms in zip(mats, coords):
-        assert len(Ms) == _cond(L).phi
+    for M in mats:
+        order, d, flat = _key(M, L)
+        cols = len(M[0])
+        phi = len(flat) // (len(M) * cols)
+        assert order == L and phi == _cond(L).phi
+        Ms = [flat[t::phi] for t in range(phi)]
+        scales = set()
         for i, row in enumerate(M):
             for j, e in enumerate(row):
-                rebuilt = sum((zeta(L, t) * Mt[i, j] for t, Mt in enumerate(Ms)), rational(0))
+                rebuilt = sum((zeta(L, t) * Mt[i * cols + j] for t, Mt in enumerate(Ms)), rational(0))
                 if e == 0:
                     assert rebuilt == 0
                 else:
                     scales.add((rebuilt / e).normalized())
-    # one integer scale d for every entry of every matrix
-    (d,) = scales
-    assert d.as_int() >= 1
+        # one integer scale for every entry of the matrix: the key's d
+        (scale,) = scales
+        assert scale.as_int() == d >= 1
 
 
 def _mat_mul_reference(A, B):

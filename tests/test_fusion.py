@@ -300,8 +300,8 @@ def test_verlinde_failure_messages_name_the_first_bad_pair():
 
 def test_modular_checks_reduce_once_per_product_entry(monkeypatch):
     # a product that reduces every term modulo Phi_L unpacks m^3 times;
-    # the packed product unpacks twice per output entry
-    unpack, mat_mul = cyclo._unpack, fusion._mat_mul
+    # the packed key product unpacks twice per output entry
+    unpack, times = cyclo._unpack, fusion._times
     inside, per_product = [], []
 
     def counting_unpack(*args):
@@ -309,14 +309,19 @@ def test_modular_checks_reduce_once_per_product_entry(monkeypatch):
             inside[-1] += 1
         return unpack(*args)
 
-    def counting_mat_mul(A, B):
-        inside.append(0)
-        out = mat_mul(A, B)
-        per_product.append(inside.pop())
-        return out
+    def counting_times(B):
+        step = times(B).step
+
+        def counting_step(key):
+            inside.append(0)
+            out = step(key)
+            per_product.append(inside.pop())
+            return out
+
+        return SimpleNamespace(step=counting_step)
 
     monkeypatch.setattr(cyclo, "_unpack", counting_unpack)
-    monkeypatch.setattr(fusion, "_mat_mul", counting_mat_mul)
+    monkeypatch.setattr(fusion, "_times", counting_times)
     su2_modular_data(10)
     m = 11
     assert len(per_product) >= 2
@@ -384,7 +389,8 @@ def _verdict(S, T):
 
 
 def _phase_verdict(S, T):
-    return fusion._phase_holds(S, [cyclo._root_exponent(t) for t in T])
+    Sc = [[x.conjugate() for x in row] for row in S]
+    return fusion._phase_holds(cyclo._key(S), Sc, [cyclo._root_exponent(t) for t in T])
 
 
 def _library_data():
@@ -452,6 +458,25 @@ def test_phase_check_agrees_with_the_full_order_product_off_unitary_s():
         L = rng.choice((4, 8, 12, 16))
         S, T = [[a, b], [b, c]], [zeta(L, rng.randrange(L)) for _ in range(2)]
         assert _phase_verdict(S, T) == _oracle_phase_holds(S, T)
+
+
+def test_as_permutation_reads_only_permutation_matrices():
+    P = [[_ZERO, _ONE, _ZERO], [_ONE, _ZERO, _ZERO], [_ZERO, _ZERO, _ONE]]
+    assert fusion._as_permutation(cyclo._key(P), 3) == (1, 0, 2)
+    # a second 1, a root of unity, a half, an empty row, a 1 with an
+    # irrational part (coordinate 0 is still 1), and a -1
+    edits = [(0, 0, _ONE), (2, 1, zeta(4)), (1, 0, rational(Fraction(1, 2))),
+             (1, 0, _ZERO), (2, 2, 1 + zeta(3)), (0, 1, -_ONE)]
+    for i, j, x in edits:
+        Q = [list(row) for row in P]
+        Q[i][j] = x
+        assert fusion._as_permutation(cyclo._key(Q), 3) is None
+    assert fusion._as_permutation(cyclo._key([]), 0) == ()
+
+
+def test_empty_modular_data_are_accepted():
+    md = ModularData((), [], [])
+    assert md.labels == md.S == md.T == md.charge_conjugation == ()
 
 
 def test_unimodular_t_entry_that_is_no_root_of_unity_is_rejected():

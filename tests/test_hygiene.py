@@ -5,7 +5,9 @@ that only tests call is dead), no private top-level function or class is defined
 modules, no check is a bare `assert`, which `python -O` strips, no
 decision rests on mpmath's floating-point linear algebra, no module
 imports mpmath when it is imported (only `cyclo.real_embed` loads it, on
-its first call), no module but `cyclo` imports or calls the coordinate
+its first call, and without mpmath it raises an ImportError that names the
+`embed` extra), `cyclo`, the bottom layer, imports no other verlkit module,
+no module but `cyclo` imports or calls the coordinate
 internals `_lift`, `_raw`, `_cond` and `_substitute` (exponent lookups and
 rotations stay behind `cyclo`'s helpers), and every module states its
 public names in a literal __all__ that lists every public top-level
@@ -158,6 +160,37 @@ print(float(real_embed(sqrt_int(2)).real) == 2 ** 0.5)
         text=True, timeout=120, check=True,
     )
     assert out.stdout.split() == ["False", "True"]
+
+
+def test_real_embed_without_mpmath_names_the_extra():
+    script = """
+import sys
+sys.modules["mpmath"] = None
+from verlkit.cyclo import real_embed, sqrt_int
+from verlkit.modinv import enumerate_invariants
+print(len(enumerate_invariants(10)))
+try:
+    real_embed(sqrt_int(2))
+except ImportError as err:
+    print(err)
+"""
+    src = str(Path(verlkit.__file__).parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, timeout=120, check=True,
+    )
+    assert out.stdout.splitlines() == ["3", "real_embed needs mpmath: install verlkit[embed]"]
+
+
+def test_cyclo_imports_no_other_verlkit_module():
+    tree = ast.parse((Path(verlkit.__file__).parent / "cyclo.py").read_text())
+    found = [
+        n.lineno
+        for n in ast.walk(tree)
+        if isinstance(n, ast.ImportFrom) and (n.level or (n.module or "").startswith("verlkit"))
+        or isinstance(n, ast.Import) and any(a.name.startswith("verlkit") for a in n.names)
+    ]
+    assert found == []
 
 
 CYCLO_INTERNALS = {"_lift", "_raw", "_cond", "_substitute"}
