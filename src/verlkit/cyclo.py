@@ -24,10 +24,13 @@ per entry, with gcd(d, *flat) = 1 and d > 0, so a key is canonical at each
 L and hashable.  Coordinate t of every entry, row-major, is flat[t::phi];
 the zeta_L^t, t < phi(L), are independent over Q, so a linear identity
 over Q holds exactly when it holds on every such slice.  `_times(B)`
-prepares B for the key -> key product `step`: each entry is a sum of m
-packed products folded modulo Phi_L once, m^2 reductions, not m^3.  The
-slot width bounds m * phi(L) * max|a| * max|b| * (1 + phi(L) * max
-reduced-power entry).  `_mat_mul` and `_unkey` give CycNumbers back.
+prepares B for the key -> key product `step`: a table of the packed
+z^t * B_lj, t < phi(L), built once per order and slot width, so each
+product row is one sum of integer multiples of table rows, already
+reduced (the power-basis multiplication table; H. Cohen, A Course in
+Computational Algebraic Number Theory, ch. 4).  `_key_trace` and
+`_key_ints` read traces and integer entries off a key; `_mat_mul` and
+`_unkey` give CycNumbers back.
 Roots of unity are exponents: `_root_exponent` finds x = zeta_n^e by one
 lookup in the power table, and `_rotate` writes the vector of zeta_N^q * x
 by substituting into the rows, with no product.  With them
@@ -50,7 +53,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import chain
+from itertools import chain, compress
 from math import comb, gcd, lcm
 from operator import mul
 
@@ -226,7 +229,9 @@ def _width(bound: int) -> int:
     """Slot width in bits that holds signed values up to `bound`, with four
     bits to spare: 16, 32 or 64 when that fits, else a multiple of 64."""
     bits = bound.bit_length() + 4
-    return next((w for w in (16, 32, 64) if bits <= w), (bits + 63) // 64 * 64)
+    if bits > 64:
+        return (bits + 63) // 64 * 64
+    return 16 if bits <= 16 else 32 if bits <= 32 else 64
 
 
 def _fold(prod: int, width: int, cond: _CondData):
@@ -250,11 +255,17 @@ def _fold(prod: int, width: int, cond: _CondData):
 
 
 def _substitute(vec, k: int, cond: _CondData, shift: int = 0):
-    """Canonical vector of the sum of vec[i] * z^(shift + i*k), z = zeta_{cond.n}."""
-    out = [0] * cond.phi
+    """Canonical vector of the sum of vec[i] * z^(shift + i*k), z = zeta_{cond.n}.
+    An exponent e < phi has the unit row: its coefficient goes to out[e]."""
+    phi, n, rows = cond.phi, cond.n, cond.rows
+    out = [0] * phi
     for i, c in enumerate(vec):
         if c:
-            out = [o + c * r for o, r in zip(out, cond.rows[(shift + i * k) % cond.n])]
+            e = (shift + i * k) % n
+            if e < phi:
+                out[e] += c
+            else:
+                out = [o + c * r for o, r in zip(out, rows[e])]
     return out
 
 
@@ -686,10 +697,52 @@ def _unkey(key, cols: int):
     return tuple(tuple(ents[i : i + cols]) for i in range(0, len(ents), cols))
 
 
+def _rotations(vec, width: int, cond: _CondData):
+    """Biased little-endian bytes of z^t * v packed at `width`, t < phi, for
+    the canonical vector v: each is the one before shifted up a slot, its top
+    slot c folded back as c times the packed row of z^phi."""
+    phi, size = cond.phi, width >> 3
+    top_shift, bias = (phi - 1) * width, _bias(phi, width)
+    half, wrap = 1 << (width - 1), cond.packed_rows(width)[phi % cond.n]
+    x, out = _pack(vec, width), []
+    while True:
+        biased = x + bias
+        out.append(biased.to_bytes(phi * size, "little"))
+        if len(out) == phi:
+            return out
+        top = (biased >> top_shift) - half
+        x = ((x - (top << top_shift)) << width) + top * wrap
+
+
+def _key_trace(key, dim: int) -> CycNumber:
+    """The trace of the dim x dim matrix of a key: its diagonal coordinates
+    summed at the key's order, over its denominator."""
+    L, d, flat = key
+    phi = _cond(L).phi
+    return _raw(L, [sum(flat[t :: (dim + 1) * phi]) for t in range(phi)], d)
+
+
+def _key_ints(key, scale: int = 1):
+    """The entries of a key over `scale`, row-major, as integers; ValueError
+    when one is not rational or not an integer multiple of `scale`."""
+    L, d, flat = key
+    phi, scale = _cond(L).phi, scale * d
+    if any(map(any, (flat[t::phi] for t in range(1, phi)))):
+        raise ValueError("not rational")
+    bad = next((c for c in flat[::phi] if c % scale), None)
+    if bad is not None:
+        raise ValueError("not an integer: %s" % Fraction(bad, scale))
+    return [c // scale for c in flat[::phi]]
+
+
 def _times(B):
-    """M -> M * B for a matrix of CycNumbers B, given as rows; its `step` is
-    the product on keys.  B is keyed per order L and packed per slot width
-    when a left factor first needs it; one gcd reduces each product's key."""
+    """M -> M * B for a matrix of CycNumbers B (m x p), given as rows; its
+    `step` is the product on keys.  At each lcm order L and slot width, B is
+    tabulated once: row l * phi + t of the table packs z^t * B_lj, j < p,
+    side by side.  Row i of a product is one sum of the m * phi coordinates
+    of row i of the left key times the table rows, already reduced.  Every
+    coefficient of z^t * v is at most sum |v_i| * row_max, so the slots hold
+    m * phi * max|a| * max_lj(sum |B_lj|) * row_max.  One gcd reduces the key."""
     m, p = len(B), len(B[0]) if B else 0
     if any(len(row) != p for row in B):
         raise ValueError("matrix shapes do not match for a product")
@@ -698,23 +751,32 @@ def _times(B):
     def step(key):
         n, d, fa = key
         L = lcm(n, kB[0])
-        if L not in cache:
-            _, dB, fb = kB if L == kB[0] else _key(B, L)
-            cache[L] = dB, fb, max(map(abs, fb), default=0) or 1, {}
-        dB, fb, mb, packed = cache[L]
         cond = _cond(L)
         phi = cond.phi
+        if L not in cache:
+            _, dB, fb = kB if L == kB[0] else _key(B, L)
+            vecs = [fb[i : i + phi] for i in range(0, len(fb), phi)]
+            mb = max((sum(map(abs, v)) for v in vecs), default=0) * cond.row_max or 1
+            cache[L] = dB, vecs, mb, {}
+        dB, vecs, mb, tables = cache[L]
         if n != L:  # lift a key of lower order
             f, k = _cond(n).phi, L // n
             fa = [c for i in range(0, len(fa), f) for c in _substitute(fa[i : i + f], k, cond)]
-        ma = max(map(abs, fa), default=0) or 1
-        width = _width(m * phi * ma * mb * (1 + phi * cond.row_max))
-        if width not in packed:
-            pk = [_pack(fb[i : i + phi], width) for i in range(0, len(fb), phi)]
-            packed[width] = [pk[j::p] for j in range(p)]
-        ra = [_pack(fa[i : i + phi], width) for i in range(0, len(fa), phi)]
-        out = [c for i in range(0, len(ra), m or 1) for cb in packed[width]
-               for c in _fold(sum(map(mul, ra[i : i + m], cb)), width, cond)]
+        row = m * phi
+        width = _width(row * (max(map(abs, fa), default=0) or 1) * mb)
+        if width not in tables:
+            rots = {v: _rotations(v, width, cond) for v in set(vecs)}
+            bias = _bias(p * phi, width)
+            tables[width] = [
+                int.from_bytes(b"".join(col), "little") - bias
+                for i in range(0, m * p, p or 1)
+                for col in zip(*[rots[v] for v in vecs[i : i + p]])
+            ]
+        table, out = tables[width], []
+        for i in range(0, len(fa), row or 1):
+            coords = fa[i : i + row]  # zero coordinates are skipped
+            total = sum(map(mul, compress(coords, coords), compress(table, coords)))
+            out += _unpack(total, p * phi, width)
         d *= dB
         g = gcd(d, *out)
         if g > 1:

@@ -9,10 +9,13 @@ graph; a failed check on any edge means the generator images do not
 define a homomorphism, so construction aborts or, for a sign tuple, no
 grading exists.  Each walk multiplies by generator values prepared once
 (`cyclo._times`); closures and irreps walk on keys (`cyclo._key`), whose
-edge check is key equality.  Character tables are self-verified against
-the orthogonality relations (OrthogonalityFailure, a SelfCheckFailure like
-every failed self-check).  A graded fold restricts irreps along the
-embedding of the grading's kernel.
+edge check is key equality, and irreps keep the keys.  A character table
+reads each character at the class representatives as a key trace, and
+every multiplicity <chi, psi> as an integer entry of one key product,
+chi diag(class sizes) conj(X)^T, prepared once per table.  Character
+tables are self-verified against the orthogonality relations
+(OrthogonalityFailure, a SelfCheckFailure like every failed self-check).
+A graded fold restricts irreps along the embedding of the grading's kernel.
 
 Infinite groups appear symbolically: the circle ring Z[a^(+-1)], the O(2)
 ring Span{1, delta, kappa_1, ...}, and the SU(2) ring Z[sigma].  Dirac
@@ -31,10 +34,11 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import lcm
+from operator import mul
 
 from .cyclo import (
-    CycNumber, _coerce, _key, _mat_mul, _times, _unkey, cos_frac, rational, sin_frac,
-    sqrt_int, zeta,
+    CycNumber, _coerce, _key, _key_ints, _key_trace, _times, _unkey, cos_frac, rational,
+    sin_frac, sqrt_int, zeta,
 )
 from .exactla import IntMatrix, _closure
 
@@ -189,8 +193,7 @@ def _quaternion_closure(gens, order):
     keys, _, right = _closure(range(len(gens)), _key([[1, 0, 0, 0]], L), lambda v, k: steps[k](v))
     if len(keys) != order:
         raise SelfCheckFailure("closure has %d elements, expected %d" % (len(keys), order))
-    elems = [Quaternion(*_unkey(key, 4)[0]) for key in keys]
-    return elems, {q: i for i, q in enumerate(elems)}, right
+    return [Quaternion(*_unkey(key, 4)[0]) for key in keys], right
 
 
 def _walk(right, start, step):
@@ -227,10 +230,6 @@ def _walk(right, start, step):
 # -- matrix helpers over CycNumber ------------------------------------------------
 
 
-def _mat_trace(A):
-    return sum((A[i][i] for i in range(1, len(A))), A[0][0])
-
-
 def _as_mat(rows):
     return tuple(tuple(map(_coerce, r)) for r in rows)
 
@@ -245,20 +244,28 @@ def _mat_tensor(A, B):
 
 
 class Irrep:
-    """An irreducible representation as explicit matrices, one per element."""
+    """An irreducible representation as explicit matrices, one per element,
+    held as keys (`cyclo._key`); a Cayley walk's are unkeyed on first access."""
 
-    __slots__ = ("label", "dim", "matrices")
+    __slots__ = ("label", "dim", "_matrices", "_keys")
 
-    def __init__(self, label, dim, matrices):
+    def __init__(self, label, dim, matrices, _keys=None):
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "matrices", matrices)
+        object.__setattr__(self, "_matrices", matrices)
+        object.__setattr__(self, "_keys", tuple(map(_key, matrices)) if _keys is None else _keys)
 
     def __setattr__(self, name, value):
         raise AttributeError("Irrep is immutable")
 
+    @property
+    def matrices(self):
+        if self._matrices is None:
+            object.__setattr__(self, "_matrices", tuple(_unkey(k, self.dim) for k in self._keys))
+        return self._matrices
+
     def character(self):
-        return [_mat_trace(M) for M in self.matrices]
+        return [_key_trace(k, self.dim) for k in self._keys]
 
 
 def _extend_irrep(group, gen_mats, label):
@@ -272,16 +279,17 @@ def _extend_irrep(group, gen_mats, label):
         raise SelfCheckFailure(
             "generator matrices for %r are not a homomorphism" % label
         )
-    return Irrep(label, dim, tuple(_unkey(key, dim) for key in keys))
+    return Irrep(label, dim, None, tuple(keys))
 
 
 class QuaternionGroup:
-    """A finite subgroup of SU(2) with explicit elements and irreps."""
+    """A finite subgroup of SU(2) with explicit elements and irreps.  The
+    {Quaternion: i} `index` is built on first access when not given."""
 
     def __init__(self, name, elements, index, irrep_specs, generators, right=None):
         self.name = name
         self.elements = elements
-        self.index = index
+        self._index = index
         self.generators = generators
         self.order = len(elements)
         self._irrep_specs = irrep_specs
@@ -291,7 +299,7 @@ class QuaternionGroup:
         self._gradings = None
         # the Cayley graph: _right[a][k] is the index of a * generators[k]
         try:
-            self._right = r = right or [[index[e * g] for g in generators] for e in elements]
+            self._right = r = right or [[self.index[e * g] for g in generators] for e in elements]
         except KeyError:
             raise GroupMismatch("elements are not closed under the generators") from None
         # column b of the multiplication table lists a*b for every a; a*(b*g_k)
@@ -307,6 +315,12 @@ class QuaternionGroup:
 
     def __repr__(self):
         return "QuaternionGroup(%s, order %d)" % (self.name, self.order)
+
+    @property
+    def index(self):
+        if self._index is None:
+            self._index = {q: i for i, q in enumerate(self.elements)}
+        return self._index
 
     def mul(self, a: int, b: int) -> int:
         return self._mtab[b][a]
@@ -365,10 +379,14 @@ class CharacterTable:
         self.irreps = group.irreps()
         self.labels = [r.label for r in self.irreps]
         self.dims = [r.dim for r in self.irreps]
-        self.chars = {}
-        for r in self.irreps:
-            full = r.character()
-            self.chars[r.label] = [full[c[0]] for c in self.classes]
+        self.chars = {
+            r.label: [_key_trace(r._keys[a], r.dim) for a in self.class_reps] for r in self.irreps
+        }
+        # chi times diag(class sizes) conj(X)^T is |G| <chi, psi> for each irrep psi
+        self._dual = _times([
+            [s * v.conjugate() for v in col]
+            for s, col in zip(self.class_sizes, zip(*(self.chars[b] for b in self.labels)))
+        ])
         self._self_test()
         self._class_of = {}
         for ci, cls in enumerate(self.classes):
@@ -384,37 +402,32 @@ class CharacterTable:
             raise OrthogonalityFailure(
                 "%s: sum of squared dims is not the order" % self.group.name
             )
-        gram = self._pairings([self.chars[a] for a in self.labels])
+        try:
+            gram = self._multiplicities([self.chars[a] for a in self.labels])
+        except ValueError as err:
+            raise OrthogonalityFailure("%s: %s" % (self.group.name, err)) from None
         for a, row in zip(self.labels, gram):
-            for b, tot in zip(self.labels, row):
-                want = n if a == b else 0
-                if tot != rational(want):
-                    raise OrthogonalityFailure(
-                        "%s: <%s,%s> = %s" % (self.group.name, a, b, tot.render())
-                    )
+            for b, v in zip(self.labels, row):
+                if v != (a == b):
+                    raise OrthogonalityFailure("%s: <%s,%s> = %d" % (self.group.name, a, b, v))
 
-    def _pairings(self, chis, others=None):
-        """|G| <chi, psi> for chi in chis, psi in others (default: irreps), as
-        one product of class-size weighted chi rows by conj(psi) columns."""
-        if others is None:
-            others = [self.chars[b] for b in self.labels]
-        weighted = [[size * v for size, v in zip(self.class_sizes, chi)] for chi in chis]
-        return _mat_mul(weighted, [[v.conjugate() for v in col] for col in zip(*others)])
-
-    def _multiplicity(self, tot) -> int:
-        return (tot / self.group.order).normalized().as_int()
+    def _multiplicities(self, chis):
+        """Rows of <chi, psi> for chi in chis and psi the irreps, read off the
+        key of one product; ValueError unless every entry is an integer."""
+        if any(len(chi) != len(self.classes) for chi in chis):
+            raise ValueError("a class function takes one value per class")
+        ints = _key_ints(self._dual.step(_key(chis)), self.group.order)
+        cols = len(ints) // len(chis)
+        return [ints[i : i + cols] for i in range(0, len(ints), cols)]
 
     def inner(self, chi1, chi2) -> int:
-        """Exact <chi1, chi2> for class functions given per class."""
-        return self._multiplicity(self._pairings([chi1], [chi2])[0][0])
+        """Exact <chi1, chi2> for virtual characters given per class: the sum
+        of the products of their irrep multiplicities."""
+        return sum(map(mul, *self._multiplicities([chi1, chi2])))
 
     def decompose(self, chi) -> "VirtualRep":
-        coeffs = {}
-        for lab, tot in zip(self.labels, self._pairings([chi])[0]):
-            m = self._multiplicity(tot)
-            if m:
-                coeffs[lab] = m
-        return VirtualRep(self.group, coeffs)
+        row = self._multiplicities([chi])[0]
+        return VirtualRep(self.group, dict(zip(self.labels, row)))
 
     def dim_of(self, label: str) -> int:
         return self.dims[self.labels.index(label)]
@@ -696,9 +709,9 @@ def _build_group(name: str) -> QuaternionGroup:
 
 def _build_cyclic(name: str, m: int) -> QuaternionGroup:
     g = _quat(cos_frac(1, m), sin_frac(1, m), 0, 0)
-    elems, index, right = _quaternion_closure([g], m)
+    elems, right = _quaternion_closure([g], m)
     specs = _cyclic_specs(m)
-    group = QuaternionGroup(name, elems, index, specs, [g], right)
+    group = QuaternionGroup(name, elems, None, specs, [g], right)
     if m in _PAPER_CYCLIC_ORDER:
         group._irrep_specs = _reorder_specs(specs, _PAPER_CYCLIC_ORDER[m])
     return group
@@ -712,9 +725,9 @@ def _reorder_specs(specs, order):
 def _build_binary_dihedral(name: str, m: int) -> QuaternionGroup:
     a = _quat(cos_frac(1, 2 * m), sin_frac(1, 2 * m), 0, 0)
     b = _Q_J
-    elems, index, right = _quaternion_closure([a, b], 4 * m)
+    elems, right = _quaternion_closure([a, b], 4 * m)
     specs = _binary_dihedral_specs(m)
-    group = QuaternionGroup(name, elems, index, specs, [a, b], right)
+    group = QuaternionGroup(name, elems, None, specs, [a, b], right)
     if name == "D4":
         specs = [(_D4_RELABEL[lab], mats) for lab, mats in specs]
         group._irrep_specs = _reorder_specs(specs, _D4_ORDER)
@@ -726,16 +739,16 @@ def _build_binary_dihedral(name: str, m: int) -> QuaternionGroup:
 
 def _build_e6() -> QuaternionGroup:
     g = _quat(_HALF, _HALF, _HALF, _HALF)
-    elems, index, right = _quaternion_closure([_Q_I, g], 24)
-    return QuaternionGroup("E6", elems, index, _e6_specs(), [_Q_I, g], right)
+    elems, right = _quaternion_closure([_Q_I, g], 24)
+    return QuaternionGroup("E6", elems, None, _e6_specs(), [_Q_I, g], right)
 
 
 def _build_e7() -> QuaternionGroup:
     g = _quat(_HALF, _HALF, _HALF, _HALF)
     s8 = sqrt_int(2) * _HALF
     s = Quaternion(s8, s8, _ZERO, _ZERO)
-    elems, index, right = _quaternion_closure([_Q_I, g, s], 48)
-    return QuaternionGroup("E7", elems, index, _e7_specs(), [_Q_I, g, s], right)
+    elems, right = _quaternion_closure([_Q_I, g, s], 48)
+    return QuaternionGroup("E7", elems, None, _e7_specs(), [_Q_I, g, s], right)
 
 
 def _build_e8() -> QuaternionGroup:
@@ -746,8 +759,8 @@ def _build_e8() -> QuaternionGroup:
     phinv_half = phi_half - _HALF
     g1 = _quat(_HALF, _HALF, _HALF, _HALF)
     g2 = Quaternion(phi_half, phinv_half, _HALF, _ZERO)
-    elems, index, right = _quaternion_closure([g1, g2, _Q_I], 120)
-    return QuaternionGroup("E8", elems, index, None, [g1, g2, _Q_I], right)
+    elems, right = _quaternion_closure([g1, g2, _Q_I], 120)
+    return QuaternionGroup("E8", elems, None, None, [g1, g2, _Q_I], right)
 
 
 # -- canonical embeddings -----------------------------------------------------------
@@ -892,14 +905,10 @@ def mckay_graph(G: QuaternionGroup):
     ct = character_table(G)
     chi_def = G.defining_character()
     prods = [[d * v for d, v in zip(chi_def, ct.chars[a])] for a in ct.labels]
-    rows = [[ct._multiplicity(tot) for tot in row] for row in ct._pairings(prods)]
-    A = IntMatrix.from_rows(rows)
-    dims = ct.dims
-    for i in range(len(dims)):
-        s = sum(A[(i, j)] * dims[j] for j in range(len(dims)))
-        if s != 2 * dims[i]:
-            raise SelfCheckFailure("affine Cartan property failed for %s" % G.name)
-    return A, list(ct.labels)
+    rows = ct._multiplicities(prods)
+    if any(sum(map(mul, row, ct.dims)) != 2 * d for row, d in zip(rows, ct.dims)):
+        raise SelfCheckFailure("affine Cartan property failed for %s" % G.name)
+    return IntMatrix.from_rows(rows), list(ct.labels)
 
 
 # -- gradings and folding ------------------------------------------------------------
@@ -991,11 +1000,9 @@ def classify_graded(rho, grading: Grading = None) -> str:
     G = rho.group
     ct = character_table(G)
     chi = rho.character()
-    norm = _ZERO
-    for h in grading.kernel:
-        v = chi[ct.class_of(h)]
-        norm = norm + v * v.conjugate()
-    norm_val = (norm / len(grading.kernel)).normalized().as_int()
+    # |G| = 2 |K|, so <2 chi 1_K, chi> over G is the norm of chi restricted to K
+    in_kernel = {ct.class_of(h) for h in grading.kernel}
+    norm_val = ct.inner([2 * v if c in in_kernel else 0 for c, v in enumerate(chi)], chi)
     if norm_val == 1:
         return "2_1"
     if norm_val == 2:
@@ -1003,14 +1010,15 @@ def classify_graded(rho, grading: Grading = None) -> str:
     raise SelfCheckFailure("restriction norm %d is impossible" % norm_val)
 
 
-def _kernel_group(G: QuaternionGroup, grading: Grading) -> QuaternionGroup:
-    """The kernel as a standalone group with its own irreps: E6, cyclic on an
-    element of order m = |kernel|, or binary dihedral BD_(m/4) on an element
-    a of order m/2 and any b outside <a>."""
+def _kernel_group(G: QuaternionGroup, grading: Grading):
+    """The kernel as a standalone group with its own irreps, and the G-index of
+    each of its elements: E6, cyclic on an element of order m = |kernel|, or
+    binary dihedral BD_(m/4) on an element a of order m/2 and any b outside <a>."""
     kernel = sorted(grading.kernel)
     E6 = quaternion_group("E6")
-    if set(E6.elements) == {G.elements[i] for i in kernel}:
-        return E6
+    at = {G.elements[i]: i for i in kernel}
+    if set(E6.elements) == at.keys():
+        return E6, tuple(at[e] for e in E6.elements)
     m = len(kernel)
     cycles = {a: _closure([a], 0, G.mul)[0] for a in kernel}
     a = next((a for a in kernel if len(cycles[a]) == m), None)
@@ -1026,8 +1034,8 @@ def _kernel_group(G: QuaternionGroup, grading: Grading) -> QuaternionGroup:
         name, gens, specs = "BD%d" % (m // 4), [a, b], _binary_dihedral_specs(m // 4)
     powers, _, right = _closure(gens, 0, G.mul)
     closure = [G.elements[p] for p in powers]
-    index = {q: i for i, q in enumerate(closure)}
-    return QuaternionGroup(name, closure, index, specs, [G.elements[x] for x in gens], right)
+    K = QuaternionGroup(name, closure, None, specs, [G.elements[x] for x in gens], right)
+    return K, tuple(powers)
 
 
 def graded_fold(G: QuaternionGroup, grading: Grading = None):
@@ -1059,10 +1067,10 @@ def graded_fold(G: QuaternionGroup, grading: Grading = None):
     pairs = sorted(
         {tuple(sorted((lab, invol[lab]))) for lab in ct.labels if invol[lab] != lab}
     )
-    K = _kernel_group(G, grading)
+    K, image = _kernel_group(G, grading)
     ct_k = character_table(K)
     # correspondence check: folding the G-graph must reproduce Irr(K)
-    emb = Embedding(K, G, tuple(G.index[e] for e in K.elements))
+    emb = Embedding(K, G, image)
     seen = {}
     # each fixed node and one node of each swapped pair
     for lab in fixed + [a for a, _ in pairs]:

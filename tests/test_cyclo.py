@@ -33,6 +33,7 @@ from verlkit.cyclo import (
     _reduce_int_vec,
     _root_exponent,
     _rotate,
+    _substitute,
     _times,
     _unkey,
     _unpack,
@@ -343,6 +344,29 @@ def test_rotate_is_a_product_with_a_root_of_unity():
         _rotate(zeta(5).num, 1, 5, 12)
 
 
+def _substitute_reference(vec, k, cond, shift=0):
+    """Adds the full power-table row for every nonzero coefficient; oracle for
+    `_substitute`, which adds a unit row's coefficient in place."""
+    out = [0] * cond.phi
+    for i, c in enumerate(vec):
+        if c:
+            out = [o + c * r for o, r in zip(out, cond.rows[(shift + i * k) % cond.n])]
+    return out
+
+
+def test_rotation_and_substitution_match_the_full_row_formula():
+    rng = random.Random(19)
+    for N in (24, 36, 144, 240):
+        cond = _cond(N)
+        for n in (1, 4, 12, N // 2, N):
+            vec = [rng.randint(-9, 9) for _ in range(_cond(n).phi)]
+            for q in range(N):
+                assert _rotate(vec, q, n, N) == _substitute_reference(vec, N // n, cond, q)
+        vec = [rng.randint(-9, 9) for _ in range(cond.phi)]
+        for j in range(1, N):
+            assert _substitute(vec, j, cond, j % 7) == _substitute_reference(vec, j, cond, j % 7)
+
+
 def test_arith_dispatch():
     a, b = zeta(8), zeta(8, 3)
     assert cyc_arith(a, b, "add") == a + b
@@ -397,7 +421,7 @@ def test_coordinate_matrices_rebuild_every_entry_at_one_order_and_scale():
 
 def _mat_mul_reference(A, B):
     """Entrywise sum of scalar products; oracle for the packed `_mat_mul`."""
-    n, m, p = len(A), len(B), len(B[0])
+    n, m, p = len(A), len(B), len(B[0]) if B else 0
     return tuple(
         tuple(
             sum((A[i][t] * B[t][j] for t in range(1, m)), A[i][0] * B[0][j])
@@ -430,12 +454,15 @@ def _assert_products_agree(A, B):
 
 MIXED_ORDERS = [1, 4, 5, 8, 15, 24, 40]
 SHAPES = [(1, 1, 1), (1, 3, 1), (1, 1, 4), (4, 1, 1), (3, 1, 2), (2, 3, 4), (4, 2, 3), (3, 3, 3)]
+# no rows on the left, no columns on the right, and no inner dimension
+EMPTY_SHAPES = [(0, 2, 3), (0, 0, 0), (2, 3, 0), (2, 0, 0)]
 
 
 def test_packed_mat_mul_matches_entrywise_products():
+    # orders 1 and 2 have phi = 1: every table row is one entry of B
     rng = random.Random(11)
-    for orders in ([1], [4], [5, 15], [8, 24], MIXED_ORDERS):
-        for n, m, p in SHAPES:
+    for orders in ([1], [2], [1, 2], [4], [5, 15], [8, 24], MIXED_ORDERS):
+        for n, m, p in SHAPES + EMPTY_SHAPES:
             A = _random_matrix(rng, n, m, orders, 9, [1, 1, 2, 3, 7])
             B = _random_matrix(rng, m, p, orders, 9, [1, 4, 5])
             _assert_products_agree(A, B)
@@ -450,6 +477,10 @@ def test_packed_mat_mul_zero_and_shared_entries():
     # one shared entry object across both factors, plus plain ints
     e = zeta(40, 7) + Fraction(2, 3)
     _assert_products_agree([[e, 1], [e, e]], [[e, Fraction(-1, 2)], [0, e]])
+    # equal entries (one object, and a rebuilt equal value) share their
+    # rotations in the table; negated entries get their own
+    f, twin = -e, CycNumber(40, e.coeff_vector()[:40])
+    _assert_products_agree([[e, f, 1], [f, 2, e]], [[e, f, twin], [f, e, e], [twin, 0, f]])
 
 
 def test_packed_mat_mul_width_holds_huge_coefficients():
@@ -467,6 +498,23 @@ def test_packed_mat_mul_width_holds_huge_coefficients():
     A = _random_matrix(rng, 3, 4, MIXED_ORDERS, big, [1, 3, big + 1])
     B = _random_matrix(rng, 4, 2, MIXED_ORDERS, big, [1, 7])
     _assert_products_agree(A, B)
+    # at order 8 (phi = 4, row_max = 1) and m = 3 the slot bound is
+    # 3 * 4 * s * 4s = 48 s^2 and the largest output coefficient 12 s^2:
+    # 64-bit slots up to s = 2^27, 128-bit slots from s = 2^28
+    for s, width in ((2**26, 64), (2**27, 64), (2**28, 128)):
+        assert _width(48 * s * s) == width
+        for sign in (1, -1):
+            A = [[CycNumber(8, [sign * s] * 4) for _ in range(3)] for _ in range(2)]
+            B = [[CycNumber(8, [s] * 4), CycNumber(8, [s, -s, s, -s])] for _ in range(3)]
+            _assert_products_agree(A, B)
+    # rational entries meet the bound m * max|a| * max|b| exactly: 32 * 2^26
+    # needs a 64-bit slot, and 2^26 alone would fit in a 32-bit one
+    s = 2**13
+    _assert_products_agree([[s] * 32, [-s] * 32], [[s]] * 32)
+    # at order 105 (phi = 48) a reduced power has up to 32 nonzero
+    # coordinates, some of them 2: rotations grow their coefficients
+    v = CycNumber(105, [10**6] * 48)
+    _assert_products_agree([[v] * 4], [[v, -v]] * 4)
 
 
 def test_packed_mat_mul_rejects_mismatched_shapes():
@@ -581,7 +629,8 @@ def test_prepared_factor_follows_left_factors_to_new_orders_and_widths():
     times = _times(B)
     for orders, size in (
         ([1], 3), ([8], 3), ([5], 3), ([8], 10**30), ([1, 4], 3),
-        ([5, 12], 10**12), ([8], 3), ([1], 10**30),
+        ([5, 12], 10**12), ([8], 3), ([1], 10**30), ([2], 3), ([2, 4], 10**12),
+        ([24], 3), ([3], 10**30),
     ):
         A = _random_matrix(rng, 2, 3, orders, size, [1, 2, 7])
         got, want = times(A), _mat_mul_reference(A, B)

@@ -489,15 +489,23 @@ def test_unimodular_t_entry_that_is_no_root_of_unity_is_rejected():
 
 def test_phase_check_never_computes_at_the_order_of_t(monkeypatch):
     # at k = 16, T lives at order 8n = 144 and S at 36: the check splits
-    # over the relative power basis and folds only at the order of S
+    # over the relative power basis and multiplies only at the order of S
     md = su2_modular_data(16)
-    fold, orders = cyclo._fold, Counter()
+    times, orders = fusion._times, Counter()
 
-    def counting_fold(prod, width, cond):
-        orders[cond.n] += 1
-        return fold(prod, width, cond)
+    def counting_times(B):
+        prepared = times(B)
+        step = prepared.step
 
-    monkeypatch.setattr(cyclo, "_fold", counting_fold)
+        def counting_step(key):
+            out = step(key)
+            orders[out[0]] += 1
+            return out
+
+        prepared.step = counting_step
+        return prepared
+
+    monkeypatch.setattr(fusion, "_times", counting_times)
     ModularData(md.labels, md.S, md.T)
     assert orders and 144 not in orders
     assert max(orders) == 36

@@ -24,15 +24,17 @@ Hand derivations frozen as expectations:
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from verlkit import repring
+from verlkit import cyclo, repring
 from verlkit.cyclo import CycNumber
 from verlkit.repring import (
     GroupMismatch,
     InvalidEmbedding,
+    Irrep,
     NoGradingExists,
     NotASubgroup,
     OrthogonalityFailure,
@@ -527,9 +529,9 @@ BUILT = ["A1", "A3", "A5", "A7", "C5", "D4", "D5", "BD4", "BD6", "BD7", "E6", "E
 @pytest.mark.parametrize("name", BUILT)
 def test_keyed_closure_matches_the_quaternion_closure(name):
     G = quaternion_group(name)
-    elems, index, right = repring._quaternion_closure(G.generators, G.order)
+    elems, right = repring._quaternion_closure(G.generators, G.order)
     want = repring._closure(G.generators, repring._Q_ONE, Quaternion.__mul__)
-    assert (elems, index, right) == want
+    assert (elems, G.index, right) == want
 
 
 @pytest.mark.parametrize("name", BUILT)
@@ -562,3 +564,81 @@ def test_construction_errors_are_typed():
     for right in ([[1], [1]], [[1, 2], [0, 0], [0, 0]], [[0], [1]]):
         with pytest.raises(SelfCheckFailure, match="not a group's"):
             QuaternionGroup("bad", elems[: len(right)], {}, None, [i], right)
+
+
+def _canon(e):
+    return e.order, e.num, e.den
+
+
+@pytest.mark.parametrize("name", ["A5", "D5", "BD6", "E6", "E7"])
+def test_irreps_and_characters_are_the_walk_unkeyed(name):
+    # walk the generator matrices here and unkey every element; the irreps,
+    # their characters and the table's class values must match entry by entry
+    G = repring._build_group(name)
+    ct = character_table(G)
+    for (label, gen_mats), r in zip(G._irrep_specs, G.irreps()):
+        mats = [repring._as_mat(m) for m in gen_mats]
+        steps = [cyclo._times(B).step for B in mats]
+        L = lcm(*(e.order for B in mats for row in B for e in row))
+        eye = cyclo._key([[int(i == j) for j in range(r.dim)] for i in range(r.dim)], L)
+        want = [cyclo._unkey(k, r.dim) for k in repring._walk(G._right, eye, lambda k, g: steps[g](k))]
+        assert r.label == label and len(r.matrices) == G.order
+        assert [[list(map(_canon, row)) for row in M] for M in r.matrices] == [
+            [list(map(_canon, row)) for row in M] for M in want
+        ]
+        traces = [sum((M[i][i] for i in range(1, r.dim)), M[0][0]) for M in want]
+        assert list(map(_canon, r.character())) == list(map(_canon, traces))
+        assert list(map(_canon, ct.chars[label])) == [_canon(traces[a]) for a in ct.class_reps]
+
+
+def test_irreps_are_immutable_and_take_explicit_matrices():
+    r = quaternion_group("D4").irreps()[4]
+    for attr in ("label", "dim", "matrices", "_keys"):
+        with pytest.raises(AttributeError):
+            setattr(r, attr, None)
+    given_mats = (((CycNumber(4, [0, 1]),),), ((CycNumber(1, [-1]),),))
+    own = Irrep("x", 1, given_mats)
+    assert own.matrices is given_mats
+    assert own.character() == [CycNumber(4, [0, 1]), -1]
+
+
+def test_decompose_rejects_class_functions_that_are_not_characters():
+    for name in ("A3", "D5", "E7"):
+        ct = character_table(quaternion_group(name))
+        with pytest.raises(ValueError, match="not an integer"):
+            ct.decompose([Fraction(1, 2)] * len(ct.classes))
+        with pytest.raises(ValueError, match="not rational"):
+            ct.decompose([CycNumber(4, [0, 1])] + [0] * (len(ct.classes) - 1))
+        with pytest.raises(ValueError, match="one value per class"):
+            ct.decompose([1] * (len(ct.classes) + 1))
+
+
+def test_a_wrong_gram_matrix_is_an_orthogonality_failure(monkeypatch):
+    # l0 + l1 in place of D4's t: every dimension fits, <t, l0> = 1
+    D4 = quaternion_group("D4")
+    specs = [(lab, mats) for lab, mats in D4._irrep_specs if lab != "t"]
+    specs.append(("t", [[[1, 0], [0, -1]], [[1, 0], [0, 1]]]))
+    bad = QuaternionGroup("D4", D4.elements, None, specs, D4.generators, D4._right)
+    with pytest.raises(OrthogonalityFailure, match="<s0,t> = 1"):
+        character_table(bad)
+    # halved characters make every Gram entry 1/4: no integer to read
+    trace = repring._key_trace
+    monkeypatch.setattr(repring, "_key_trace", lambda key, dim: trace(key, dim) / 2)
+    again = QuaternionGroup("D4", D4.elements, None, D4._irrep_specs, D4.generators, D4._right)
+    with pytest.raises(OrthogonalityFailure, match="not an integer") as err:
+        character_table(again)
+    assert not isinstance(err.value, ValueError)
+
+
+def test_group_index_is_built_on_first_use_and_folds_do_not_need_it():
+    G = repring._build_group("E7")
+    assert G._index is None
+    graded_fold(G)
+    assert G._index is None
+    assert G.index == {q: i for i, q in enumerate(G.elements)}
+    for name in ("D5", "E7", "BD4"):
+        H = quaternion_group(name)
+        for gr in gradings(H):
+            K, image = repring._kernel_group(H, gr)
+            assert image == tuple(H.index[e] for e in K.elements)
+    assert embedding("D5", "E7").sup is quaternion_group("E7")
