@@ -9,13 +9,13 @@ Euclid pass, `_sweep`, over one row operation, `_add`: the Smith form
 clears its columns, its rows and its divisibility fix-ups with it, and
 `_row_hermite` builds the Hermite form of a row lattice with it.  The
 Smith engine tracks only the unimodular transforms its reader names:
-none for `rank`, V for `kernel_basis`, U and V for `solve_int`, U^-1 and
-V for `connecting_solve`.  Cokernel, kernel and integer solving read one
-factorization, so a caller that needs several of them
-(``polyring.e6_tor``) factors its matrix once, with all four transforms,
-by `smith_with_inverses`.  Every group closure is one breadth-first walk,
-`_closure`, and `_cayley_invariants` presents a finite abelian group by
-the relations of its Cayley graph and reads it off the same Smith engine.
+none for `rank`, V for `kernel_basis`, U^-1 and V for `connecting_solve`.
+A reader of U or V^-1 applied to a few columns B gets U*B or V^-1*B
+instead: `solve_int` tracks U*target and V, ``polyring.e6_tor`` U*target,
+U^-1 and V^-1 times its d2 columns.  Every group closure is one
+breadth-first walk, `_closure`, and `_cayley_invariants` presents a
+finite abelian group by the relations of its Cayley graph and reads it
+off the same Smith engine.
 """
 
 from __future__ import annotations
@@ -254,11 +254,23 @@ def _smith_engine(M: IntMatrix, u=False, uinv=False, v=False, vinv=False):
     transform update is one `_add` or `_swap` of whole rows.  Pivots are
     chosen with smallest nonzero magnitude to keep entry growth down on the
     larger connecting matrices.
+
+    `u` and `vinv` may also be an IntMatrix B (M.rows, resp. M.cols, rows):
+    that transform's rows then start from B instead of from I, and its slot
+    returns U*B, resp. V^-1*B.  Row operations on U are row operations on
+    U*B, so the product is never formed; True is B = I.
     """
     m, n = M.rows, M.cols
     A = [list(M.row(i)) for i in range(m)]
-    eye = lambda k, on: [[0] * i + [1] + [0] * (k - 1 - i) for i in range(k)] if on else None
-    U, Uinv_t, V_t, Vinv = eye(m, u), eye(m, uinv), eye(n, v), eye(n, vinv)
+
+    def start(k, on):
+        if isinstance(on, IntMatrix):
+            if on.rows != k:
+                raise ValueError("right-hand side needs %d rows" % k)
+            return [list(on.row(i)) for i in range(k)]
+        return [[0] * i + [1] + [0] * (k - 1 - i) for i in range(k)] if on else None
+
+    U, Uinv_t, V_t, Vinv = start(m, u), start(m, uinv), start(n, v), start(n, vinv)
 
     def row_add(dst, src, q):
         _add(A, None, dst, src, q)
@@ -326,17 +338,18 @@ def _smith_engine(M: IntMatrix, u=False, uinv=False, v=False, vinv=False):
                 if A[i + 1][i + 1] < 0:
                     negate(i + 1)
 
-    def square(rows, k, stored_transposed=False):
+    def out(rows, k, on, stored_transposed=False):
         if rows is not None:
             rows = zip(*rows) if stored_transposed else rows
-            return _matrix(k, k, [x for row in rows for x in row])
+            width = on.cols if isinstance(on, IntMatrix) else k
+            return _matrix(k, width, [x for row in rows for x in row])
 
     return (
-        square(U, m),
-        square(Uinv_t, m, True),
+        out(U, m, u),
+        out(Uinv_t, m, uinv, True),
         _matrix(m, n, [x for row in A for x in row]),
-        square(V_t, n, True),
-        square(Vinv, n),
+        out(V_t, n, v, True),
+        out(Vinv, n, vinv),
     )
 
 
@@ -392,44 +405,28 @@ def _free_columns(snf):
     return [j for j in range(D.cols) if _factor(D, j) == 0]
 
 
-def _cokernel_of(snf, labels) -> FGAbelianGroup:
-    """Cokernel of the factored matrix, generators read off U^-1's columns."""
+def _cokernel_of(snf, labels=None) -> FGAbelianGroup:
+    """Cokernel of the factored matrix, generators read off U^-1's columns;
+    with `labels` None, U^-1 is not read and the generators get default names."""
     _, Uinv, D, _, _ = snf
-    torsion = []
-    gen_labels = []
-    free_labels = []
-    for i in range(D.rows):
-        d = _factor(D, i)
-        if d == 1:
-            continue
-        new_gen = _format_combo(Uinv.col(i), labels)
-        if d == 0:
-            free_labels.append(new_gen)
-        else:
-            torsion.append(d)
-            gen_labels.append(new_gen)
-    return FGAbelianGroup(len(free_labels), tuple(torsion), tuple(gen_labels + free_labels))
+    keep = [i for i in range(D.rows) if _factor(D, i) != 1]
+    torsion = [i for i in keep if _factor(D, i)]
+    free = [i for i in keep if not _factor(D, i)]
+    gens = None if labels is None else [_format_combo(Uinv.col(i), labels) for i in torsion + free]
+    return FGAbelianGroup(len(free), [_factor(D, i) for i in torsion], gens)
 
 
-def _solve_with(snf, target):
-    """One integer solution x of M x = target for the factored M, or None."""
-    U, _, D, V, _ = snf
-    y = U.mul_vec(tuple(target))
+def _diagonal_solve(D, y):
+    """x_d with D x_d = y, or None: for U*M*V = D and y = U*b, M x = b is
+    solvable exactly when D x_d = y is, and then x = V*x_d."""
     x_d = []
     for j in range(D.cols):
         d = _factor(D, j)
         t = y[j] if j < D.rows else 0
-        if d == 0:
-            if t != 0:
-                return None
-            x_d.append(0)
-        else:
-            if t % d != 0:
-                return None
-            x_d.append(t // d)
-    if any(y[D.cols :]):
-        return None
-    return V.mul_vec(tuple(x_d))
+        if (t % d if d else t) != 0:
+            return None
+        x_d.append(t // d if d else 0)
+    return None if any(y[D.cols :]) else x_d
 
 
 def _closure(gens, one, mul, cap=512):
@@ -711,4 +708,6 @@ def solve_int(M: IntMatrix, target) -> "tuple | None":
     """
     if len(target) != M.rows:
         raise ValueError("target length mismatch")
-    return _solve_with(_smith_engine(M, u=True, v=True), target)
+    Ub, _, D, V, _ = _smith_engine(M, u=IntMatrix(M.rows, 1, target), v=True)
+    x_d = _diagonal_solve(D, Ub.data)
+    return None if x_d is None else V.mul_vec(x_d)

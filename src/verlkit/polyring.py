@@ -16,10 +16,11 @@ from .exactla import (
     FGAbelianGroup,
     IntMatrix,
     _cokernel_of,
+    _diagonal_solve,
     _free_columns,
-    _solve_with,
+    _matrix,
+    _smith_engine,
     cokernel,
-    smith_with_inverses,
     solve_int,
 )
 
@@ -271,6 +272,8 @@ def stabilized_family(family, size: int, stride: int = 5) -> FGAbelianGroup:
     columns over the labels.  The result at window `size` is returned only
     when the enlarged window `size + stride` has identical invariants.
     """
+    if stride < 1:
+        raise ValueError("stride must be positive")
     labels1, rels1 = family(size)
     if not rels1:
         warnings.warn(
@@ -363,6 +366,12 @@ def _poly_to_vec(f: LaurentPoly, size: int, shift: int = 0):
     for (e,), c in f.terms.items():
         v[e + shift] = c
     return v
+
+
+def _band(f: LaurentPoly, size: int, shifts: int):
+    """Rows of the size x shifts matrix whose column t is s^t * f."""
+    z = [0] * shifts + _poly_to_vec(f, f.degree() + 1) + [0] * size
+    return [z[i + 1 : i + 1 + shifts][::-1] for i in range(size)]
 
 
 def coprime_certificate(f: LaurentPoly, g: LaurentPoly):
@@ -459,12 +468,17 @@ def e6_tor(window_size: int = 24, stride: int = 5):
     cofactors plus the verified ring relation s*s = 2 in H0.
 
     On each of the two windows (`window_size` and `window_size + stride`)
-    d1 is assembled once and factored once, U d1 V = D.  H0 is read off U^-1
-    with the s^i labels; ker d1 is spanned by the columns of V at zero
-    invariant factors; a d2 column v has kernel coordinates the entries of
-    V^-1 v there (and escapes ker d1 if V^-1 v is nonzero anywhere else);
-    the relation s*s = 2 is solved against the same factorization.
+    d1 is factored once, U d1 V = D, and the elimination carries the d2
+    columns D2 along as V^-1 D2: its rows at zero invariant factors are the
+    kernel coordinates of every d2 column, and its other rows vanish unless
+    im d2 escaped ker d1.  The first window also tracks U^-1, which labels
+    H0 with the s^i, and U (s*s - 2), which decides s*s = 2 in H0; the
+    second reads only H0's invariants off D.
     """
+    if stride < 1:
+        raise ValueError("stride must be positive")
+    if window_size < 0:
+        raise ValueError("window size must be nonnegative")
     s = LaurentPoly.var("s")
     m = s**2 - 2
     A = s**4 - 3 * s**2 + 1
@@ -481,38 +495,32 @@ def e6_tor(window_size: int = 24, stride: int = 5):
 
     d2_top = max(d2f.degree(), d2g.degree())
 
-    def window(w: int):
+    def window(w: int, first: bool):
         cod = w + d1g.degree()
-        d1 = IntMatrix.from_cols(
-            [_poly_to_vec(p, cod, shift) for p in (d1f, d1g) for shift in range(w)]
-        )
-        snf = smith_with_inverses(d1)
-        h0 = _cokernel_of(snf, ["s^%d" % i for i in range(cod)])
+        d1 = [f + g for f, g in zip(_band(d1f, cod, w), _band(d1g, cod, w))]
+        k = max(0, w - d2_top)
+        d2 = _band(d2f, w, k) + _band(d2g, w, k)
+        target = _matrix(cod, 1, [-2, 0, 1] + [0] * (cod - 3))  # s*s - 2*1
+        snf = _smith_engine(_matrix(cod, 2 * w, [x for row in d1 for x in row]),
+                            u=target if first else False, uinv=first,
+                            vinv=_matrix(2 * w, k, [x for row in d2 for x in row]))
         free = _free_columns(snf)
-        bound = set(range(d1.cols)).difference(free)
-        Vinv = snf[4]
-        coords = []
-        for shift in range(max(0, w - d2_top)):
-            y = Vinv.mul_vec(
-                _poly_to_vec(d2f, w, shift) + _poly_to_vec(d2g, w, shift)
-            )
-            if any(y[j] for j in bound):
-                raise SelfCheckFailure("im d2 escaped ker d1 on the window")
-            coords.append([y[j] for j in free])
-        C = IntMatrix.from_cols(coords) if coords else IntMatrix.zero(len(free), 0)
+        Vinv_d2 = snf[4]
+        if any(any(Vinv_d2.row(j)) for j in set(range(2 * w)).difference(free)):
+            raise SelfCheckFailure("im d2 escaped ker d1 on the window")
+        C = _matrix(len(free), k, [x for j in free for x in Vinv_d2.row(j)])
         h1 = cokernel(C, labels=["k%d" % i for i in range(len(free))])
+        h0 = _cokernel_of(snf, ["s^%d" % i for i in range(cod)] if first else None)
         return h0, h1, snf
 
-    h0, h1, snf = window(window_size)
-    h0b, h1b, _ = window(window_size + stride)
+    h0, h1, snf = window(window_size, True)
+    h0b, h1b, _ = window(window_size + stride, False)
     _check_stable("", window_size, stride, h0, h0b)
     _check_stable("H1 ", window_size, stride, h1, h1b)
 
-    # ring relation in H0: s*s - 2*1 must lie in im d1
-    target = [-2, 0, 1] + [0] * (window_size + d1g.degree() - 3)
     cert = {
         "coprime_witness": witness,
-        "sigma_squared_is_two": _solve_with(snf, target) is not None,
+        "sigma_squared_is_two": _diagonal_solve(snf[2], snf[0].data) is not None,
         "generators": ("1", "s"),
         "relation": "s*s = 2",
     }

@@ -21,6 +21,7 @@ from verlkit.exactla import (
     PresentedModule,
     _cayley_invariants,
     _closure,
+    _diagonal_solve,
     _row_hermite,
     _smith_engine,
     cokernel,
@@ -320,6 +321,49 @@ def test_smith_engine_tracks_exactly_the_transforms_asked_for():
             assert got[2] == D
             for on, x, y in zip(flags, got[:2] + got[3:], full[:2] + full[3:]):
                 assert (x == y) if on else (x is None)
+
+
+def _random_rhs(rng, rows):
+    cols = rng.choice((0, 1, 1, 3))
+    return IntMatrix(rows, cols, [rng.randint(-5, 5) for _ in range(rows * cols)])
+
+
+def test_smith_engine_applies_u_and_vinv_to_right_hand_sides():
+    """u=B and vinv=C return U*B and V^-1*C, with the U, D and V^-1 of the
+    full factorization, and leave the other transforms as asked."""
+    rng = random.Random(18)
+    cases, _ = _engine_cases(rng)
+    shapes = set()
+    for M in cases:
+        U, Uinv, D, V, Vinv = smith_with_inverses(M)
+        B, C = _random_rhs(rng, M.rows), _random_rhs(rng, M.cols)
+        shapes.add((B.cols, C.cols))
+        got = _smith_engine(M, u=B, vinv=C)
+        assert got == (U * B, None, D, None, Vinv * C)
+        assert _smith_engine(M, B, True, True, C) == (U * B, Uinv, D, V, Vinv * C)
+    assert {(0, 0), (0, 3), (3, 0), (1, 1)} <= shapes
+
+
+def test_smith_engine_rejects_a_right_hand_side_of_the_wrong_height():
+    M = IntMatrix.from_rows([[2, 4], [6, 8], [1, 1]])
+    with pytest.raises(ValueError, match="needs 3 rows"):
+        _smith_engine(M, u=IntMatrix.zero(2, 1))
+    with pytest.raises(ValueError, match="needs 2 rows"):
+        _smith_engine(M, vinv=IntMatrix.zero(3, 1))
+
+
+def test_diagonal_solve_rejects_what_has_no_integer_solution():
+    # D = diag(2, 0) in a 3 x 2 frame: y solvable iff y0 even, y1 = y2 = 0
+    D = IntMatrix.from_rows([[2, 0], [0, 0], [0, 0]])
+    assert _diagonal_solve(D, (4, 0, 0)) == [2, 0]
+    assert _diagonal_solve(D, (3, 0, 0)) is None  # not a multiple of d1
+    assert _diagonal_solve(D, (4, 1, 0)) is None  # hits a zero factor
+    assert _diagonal_solve(D, (4, 0, 1)) is None  # past the diagonal
+    # the same three through solve_int: M's column span is 2Z x 0 x 0
+    M = IntMatrix.from_rows([[2, 4], [0, 0], [0, 0]])
+    for t in ((3, 0, 0), (4, 1, 0), (4, 0, 1)):
+        assert solve_int(M, t) is None
+    assert M.mul_vec(solve_int(M, (6, 0, 0))) == (6, 0, 0)
 
 
 def _row_hermite_oracle(rows):

@@ -17,7 +17,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from verlkit import polyring
-from verlkit.exactla import FGAbelianGroup, IntMatrix, cokernel, kernel_basis, solve_int
+from verlkit.exactla import (
+    FGAbelianGroup,
+    IntMatrix,
+    _smith_engine,
+    cokernel,
+    kernel_basis,
+    smith_with_inverses,
+    solve_int,
+)
 from verlkit.polyring import (
     Inconclusive,
     LaurentPoly,
@@ -143,6 +151,25 @@ def test_stabilization_messages_name_both_windows(monkeypatch):
     assert str(caught.value) == "H1 window 20 gives Z^2 but window 25 gives Z/3 + Z^2"
 
 
+def test_stabilization_needs_a_positive_stride_and_a_real_window():
+    def family(w):
+        return ["g%d" % i for i in range(w)], [{"g0": 1}]
+
+    with pytest.raises(ValueError, match="stride must be positive"):
+        stabilized_family(family, 6, stride=0)
+    with pytest.raises(ValueError, match="stride must be positive"):
+        e6_tor(5, stride=0)
+    with pytest.raises(ValueError, match="window size must be nonnegative"):
+        e6_tor(-3)
+
+
+def test_e6_tor_window_zero_keeps_the_codomain_of_d1():
+    # d1 has no columns on window 0, so H0 is all 7 codomain degrees
+    with pytest.raises(StabilizationFailure) as caught:
+        e6_tor(0)
+    assert str(caught.value) == "window 0 gives Z^7 but window 5 gives Z^2"
+
+
 def test_matrix_from_columns_rejects_duplicates():
     with pytest.raises(ValueError):
         matrix_from_columns(["x", "x"], [])
@@ -232,6 +259,39 @@ def test_e6_tor_matches_kernel_then_solve_reference():
                 want.torsion,
                 want.generators,
             )
+
+
+def _e6_window(w):
+    """d1 on window w and the d2 columns D2 that lie in it, built column by
+    column from the polynomials."""
+    s = LaurentPoly.var("s")
+    m, A, B = s**2 - 2, s**4 - 3 * s**2 + 1, s**3 * (s**2 - 3)
+    d1f, d1g, d2f, d2g = m * A, m * B, m * B, -(m * A)
+    cod = w + d1g.degree()
+    vec = polyring._poly_to_vec
+    d1 = IntMatrix.from_cols([vec(p, cod, i) for p in (d1f, d1g) for i in range(w)])
+    D2 = IntMatrix.from_cols([vec(d2f, w, i) + vec(d2g, w, i) for i in range(w - 7)])
+    return d1, D2
+
+
+def test_e6_windows_apply_the_transforms_to_their_right_hand_sides():
+    for w in (42, 47):
+        d1, D2 = _e6_window(w)
+        target = IntMatrix(d1.rows, 1, [-2, 0, 1] + [0] * (d1.rows - 3))
+        U, Uinv, D, V, Vinv = smith_with_inverses(d1)
+        assert sum(1 for i in range(min(D.shape)) if D[i, i]) < min(D.shape)
+        got = _smith_engine(d1, u=target, uinv=True, vinv=D2)
+        assert got == (U * target, Uinv, D, None, Vinv * D2)
+        assert _smith_engine(d1, vinv=D2) == (None, None, D, None, Vinv * D2)
+
+
+def test_e6_window_matrices_are_bands_of_shifted_polynomials():
+    s = LaurentPoly.var("s")
+    f = (s**2 - 2) * s**3 * (s**2 - 3)
+    for size, shifts in ((12, 5), (9, 0), (0, 0), (8, 1)):
+        cols = [polyring._poly_to_vec(f, size + 7, t) for t in range(shifts)]
+        want = [list(r) for r in zip(*cols)] if cols else [[]] * (size + 7)
+        assert polyring._band(f, size + 7, shifts) == want
 
 
 def test_e6_tor_self_check_failure_is_typed(monkeypatch):
