@@ -35,7 +35,16 @@ __all__ = [
     "fgab_from_relations",
     "connecting_solve",
     "solve_int",
+    "SelfCheckFailure",
 ]
+
+
+class SelfCheckFailure(RuntimeError, AssertionError):
+    """An identity the computation guarantees failed when verified.
+
+    The one self-check failure of the library: both a RuntimeError and an
+    AssertionError, so a handler for either kind catches it.
+    """
 
 
 class IntMatrix:

@@ -27,7 +27,11 @@ two chiral inductions and once as b^t b through the quotient double.
 power.  The default counts orbits of label tuples; the keyword
 `resolve_fixed_points` weights each orbit by the number of irreducible
 characters of its stabilizer instead, so that tuples with symmetry
-split into their invariant parts.
+split into their invariant parts.  Neither walks the tuples: with m
+labels and omega the number of orbits on the copies, the default is
+Burnside's (1/|G|) sum_x m^omega(x) and the resolved count is Bantay's
+(1/|G|) sum_{xy=yx} m^omega(x, y) over commuting pairs (Burnside's
+lemma on pairs; Phys. Lett. B 419 (1998) 175), one O(|G|^2 copies) pass.
 """
 
 import re
@@ -39,7 +43,7 @@ from math import gcd, lcm
 from .cyclo import (
     CycNumber, _key, _pack, _poly_divexact, _real_cyclotomic_poly, _real_enclosure, _width,
 )
-from .exactla import IntMatrix, _closure, _row_hermite, kernel_basis
+from .exactla import IntMatrix, SelfCheckFailure, _closure, _row_hermite, kernel_basis
 from .fusion import (
     _cyclic_orders, _fusion_failure, _tuples, su2_fusion_truncated, su2_modular_data,
 )
@@ -97,10 +101,6 @@ class SearchBudgetExceeded(Exception):
 
 class DiagonalNotContained(Exception):
     """The subgroup of the square misses part of the diagonal."""
-
-
-class SelfCheckFailure(RuntimeError):
-    """An identity the computation guarantees failed when verified."""
 
 
 def _bad_entry(grid):
@@ -797,9 +797,11 @@ def overgroups_of_diagonal(G):
     frontier = [frozenset({zero})]
     while frontier:
         S = frontier.pop()
+        covered = set(S)
         for g in elements:
-            if g in S:
+            if g in covered:
                 continue
+            covered.update(add(g, s) for s in S)  # each element of g + S closes the same T
             T = frozenset(_closure(sorted(S | {g}), zero, add, len(elements))[0])
             if T not in subgroups:
                 subgroups.add(T)
@@ -812,22 +814,23 @@ def _compose(a, b):
     return tuple(a[b[i]] for i in range(len(a)))
 
 
-def _invert(a):
-    out = [0] * len(a)
-    for i, v in enumerate(a):
-        out[v] = i
-    return tuple(out)
+def _orbit_count(perms, copies) -> int:
+    """Orbits on the copies of the group the permutations generate."""
+    parent = list(range(copies))
 
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
 
-def _class_count(group) -> int:
-    remaining = set(group)
-    classes = 0
-    while remaining:
-        x = remaining.pop()
-        classes += 1
-        for g in group:
-            remaining.discard(_compose(_compose(g, x), _invert(g)))
-    return classes
+    orbits = copies
+    for p in perms:
+        for i in range(copies):
+            r, s = root(i), root(p[i])
+            if r != s:
+                parent[r] = s
+                orbits -= 1
+    return orbits
 
 
 def permutation_orbifold_count(
@@ -844,7 +847,21 @@ def permutation_orbifold_count(
     `resolve_fixed_points` every orbit is weighted by the number of
     irreducible characters of its stabilizer, so a tuple fixed by a
     transposition contributes two sectors instead of one.
+
+    Both counts are Burnside sums over G, with m = `base_primary_count`
+    and omega(...) the number of orbits on the copies of the group the
+    listed permutations generate: the default is (1/|G|) sum_x m^omega(x),
+    the resolved count (1/|G|) sum_{xy=yx} m^omega(x, y).  Summing over
+    commuting pairs the tuples both fix gives sum_t |Stab t| k(Stab t),
+    that is |G| times the sum over orbits of the class number k of the
+    stabilizer (Burnside's lemma on pairs; Bantay, Characters and
+    modular properties of permutation orbifolds, Phys. Lett. B 419
+    (1998) 175).  The sum rides on the closure check, which composes
+    every pair, so the cost is O(|G|^2 copies) and does not depend on m.
     """
+    for n in (base_primary_count, copies):
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise TypeError("counts must be ints, got %r" % (n,))
     if base_primary_count < 1 or copies < 1:
         raise ValueError("counts must be positive")
     perms = [tuple(g) for g in group]
@@ -857,39 +874,15 @@ def permutation_orbifold_count(
             raise ValueError("%s is not a permutation of the copies" % (g,))
     if ident not in pset:
         raise ValueError("group must contain the identity")
+    total = 0
     for a in perms:
         for b in perms:
-            if _compose(a, b) not in pset:
+            ab = _compose(a, b)
+            if ab not in pset:
                 raise ValueError("group is not closed under composition")
-
-    if not resolve_fixed_points:
-        total = 0
-        for g in perms:
-            seen = [False] * copies
-            cycles = 0
-            for i in range(copies):
-                if not seen[i]:
-                    cycles += 1
-                    j = i
-                    while not seen[j]:
-                        seen[j] = True
-                        j = g[j]
-            total += base_primary_count**cycles
-        count, extra = divmod(total, len(perms))
-        if extra:
-            raise SelfCheckFailure("orbit count of a group action must be integral")
-        return count
-
-    seen = set()
-    count = 0
-    for t in product(range(base_primary_count), repeat=copies):
-        if t in seen:
-            continue
-        stabilizer = []
-        for g in perms:
-            u = tuple(t[g[i]] for i in range(copies))
-            seen.add(u)
-            if u == t:
-                stabilizer.append(g)
-        count += _class_count(stabilizer)
+            if b == ident or resolve_fixed_points and ab == _compose(b, a):
+                total += base_primary_count ** _orbit_count((a, b), copies)
+    count, extra = divmod(total, len(perms))
+    if extra:
+        raise SelfCheckFailure("orbit count of a group action must be integral")
     return count

@@ -15,6 +15,7 @@ from itertools import product
 from .exactla import (
     FGAbelianGroup,
     IntMatrix,
+    SelfCheckFailure,
     _cokernel_of,
     _diagonal_solve,
     _free_columns,
@@ -44,10 +45,6 @@ class StabilizationFailure(RuntimeError):
 
 class Inconclusive(RuntimeError):
     """The bounded-degree window certified neither answer."""
-
-
-class SelfCheckFailure(AssertionError):
-    """A computation failed one of its own consistency checks."""
 
 
 class LaurentPoly:

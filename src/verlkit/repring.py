@@ -40,7 +40,7 @@ from .cyclo import (
     CycNumber, _coerce, _key, _key_ints, _key_trace, _times, _unkey, cos_frac, rational,
     sin_frac, sqrt_int, zeta,
 )
-from .exactla import IntMatrix, _closure
+from .exactla import IntMatrix, SelfCheckFailure, _closure
 
 __all__ = [
     "Quaternion",
@@ -84,10 +84,6 @@ class GroupMismatch(ValueError):
 
 class NotASubgroup(ValueError):
     """No canonical embedding between the named groups."""
-
-
-class SelfCheckFailure(AssertionError):
-    """A construction failed one of its own consistency checks."""
 
 
 class OrthogonalityFailure(SelfCheckFailure):

@@ -1,8 +1,8 @@
 """Source hygiene that needs no linter: no module imports a name it neither
 uses nor exports through its __all__, no module defines a private
 top-level function or class that no library code refers to (a helper
-that only tests call is dead), no private top-level function or class is defined in two
-modules, no check is a bare `assert`, which `python -O` strips, no
+that only tests call is dead), no top-level function or class is defined
+in two modules, no check is a bare `assert`, which `python -O` strips, no
 decision rests on mpmath's floating-point linear algebra, no module
 imports mpmath when it is imported (only `cyclo.real_embed` loads it, on
 its first call, and without mpmath it raises an ImportError that names the
@@ -11,7 +11,8 @@ no module but `cyclo` imports or calls the coordinate
 internals `_lift`, `_raw`, `_cond` and `_substitute` (exponent lookups and
 rotations stay behind `cyclo`'s helpers), and every module states its
 public names in a literal __all__ that lists every public top-level
-function and class it defines."""
+function and class it defines and names nothing it neither defines nor
+imports."""
 
 import ast
 import os
@@ -65,14 +66,16 @@ def _references(paths):
 REFERENCES = _references(MODULES)
 
 
-def _private_definitions(path):
+def _definitions(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     return {
-        node.name
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name.startswith("_")
-        and not node.name.endswith("__")
+        node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+
+
+def _private_definitions(path):
+    return {
+        name for name in _definitions(path) if name.startswith("_") and not name.endswith("__")
     }
 
 
@@ -81,12 +84,12 @@ def test_no_dead_private_definitions(path):
     assert sorted(_private_definitions(path) - REFERENCES) == []
 
 
-def test_no_private_definition_in_two_modules():
-    # one implementation per idea: a helper shared by two modules lives in
-    # one and is imported by the other
+def test_no_definition_in_two_modules():
+    # one implementation per idea: a function or class shared by two modules
+    # lives in one and is imported (and, if public, re-exported) by the other
     where = {}
     for path in MODULES:
-        for name in _private_definitions(path):
+        for name in _definitions(path):
             where.setdefault(name, []).append(path.name)
     assert {name: paths for name, paths in where.items() if len(paths) > 1} == {}
 
@@ -222,6 +225,8 @@ def _top_level_names(tree):
             names.add(node.name)
         elif isinstance(node, ast.Assign):
             names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.ImportFrom):
+            names.update(a.asname or a.name for a in node.names)
     return names
 
 

@@ -26,7 +26,7 @@ Derived oracles, frozen after computing them by hand:
 import random
 from collections import defaultdict
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import gcd, lcm
 
 import mpmath
@@ -643,6 +643,8 @@ def test_overgroup_lattice_sizes():
     assert len(overgroups_of_diagonal((2, 4))) == 8
     assert len(overgroups_of_diagonal((2, 2, 2))) == 16
     assert len(overgroups_of_diagonal((3, 3))) == 6
+    # (Z_2)^4 has 1 + 15 + 35 + 15 + 1
+    assert len(overgroups_of_diagonal((2, 2, 2, 2))) == 67
     for H in overgroups_of_diagonal(3):
         assert len(H) % 3 == 0
 
@@ -681,12 +683,48 @@ _GROUPS = [
         (0, 2, 1),
         (2, 1, 0),
     ],
+    # Z_4, the dihedral group of the square, S_4 and <(01), (23)>, on 4 copies
+    [(0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1), (3, 0, 1, 2)],
+    [
+        (0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1), (3, 0, 1, 2),
+        (3, 2, 1, 0), (0, 3, 2, 1), (1, 0, 3, 2), (2, 1, 0, 3),
+    ],
+    sorted(permutations(range(4))),
+    [(0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2)],
 ]
 
 
+def _compose(a, b):
+    return tuple(a[b[i]] for i in range(len(a)))
+
+
+def _invert(a):
+    out = [0] * len(a)
+    for i, v in enumerate(a):
+        out[v] = i
+    return tuple(out)
+
+
+def _class_count(group):
+    remaining = set(group)
+    classes = 0
+    while remaining:
+        x = remaining.pop()
+        classes += 1
+        for g in group:
+            remaining.discard(_compose(_compose(g, x), _invert(g)))
+    return classes
+
+
 @settings(deadline=None, max_examples=60)
-@given(n=st.integers(min_value=1, max_value=5), gi=st.integers(0, len(_GROUPS) - 1))
-def test_orbit_count_matches_an_explicit_walk(n, gi):
+@given(
+    n=st.integers(min_value=1, max_value=5),
+    gi=st.integers(0, len(_GROUPS) - 1),
+    resolve=st.booleans(),
+)
+def test_orbit_count_matches_an_explicit_walk(n, gi, resolve):
+    # walk the label tuples; each orbit counts once, or, resolved, as many
+    # times as its stabilizer has conjugacy classes
     group = _GROUPS[gi]
     copies = len(group[0])
     seen = set()
@@ -694,10 +732,14 @@ def test_orbit_count_matches_an_explicit_walk(n, gi):
     for t in product(range(n), repeat=copies):
         if t in seen:
             continue
-        orbits += 1
+        stabilizer = []
         for g in group:
-            seen.add(tuple(t[g[i]] for i in range(copies)))
-    assert permutation_orbifold_count(n, copies, group) == orbits
+            u = tuple(t[g[i]] for i in range(copies))
+            seen.add(u)
+            if u == t:
+                stabilizer.append(g)
+        orbits += _class_count(stabilizer) if resolve else 1
+    assert permutation_orbifold_count(n, copies, group, resolve_fixed_points=resolve) == orbits
 
 
 def test_orbifold_count_validates_the_group():
@@ -709,6 +751,11 @@ def test_orbifold_count_validates_the_group():
         permutation_orbifold_count(3, 3, [(0, 1, 2), (1, 2, 0)])
     with pytest.raises(ValueError):
         permutation_orbifold_count(0, 2, SWAP)
+    for bad in (2.0, 2.5, True):
+        with pytest.raises(TypeError):
+            permutation_orbifold_count(bad, 2, SWAP)
+        with pytest.raises(TypeError):
+            permutation_orbifold_count(2, bad, SWAP)
 
 
 # -- report plumbing -----------------------------------------------------------
