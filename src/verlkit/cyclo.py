@@ -212,19 +212,6 @@ def _unpack(n: int, count: int, width: int):
     return [d - half for d in slots]
 
 
-def _reduce_int_vec(vec, cond: _CondData):
-    """Canonical form (length phi) of an integer vector over z^0..z^(len-1)."""
-    phi, n = cond.phi, cond.n
-    out = list(vec[:phi]) + [0] * max(0, phi - len(vec))
-    for e in range(phi, len(vec)):
-        c = vec[e]
-        if c:
-            row = cond.rows[e % n]
-            for j in range(phi):
-                out[j] += c * row[j]
-    return out
-
-
 def _width(bound: int) -> int:
     """Slot width in bits that holds signed values up to `bound`, with four
     bits to spare: 16, 32 or 64 when that fits, else a multiple of 64."""
@@ -299,7 +286,7 @@ def _descend(n: int, p: int, vec):
         if c:
             buckets[b * e % p][a * e % d] += c
     last, cond = buckets.pop(), _cond(d)
-    coords = [_reduce_int_vec([x - y for x, y in zip(bk, last)], cond) for bk in buckets]
+    coords = [_substitute([x - y for x, y in zip(bk, last)], 1, cond) for bk in buckets]
     return None if any(map(any, coords[1:])) else coords[0]
 
 
@@ -325,7 +312,7 @@ class CycNumber:
             raise TypeError("coefficients must be int or Fraction")
         scale = lcm(*(c.denominator for c in coeffs))
         num = [int(c * scale) for c in coeffs]
-        _raw(order, _reduce_int_vec(num, cond), den * scale, self)
+        _raw(order, _substitute(num, 1, cond), den * scale, self)
 
     def __setattr__(self, name, value):
         raise AttributeError("CycNumber is immutable")

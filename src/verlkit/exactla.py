@@ -7,7 +7,10 @@ presentation of a finitely generated abelian group that every downstream
 computation reports its answers in.  All integer elimination is one
 Euclid pass, `_sweep`, over one row operation, `_add`: the Smith form
 clears its columns, its rows and its divisibility fix-ups with it, and
-`_row_hermite` builds the Hermite form of a row lattice with it.  The
+`_row_hermite` builds the Hermite form of a row lattice with it.  That
+echelon has two readers: ``modinv.enumerate_invariants`` walks its rows
+for the CIZ search, and ``polyring._common_factor`` reads the gcd over Q
+of two polynomials off the last row of their Sylvester rows' echelon.  The
 Smith engine tracks only the unimodular transforms its reader names:
 none for `rank`, V for `kernel_basis`, U^-1 and V for `connecting_solve`.
 A reader of U or V^-1 applied to a few columns B gets U*B or V^-1*B

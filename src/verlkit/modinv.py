@@ -14,9 +14,11 @@ The invariance axioms are integer identities: XT = TX asks X to vanish
 across T classes, and for an integer X, XS = SX holds exactly when
 XS_t = S_tX for each integer coordinate matrix S_t of S over one power
 basis, d S = sum_t S_t zeta^t.  The commutant is then the kernel
-lattice of an integer system, `exactla.kernel_basis`, and its
-`exactla._row_hermite` basis is what `enumerate_invariants` scans; this
-module does no elimination of its own.
+lattice of an integer system, `exactla.kernel_basis`, and
+`enumerate_invariants` walks the rows of its `exactla._row_hermite`
+basis depth first, fixing one pivot column per row and pruning a branch
+once a finished column leaves the box; this module does no elimination
+of its own.
 
 The finite-group analogue lives in `alpha_induction_abelian`: for the
 double of a finite abelian group, a subgroup of the square containing
@@ -37,8 +39,7 @@ lemma on pairs; Phys. Lett. B 419 (1998) 175), one O(|G|^2 copies) pass.
 import re
 from collections import defaultdict
 from fractions import Fraction
-from itertools import product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .cyclo import (
     CycNumber, _key, _pack, _poly_divexact, _real_cyclotomic_poly, _real_enclosure, _width,
@@ -426,9 +427,13 @@ def enumerate_invariants(level: int, budget: int = 4_000_000):
 
     The T commutation restricts the unknown matrix to positions whose T
     eigenvalues agree, the S commutation becomes an integer linear
-    system on those positions, and integer combinations of its kernel
-    are scanned inside the box bounded by products of quantum
-    dimensions.  Raises SearchBudgetExceeded when the pivot box has more
+    system on those positions, and a depth-first walk over the rows of
+    its kernel's Hermite basis H picks the integer combinations inside
+    the box bounded by products of quantum dimensions.  At depth t the
+    coefficient of row t runs over exactly the integers that put pivot
+    column p_t in the box (at least 1 at (0, 0)); every column left of
+    p_(t+1) is then final, so a branch stops as soon as one of them
+    leaves it.  Raises SearchBudgetExceeded when the pivot box has more
     than `budget` points.
     """
     data = su2_modular_data(level)
@@ -444,54 +449,33 @@ def enumerate_invariants(level: int, budget: int = 4_000_000):
 
     rows = _commutant_rows(S, positions)
     K = kernel_basis(IntMatrix(len(rows), npos, [c for row in rows for c in row]))
-    basis = [K.col(t) for t in range(K.cols)]
-    if not basis:
-        return []
-    H = _row_hermite(basis)
+    H = _row_hermite([K.col(t) for t in range(K.cols)])
     rank = len(H)
-    pivots = []
-    for row in H:
-        pivots.append(next(c for c in range(npos) if row[c]))
+    pivots = [next(c for c in range(npos) if row[c]) for row in H]
 
-    volume = 1
-    for c in pivots:
-        volume *= bounds[c] + 1
+    volume = prod(bounds[c] + 1 for c in pivots)
     if volume > budget:
         raise SearchBudgetExceeded(volume, budget, rank, [bounds[c] for c in pivots])
 
-    ranges = []
-    for c in pivots:
-        lo = 1 if positions[c] == (0, 0) else 0
-        ranges.append(range(lo, bounds[c] + 1))
     out = []
-    for vals in product(*ranges):
-        xs = []
-        ok = True
-        for t in range(rank):
-            acc = vals[t]
-            for s in range(t):
-                acc -= xs[s] * H[s][pivots[t]]
-            piv = H[t][pivots[t]]
-            if acc % piv:
-                ok = False
-                break
-            xs.append(acc // piv)
-        if not ok:
-            continue
-        vec = [0] * npos
-        for s in range(rank):
-            if xs[s]:
-                row = H[s]
-                for c in range(npos):
-                    vec[c] += xs[s] * row[c]
-        if any(not 0 <= vec[c] <= bounds[c] for c in range(npos)):
-            continue
-        grid = [[0] * m for _ in range(m)]
-        for u, (i, j) in enumerate(positions):
-            grid[i][j] = vec[u]
-        if grid[0][0] != 1:
-            continue
-        out.append(ModularInvariant(grid, data=data))
+
+    def walk(t, vec):
+        if t == rank:
+            grid = [[0] * m for _ in range(m)]
+            for u, (i, j) in enumerate(positions):
+                grid[i][j] = vec[u]
+            if grid[0][0] == 1:
+                out.append(ModularInvariant(grid, data=data))
+            return
+        row, c = H[t], pivots[t]
+        piv, lo = row[c], 1 if positions[c] == (0, 0) else 0
+        final = range(c + 1, pivots[t + 1] if t + 1 < rank else npos)
+        for x in range(-((vec[c] - lo) // piv), (bounds[c] - vec[c]) // piv + 1):
+            nxt = [a + x * b for a, b in zip(vec, row)]
+            if all(0 <= nxt[u] <= bounds[u] for u in final):
+                walk(t + 1, nxt)
+
+    walk(0, [0] * npos)
     out.sort(key=lambda z: z.matrix)
     return out
 

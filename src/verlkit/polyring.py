@@ -4,13 +4,15 @@ Infinite-rank modules like Z[a^(+-1)] are realized on finite degree windows.
 A quotient or homology group is trusted only when the invariant factors
 computed on a window and on the window enlarged by the stabilization stride
 agree; otherwise :class:`StabilizationFailure` is raised.  All matrix work
-reduces to Smith normal form over Z (see `exactla`).
+reduces to Smith normal form over Z, and the gcd over Q to the last row of
+a Hermite form (see `exactla`).
 """
 
 from __future__ import annotations
 
 import warnings
 from itertools import product
+from math import gcd
 
 from .exactla import (
     FGAbelianGroup,
@@ -20,6 +22,7 @@ from .exactla import (
     _diagonal_solve,
     _free_columns,
     _matrix,
+    _row_hermite,
     _smith_engine,
     cokernel,
     solve_int,
@@ -376,7 +379,8 @@ def coprime_certificate(f: LaurentPoly, g: LaurentPoly):
 
     Returns (True, (u, w)) with u*f + w*g = 1, found by integer solving on
     the stacked shift matrix over degrees < deg f + deg g + 8; or
-    (False, h) where h is a nonunit common factor over Q.  Raises
+    (False, h) where h is the primitive gcd over Q, of degree >= 1 and with a
+    positive leading coefficient.  Raises
     Inconclusive when the window certifies neither.
     """
     for p in (f, g):
@@ -411,44 +415,22 @@ def coprime_certificate(f: LaurentPoly, g: LaurentPoly):
 
 
 def _common_factor(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    """A nonunit common divisor over Q, returned with integer coefficients."""
-    from fractions import Fraction
-    from math import gcd as igcd
+    """The primitive gcd of f and g over Q, with a positive leading coefficient.
 
-    def to_list(p):
-        out = [Fraction(0)] * (p.degree() + 1)
-        for (e,), c in p.terms.items():
-            out[e] = Fraction(c)
-        return out
-
-    a, b = to_list(f), to_list(g)
-
-    def strip(v):
-        while v and v[-1] == 0:
-            v.pop()
-        return v
-
-    a, b = strip(a), strip(b)
-    while b:
-        r = list(a)
-        while len(r) >= len(b):
-            if r[-1] == 0:
-                r.pop()
-                continue
-            q = r[-1] / b[-1]
-            for i in range(len(b)):
-                r[len(r) - len(b) + i] -= q * b[i]
-            r.pop()
-        a, b = b, strip(r)
-    den = 1
-    for c in a:
-        den = den * c.denominator // igcd(den, c.denominator)
-    ints = [int(c * den) for c in a]
-    content = 0
-    for c in ints:
-        content = igcd(content, c)
-    ints = [c // content for c in ints]
-    return LaurentPoly(f.names, {(i,): c for i, c in enumerate(ints)})
+    The Sylvester rows s^i*f (i < deg g) and s^j*g (j < deg f), highest
+    degree first, span over Q the multiples of gcd(f, g) of degree below
+    deg f + deg g, so the last row of their Hermite form is an integer
+    multiple of the gcd.  Two constants give no rows, and the gcd 1.
+    """
+    n = f.degree() + g.degree()
+    rows = []
+    for p, shifts in ((f, g.degree()), (g, f.degree())):
+        content = gcd(*p.terms.values())
+        rows += [[c // content for c in _poly_to_vec(p, n, i)[::-1]] for i in range(shifts)]
+    H = _row_hermite(rows)
+    last = H[-1] if H else [1]
+    content = gcd(*last)
+    return LaurentPoly(f.names, {(len(last) - 1 - k,): c // content for k, c in enumerate(last)})
 
 
 # -- the sigma-ring Tor computation ------------------------------------------------

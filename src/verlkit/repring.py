@@ -40,7 +40,7 @@ from .cyclo import (
     CycNumber, _coerce, _key, _key_ints, _key_trace, _times, _unkey, cos_frac, rational,
     sin_frac, sqrt_int, zeta,
 )
-from .exactla import IntMatrix, SelfCheckFailure, _closure
+from .exactla import IntMatrix, SelfCheckFailure, _closure, _format_combo
 
 __all__ = [
     "Quaternion",
@@ -495,20 +495,9 @@ class VirtualRep:
         return sum(ct.dim_of(k) * v for k, v in self.coeffs.items())
 
     def render(self) -> str:
-        if not self.coeffs:
-            return "0"
-        ct = character_table(self.group)
-        parts = []
-        for lab in ct.labels:
-            if lab not in self.coeffs:
-                continue
-            v = self.coeffs[lab]
-            body = lab if abs(v) == 1 else "%d*%s" % (abs(v), lab)
-            if not parts:
-                parts.append(body if v > 0 else "-" + body)
-            else:
-                parts.append(("+ " if v > 0 else "- ") + body)
-        return " ".join(parts)
+        # the zero rep needs no table, so it renders for E8 too
+        labels = character_table(self.group).labels if self.coeffs else []
+        return _format_combo([self.coeffs.get(lab, 0) for lab in labels], labels)
 
     def __repr__(self):
         return "VirtualRep(%s: %s)" % (self.group.name, self.render())

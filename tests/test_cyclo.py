@@ -30,7 +30,6 @@ from verlkit.cyclo import (
     _pack,
     _real_cyclotomic_poly,
     _real_enclosure,
-    _reduce_int_vec,
     _root_exponent,
     _rotate,
     _substitute,
@@ -272,7 +271,7 @@ def _mul_reference(a, b, cond):
             for j, y in enumerate(b):
                 if y:
                     conv[i + j] += x * y
-    return _reduce_int_vec(conv, cond)
+    return _substitute(conv, 1, cond)
 
 
 @given(

@@ -121,6 +121,13 @@ def test_level_10_finds_three_including_the_e_block():
     assert E6_GRID in {z.matrix for z in invs}
 
 
+@pytest.mark.parametrize("level, count", [(11, 1), (12, 2), (16, 3), (22, 2), (28, 3)])
+def test_ciz_census_above_level_ten(level, count):
+    # A alone at odd level, A + D at even level, E7 at 16 and E8 at 28:
+    # the levels where the Hermite walk prunes branches
+    assert len(enumerate_invariants(level)) == count
+
+
 @pytest.mark.parametrize("level", [2, 3, 4, 5, 6, 10])
 def test_enumerated_invariants_pass_every_axiom(level):
     data = su2_modular_data(level)

@@ -11,7 +11,10 @@ Hand-derived expectations:
 * (x, x^2): common factor x.
 """
 
+import random
 import warnings
+from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -195,10 +198,52 @@ def test_coprime_quartic_quintic():
     assert u * f + w * g == LaurentPoly.const(1)
 
 
+def _gcd_over_q_reference(f, g):
+    """Euclid over Fractions on coefficient lists, low degree first, made
+    primitive with a positive leading coefficient."""
+    x = [Fraction(f.coeff(e)) for e in range(f.degree() + 1)]
+    y = [Fraction(g.coeff(e)) for e in range(g.degree() + 1)]
+    while y:
+        while len(x) >= len(y):
+            q, shift = x[-1] / y[-1], len(x) - len(y)
+            x = [c - q * y[i - shift] if i >= shift else c for i, c in enumerate(x)][:-1]
+        while x and not x[-1]:
+            x.pop()
+        x, y = y, x
+    ints = [int(c * lcm(*(c.denominator for c in x))) for c in x]
+    content = gcd(*ints) if ints[-1] > 0 else -gcd(*ints)
+    return LaurentPoly(f.names, {(e,): c // content for e, c in enumerate(ints)})
+
+
+def test_shared_factor_is_the_primitive_gcd_with_a_positive_lead():
+    # 1 - a is the same gcd up to sign; the positive lead picks a - 1
+    ok, factor = coprime_certificate(6 - 2 * a - 4 * a**2, 3 * a**2 - 3)
+    assert not ok
+    assert factor == a - 1
+    rng = random.Random(20)
+
+    def poly(deg):
+        cs = [rng.randint(-4, 4) for _ in range(deg)] + [rng.choice([-3, -2, -1, 1, 2, 3])]
+        return LaurentPoly(("a",), {(e,): c for e, c in enumerate(cs)})
+
+    # `_common_factor` is called directly: on some of these pairs the
+    # integer solve that `coprime_certificate` runs first does not finish
+    for _ in range(200):
+        h = poly(rng.randint(0, 3))
+        f, g = h * poly(rng.randint(0, 4)), h * poly(rng.randint(0, 4))
+        factor = polyring._common_factor(f, g)
+        assert factor == _gcd_over_q_reference(f, g)
+        assert factor.coeff(factor.degree()) > 0
+        assert gcd(*factor.terms.values()) == 1
+
+
 def test_inconclusive_integer_content():
     # (2, x): 2u + xw = 1 has no integer solution, but gcd over Q is 1
     with pytest.raises(Inconclusive):
         coprime_certificate(LaurentPoly.const(2), a)
+    # two constants: no Sylvester rows, and the gcd over Q is 1
+    with pytest.raises(Inconclusive):
+        coprime_certificate(LaurentPoly.const(6), LaurentPoly.const(4))
 
 
 def test_e6_tor_groups():

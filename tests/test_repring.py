@@ -41,6 +41,7 @@ from verlkit.repring import (
     Quaternion,
     QuaternionGroup,
     SelfCheckFailure,
+    VirtualRep,
     character_table,
     classify_graded,
     dirac_induce_T_to_SU2,
@@ -136,6 +137,24 @@ def test_tensor_examples():
     iy = labels.index("y")
     row = {labels[j]: A[(iy, j)] for j in range(len(labels)) if A[(iy, j)]}
     assert yy.coeffs == row
+
+
+def test_virtual_rep_arithmetic_dim_and_render():
+    G = quaternion_group("D4")
+    s0, s1, t = (irrep_vr(G, lab) for lab in ("s0", "s1", "t"))
+    v = 2 * t - s1
+    assert v.coeffs == {"t": 2, "s1": -1}
+    assert -v == s1 - 2 * t
+    assert v - v == 0 * v
+    assert v.dim() == 3
+    assert (s0 - s1).dim() == 0
+    assert v.render() == "-s1 + 2*t"
+    assert (-v).render() == "s1 - 2*t"
+    assert (s0 + 3 * s1).render() == "s0 + 3*s1"
+    assert (v - v).render() == "0"
+    assert repr(VirtualRep(quaternion_group("E8"), {})) == "VirtualRep(E8: 0)"
+    with pytest.raises(GroupMismatch):
+        s0 - irrep_vr(quaternion_group("A1"), "r''_1")
 
 
 def test_tensor_group_mismatch():
