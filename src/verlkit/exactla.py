@@ -12,10 +12,12 @@ echelon has two readers: ``modinv.enumerate_invariants`` walks its rows
 for the CIZ search, and ``polyring._common_factor`` reads the gcd over Q
 of two polynomials off the last row of their Sylvester rows' echelon.  The
 Smith engine tracks only the unimodular transforms its reader names:
-none for `rank`, V for `kernel_basis`, U^-1 and V for `connecting_solve`.
-A reader of U or V^-1 applied to a few columns B gets U*B or V^-1*B
-instead: `solve_int` tracks U*target and V, ``polyring.e6_tor`` U*target,
-U^-1 and V^-1 times its d2 columns.  Every group closure is one
+none for `rank`, V for `kernel_basis`, U^-1 and V for `connecting_solve`,
+all four for `smith_with_inverses` and so for `cokernel`.  A reader of U
+or V^-1 applied to a few columns B gets U*B or V^-1*B instead: `solve_int`
+tracks U*target and V, ``polyring.e6_tor`` U*target, U^-1 and V^-1 times
+its d2 columns, then U^-1 or nothing for H1.  A pivot row that its pivot
+divides is cleared on V and V^-1 alone.  Every group closure is one
 breadth-first walk, `_closure`, and `_cayley_invariants` presents a
 finite abelian group by the relations of its Cayley graph and reads it
 off the same Smith engine.
@@ -265,7 +267,10 @@ def _smith_engine(M: IntMatrix, u=False, uinv=False, v=False, vinv=False):
     and on the rows of V^-1.  So U^-1 and V are stored transposed, and every
     transform update is one `_add` or `_swap` of whole rows.  Pivots are
     chosen with smallest nonzero magnitude to keep entry growth down on the
-    larger connecting matrices.
+    larger connecting matrices.  Once column t is cleared to p*e_t, a pivot
+    p that divides its row (always when |p| = 1) clears the row by
+    bookkeeping: the column steps change only row t of M, so they run on V
+    and V^-1 alone.  Any other pivot row goes through the Euclid sweeps.
 
     `u` and `vinv` may also be an IntMatrix B (M.rows, resp. M.cols, rows):
     that transform's rows then start from B instead of from I, and its slot
@@ -321,10 +326,21 @@ def _smith_engine(M: IntMatrix, u=False, uinv=False, v=False, vinv=False):
             break
         row_swap(t, pi)
         col_swap(t, pj)
-        # clear column t, then row t; a column step can refill the column
-        while not (_sweep(lambda i: A[i][t], t, m, row_add, row_swap)
-                   and _sweep(lambda j: A[t][j], t, n, col_add, col_swap)):
+        while not _sweep(lambda i: A[i][t], t, m, row_add, row_swap):
             pass
+        # column t is now p*e_t, so a column step j += q*t changes A only at
+        # (t, j): when p divides row t, clear it on V and V^-1 alone
+        p, row = A[t][t], A[t]
+        if abs(p) == 1 or not any(x % p for x in row[t + 1 :]):
+            for j in range(t + 1, n):
+                if row[j]:
+                    _add(V_t, Vinv, j, t, -(row[j] // p))
+                    row[j] = 0
+        else:
+            # clear column t, then row t; a column step can refill the column
+            while not (_sweep(lambda i: A[i][t], t, m, row_add, row_swap)
+                       and _sweep(lambda j: A[t][j], t, n, col_add, col_swap)):
+                pass
         if A[t][t] < 0:
             negate(t)
         t += 1

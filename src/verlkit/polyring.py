@@ -11,6 +11,7 @@ a Hermite form (see `exactla`).
 from __future__ import annotations
 
 import warnings
+from functools import cache
 from itertools import product
 from math import gcd
 
@@ -377,11 +378,11 @@ def _band(f: LaurentPoly, size: int, shifts: int):
 def coprime_certificate(f: LaurentPoly, g: LaurentPoly):
     """Decide whether (f, g) = (1) in Z[x], with a checkable witness.
 
-    Returns (True, (u, w)) with u*f + w*g = 1, found by integer solving on
-    the stacked shift matrix over degrees < deg f + deg g + 8; or
-    (False, h) where h is the primitive gcd over Q, of degree >= 1 and with a
-    positive leading coefficient.  Raises
-    Inconclusive when the window certifies neither.
+    The gcd over Q comes first: (False, h) when the primitive gcd h, with a
+    positive leading coefficient, has degree >= 1, as h divides every
+    u*f + w*g.  Otherwise (True, (u, w)) with u*f + w*g = 1, found by integer
+    solving on the stacked shift matrix over degrees < deg f + deg g + 8.
+    Raises Inconclusive when that window has no witness.
     """
     for p in (f, g):
         if p.is_zero():
@@ -389,6 +390,9 @@ def coprime_certificate(f: LaurentPoly, g: LaurentPoly):
         if p.nvars != 1:
             raise ValueError("one-variable polynomials required")
         p.degree()  # rejects Laurent support
+    h = _common_factor(f, g)
+    if h.degree() >= 1:
+        return False, h
     size = f.degree() + g.degree() + 8
     fshift = size - f.degree()
     gshift = size - g.degree()
@@ -404,9 +408,6 @@ def coprime_certificate(f: LaurentPoly, g: LaurentPoly):
         if u * f + w * g != LaurentPoly.const(1, f.names):
             raise SelfCheckFailure("witness failed to expand to 1")
         return True, (u, w)
-    h = _common_factor(f, g)
-    if h.degree() >= 1:
-        return False, h
     raise Inconclusive(
         "no Bezout witness below degree %d, yet f and g are coprime over Q; "
         "the integer ideal may still be proper (e.g. contains only n > 1)"
@@ -436,28 +437,9 @@ def _common_factor(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
 # -- the sigma-ring Tor computation ------------------------------------------------
 
 
-def e6_tor(window_size: int = 24, stride: int = 5):
-    """Homology of the two-step sigma-ring complex with Ising-type relations.
-
-    d1(p, q) = (s^2-2)[(s^4-3s^2+1)p + s^3(s^2-3)q]  maps Z[s]^2 -> Z[s],
-    d2(p)    = (s^2-2)(s^3(s^2-3)p, -(s^4-3s^2+1)p)  maps Z[s] -> Z[s]^2.
-
-    Returns (H0, H1, cert) where H0 = coker d1, H1 = ker d1 / im d2 on
-    stabilized windows, and cert records the coprimality witness of the two
-    cofactors plus the verified ring relation s*s = 2 in H0.
-
-    On each of the two windows (`window_size` and `window_size + stride`)
-    d1 is factored once, U d1 V = D, and the elimination carries the d2
-    columns D2 along as V^-1 D2: its rows at zero invariant factors are the
-    kernel coordinates of every d2 column, and its other rows vanish unless
-    im d2 escaped ker d1.  The first window also tracks U^-1, which labels
-    H0 with the s^i, and U (s*s - 2), which decides s*s = 2 in H0; the
-    second reads only H0's invariants off D.
-    """
-    if stride < 1:
-        raise ValueError("stride must be positive")
-    if window_size < 0:
-        raise ValueError("window size must be nonnegative")
+@cache
+def _sigma_complex():
+    """d1f, d1g, d2f, d2g and the cofactors' Bezout witness, checked once."""
     s = LaurentPoly.var("s")
     m = s**2 - 2
     A = s**4 - 3 * s**2 + 1
@@ -471,7 +453,33 @@ def e6_tor(window_size: int = 24, stride: int = 5):
     ok, witness = coprime_certificate(A, B)
     if not ok:
         raise SelfCheckFailure("cofactors unexpectedly share a factor")
+    return d1f, d1g, d2f, d2g, witness
 
+
+def e6_tor(window_size: int = 24, stride: int = 5):
+    """Homology of the two-step sigma-ring complex with Ising-type relations.
+
+    d1(p, q) = (s^2-2)[(s^4-3s^2+1)p + s^3(s^2-3)q]  maps Z[s]^2 -> Z[s],
+    d2(p)    = (s^2-2)(s^3(s^2-3)p, -(s^4-3s^2+1)p)  maps Z[s] -> Z[s]^2.
+
+    Returns (H0, H1, cert) where H0 = coker d1, H1 = ker d1 / im d2 on
+    stabilized windows, and cert records the coprimality witness of the two
+    cofactors plus the verified ring relation s*s = 2 in H0.  The complex
+    and the witness are built and checked once per process.
+
+    On each of the two windows (`window_size` and `window_size + stride`)
+    d1 is factored once, U d1 V = D, carrying the d2 columns along as
+    V^-1 D2: its rows at zero invariant factors are the kernel coordinates
+    C of the d2 columns, H1 = coker C, and its other rows vanish unless
+    im d2 escaped ker d1.  The first window also tracks U^-1, which labels
+    H0 with the s^i, U (s*s - 2), which decides s*s = 2 in H0, and U^-1 of
+    C, which labels H1; the second reads only the invariants of H0 and H1.
+    """
+    if stride < 1:
+        raise ValueError("stride must be positive")
+    if window_size < 0:
+        raise ValueError("window size must be nonnegative")
+    d1f, d1g, d2f, d2g, witness = _sigma_complex()
     d2_top = max(d2f.degree(), d2g.degree())
 
     def window(w: int, first: bool):
@@ -488,7 +496,8 @@ def e6_tor(window_size: int = 24, stride: int = 5):
         if any(any(Vinv_d2.row(j)) for j in set(range(2 * w)).difference(free)):
             raise SelfCheckFailure("im d2 escaped ker d1 on the window")
         C = _matrix(len(free), k, [x for j in free for x in Vinv_d2.row(j)])
-        h1 = cokernel(C, labels=["k%d" % i for i in range(len(free))])
+        labels = ["k%d" % i for i in range(len(free))] if first else None
+        h1 = _cokernel_of(_smith_engine(C, uinv=first), labels)
         h0 = _cokernel_of(snf, ["s^%d" % i for i in range(cod)] if first else None)
         return h0, h1, snf
 

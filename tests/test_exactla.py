@@ -15,6 +15,7 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from verlkit import exactla
 from verlkit.exactla import (
     FGAbelianGroup,
     IntMatrix,
@@ -304,6 +305,17 @@ def _engine_cases(rng):
     return cases, fixups
 
 
+def _assert_smith_form(M, full):
+    """U*M*V = D with U, V unimodular and D a nonnegative divisibility chain."""
+    U, Uinv, D, V, Vinv = full
+    assert U * M * V == D and Uinv * D * Vinv == M
+    assert U * Uinv == IntMatrix.identity(M.rows) and V * Vinv == IntMatrix.identity(M.cols)
+    d = diag_of(D)
+    assert all(x >= 0 for x in d)
+    assert all(b % a == 0 if a else b == 0 for a, b in zip(d, d[1:]))
+    assert all(D[i, j] == 0 for i in range(D.rows) for j in range(D.cols) if i != j)
+
+
 def test_smith_engine_tracks_exactly_the_transforms_asked_for():
     cases, fixups = _engine_cases(random.Random(6))
     assert len(cases) >= 400 and fixups >= 20
@@ -311,16 +323,41 @@ def test_smith_engine_tracks_exactly_the_transforms_asked_for():
     assert any(rank(M) < min(M.shape) for M in cases)
     for M in cases:
         full = _smith_engine(M, True, True, True, True)
-        U, Uinv, D, V, Vinv = full
-        assert U * M * V == D and Uinv * D * Vinv == M
-        d = diag_of(D)
-        assert all(x >= 0 for x in d)
-        assert all(b % a == 0 if a else b == 0 for a, b in zip(d, d[1:]))
+        _assert_smith_form(M, full)
+        D = full[2]
         for flags in product((False, True), repeat=4):
             got = _smith_engine(M, *flags)
             assert got[2] == D
             for on, x, y in zip(flags, got[:2] + got[3:], full[:2] + full[3:]):
                 assert (x == y) if on else (x is None)
+
+
+@pytest.mark.parametrize("rows, row_sweeps, diagonal", [
+    # pivot 1: every row clear is bookkeeping on V
+    ([[1, 2], [3, 4]], 0, [1, 2]),
+    ([[1, 5, -7], [0, 0, 0], [2, 10, -13]], 0, [1, 1, 0]),
+    # pivot 2 divides its row, and then the next pivot row is empty
+    ([[2, 4, 6], [4, 10, 12]], 0, [2, 2]),
+    ([[-3, 6, -9]], 0, [3]),
+    # pivot 2 beside a 3: the row goes through the Euclid sweeps
+    ([[2, 3]], 2, [1]),
+    ([[4, 6], [0, 10]], 2, [2, 20]),
+])
+def test_pivot_rows_are_cleared_on_v_alone_when_the_pivot_divides_them(
+        monkeypatch, rows, row_sweeps, diagonal):
+    kinds = []
+    sweep = exactla._sweep
+
+    def recording(get, t, stop, add, swap):
+        kinds.append(add.__name__)
+        return sweep(get, t, stop, add, swap)
+
+    monkeypatch.setattr(exactla, "_sweep", recording)
+    M = IntMatrix.from_rows(rows)
+    full = _smith_engine(M, True, True, True, True)
+    _assert_smith_form(M, full)
+    assert diag_of(full[2]) == diagonal
+    assert kinds.count("col_add") == row_sweeps
 
 
 def _random_rhs(rng, rows):

@@ -140,17 +140,20 @@ def test_stabilization_messages_name_both_windows(monkeypatch):
         stabilized_family(family, 6)
     assert str(caught.value) == "window 6 gives Z^5 but window 11 gives Z^10"
 
-    # an H1 that changes with the window is reported with its prefix
-    h1_groups = []
+    # an H1 that changes with the window is reported with its prefix; each
+    # window reads H1, then H0, so the third group is window 25's H1
+    groups = []
+    cokernel_of = polyring._cokernel_of
 
-    def cokernel_growing(M, labels=None):
-        h1_groups.append(cokernel(M, labels=labels))
-        g = h1_groups[-1]
-        return g if len(h1_groups) == 1 else FGAbelianGroup(g.free_rank, (3,))
+    def cokernel_of_growing(snf, labels=None):
+        groups.append(cokernel_of(snf, labels))
+        g = groups[-1]
+        return FGAbelianGroup(g.free_rank, (3,)) if len(groups) == 3 else g
 
-    monkeypatch.setattr(polyring, "cokernel", cokernel_growing)
+    monkeypatch.setattr(polyring, "_cokernel_of", cokernel_of_growing)
     with pytest.raises(StabilizationFailure) as caught:
         e6_tor(20)
+    assert len(groups) == 4
     assert str(caught.value) == "H1 window 20 gives Z^2 but window 25 gives Z/3 + Z^2"
 
 
@@ -226,15 +229,33 @@ def test_shared_factor_is_the_primitive_gcd_with_a_positive_lead():
         cs = [rng.randint(-4, 4) for _ in range(deg)] + [rng.choice([-3, -2, -1, 1, 2, 3])]
         return LaurentPoly(("a",), {(e,): c for e, c in enumerate(cs)})
 
-    # `_common_factor` is called directly: on some of these pairs the
-    # integer solve that `coprime_certificate` runs first does not finish
+    outcomes = set()
     for _ in range(200):
         h = poly(rng.randint(0, 3))
         f, g = h * poly(rng.randint(0, 4)), h * poly(rng.randint(0, 4))
-        factor = polyring._common_factor(f, g)
-        assert factor == _gcd_over_q_reference(f, g)
+        want = _gcd_over_q_reference(f, g)
+        try:
+            ok, factor = coprime_certificate(f, g)
+        except Inconclusive:
+            outcomes.add("inconclusive")
+            assert want.degree() == 0
+            continue
+        outcomes.add(ok)
+        if ok:
+            u, w = factor
+            assert want.degree() == 0 and u * f + w * g == LaurentPoly.const(1)
+            continue
+        assert factor == want
         assert factor.coeff(factor.degree()) > 0
         assert gcd(*factor.terms.values()) == 1
+    assert outcomes == {True, False, "inconclusive"}
+
+
+def test_a_shared_factor_is_found_before_any_integer_solve():
+    # the integer solve on this pair's 12 x 20 shift matrix blows up its
+    # entries; the gcd over Q decides the pair first
+    f, g = 9 - 6 * a - 3 * a**2, 12 + 13 * a + 3 * a**2
+    assert coprime_certificate(f, g) == (False, a + 3)
 
 
 def test_inconclusive_integer_content():
@@ -342,5 +363,21 @@ def test_e6_window_matrices_are_bands_of_shifted_polynomials():
 def test_e6_tor_self_check_failure_is_typed(monkeypatch):
     assert issubclass(SelfCheckFailure, AssertionError)
     monkeypatch.setattr(polyring, "coprime_certificate", lambda f, g: (False, None))
+    polyring._sigma_complex.cache_clear()
     with pytest.raises(SelfCheckFailure, match="cofactors unexpectedly share a factor"):
         e6_tor(8)
+
+
+def test_e6_tor_builds_the_sigma_complex_once(monkeypatch):
+    calls = []
+    certify = polyring.coprime_certificate
+
+    def counting(f, g):
+        calls.append((f, g))
+        return certify(f, g)
+
+    monkeypatch.setattr(polyring, "coprime_certificate", counting)
+    polyring._sigma_complex.cache_clear()
+    first, second = e6_tor(8)[2], e6_tor(13)[2]
+    assert len(calls) == 1
+    assert first["coprime_witness"] == second["coprime_witness"]
