@@ -26,7 +26,11 @@ Naming follows the A-D-E pattern for the binary polyhedral groups:
 A1, A3, A5 are the cyclic groups of orders 2, 4, 6; D4, D5 the binary
 dihedral groups of orders 8, 12; E6, E7, E8 the binary tetrahedral,
 octahedral, icosahedral groups.  Generic cyclic and binary dihedral groups
-are available as "C<m>" and "BD<m>".
+are available as "C<m>" and "BD<m>".  Every named group is built on one
+path: its name gives its (generators, order, irrep specs), with the paper's
+labels and orders applied as data when the specs are made, and one closure
+gives its elements.  A canonical embedding is literal containment unless
+`_EMBED_IMAGES` lists other generator images for the pair.
 """
 
 from __future__ import annotations
@@ -175,10 +179,10 @@ def _quat(w, x, y, z) -> Quaternion:
     return Quaternion(*map(_coerce, (w, x, y, z)))
 
 
-_Q_ONE = _quat(1, 0, 0, 0)
 _Q_I = _quat(0, 1, 0, 0)
 _Q_J = _quat(0, 0, 1, 0)
-_Q_K = _quat(0, 0, 0, 1)
+_Q_G = _quat(_HALF, _HALF, _HALF, _HALF)  # (1+i+j+k)/2, of order 6
+_R2 = sqrt_int(2) * _HALF  # 1/sqrt(2)
 
 
 def _quaternion_closure(gens, order):
@@ -435,6 +439,16 @@ def character_table(G: QuaternionGroup) -> CharacterTable:
     return G._table
 
 
+def _collect(pairs) -> dict:
+    """The sum of the values of each key over (key, value) pairs; zero sums dropped."""
+    out = {}
+    for k, v in pairs:
+        out[k] = out.get(k, 0) + v
+        if not out[k]:
+            del out[k]
+    return out
+
+
 class VirtualRep:
     """Integer combination of irreps of one finite group."""
 
@@ -459,17 +473,11 @@ class VirtualRep:
 
     def __add__(self, o):
         self._check(o)
-        c = dict(self.coeffs)
-        for k, v in o.coeffs.items():
-            c[k] = c.get(k, 0) + v
-        return VirtualRep(self.group, c)
+        return VirtualRep(self.group, _collect([*self.coeffs.items(), *o.coeffs.items()]))
 
     def __sub__(self, o):
         self._check(o)
-        c = dict(self.coeffs)
-        for k, v in o.coeffs.items():
-            c[k] = c.get(k, 0) - v
-        return VirtualRep(self.group, c)
+        return self + -o
 
     def __neg__(self):
         return VirtualRep(self.group, {k: -v for k, v in self.coeffs.items()})
@@ -521,75 +529,47 @@ def tensor_decompose(rho: VirtualRep, tau: VirtualRep) -> VirtualRep:
 # -- group constructions -----------------------------------------------------------
 
 
-def _cyclic_specs(m: int):
-    """Irreps of C_m = <exp(2*pi*i/m)> with labels fixed by the A-series."""
-    labels = _cyclic_labels(m)
-    specs = []
-    for j in range(m):
-        specs.append((labels[j], [[[zeta(m, j)]]]))
-    return specs
-
-
-def _cyclic_labels(m: int):
-    if m == 2:
-        return ["r''_1", "r''_-1"]
-    if m == 4:
-        # value at the generator i: 1, i, -1, -i
-        return ["r'_1", "r'_i", "r'_-1", "r'_-i"]
-    if m == 6:
-        # value at the generator zeta_6: 1, -w^2, w, -1, w^2, -w
-        return ["r_1", "r_-w2", "r_w", "r_-1", "r_w2", "r_-w"]
-    return ["c%d" % j for j in range(m)]
-
-
-_PAPER_CYCLIC_ORDER = {
-    2: ["r''_1", "r''_-1"],
-    4: ["r'_1", "r'_-1", "r'_i", "r'_-i"],
-    6: ["r_1", "r_-1", "r_w", "r_-w", "r_w2", "r_-w2"],
+# Labels of C_m's irreps by exponent j (value zeta_m^j at the generator),
+# listed in the paper's order: A3 is C4 = <i>, A5 is C6 = <zeta_6>.
+_CYCLIC_LABELS = {
+    2: {0: "r''_1", 1: "r''_-1"},
+    4: {0: "r'_1", 2: "r'_-1", 1: "r'_i", 3: "r'_-i"},
+    6: {0: "r_1", 3: "r_-1", 2: "r_w", 5: "r_-w", 4: "r_w2", 1: "r_-w2"},
 }
 
 
-def _binary_dihedral_specs(m: int):
-    """Irreps of BD_m = <a, b : a^(2m), b^2 = a^m, b a b^-1 = a^-1>."""
-    specs = []
+def _cyclic_specs(m: int, order=None):
+    """Irreps of C_m = <exp(2*pi*i/m)>, labelled by the A-series, by exponent
+    or in the exponent `order` given."""
+    labels = _CYCLIC_LABELS.get(m, {})
+    return [(labels.get(j, "c%d" % j), [[[zeta(m, j)]]]) for j in order or range(m)]
+
+
+# the paper's labels of D4 = BD2 and D5 = BD3, in place of l0..l3, t1, ...
+_DIHEDRAL_LABELS = {
+    "D4": ["s0", "s1", "s2", "s3", "t"],
+    "D5": ["s'0", "s'1", "s'2", "s'3", "t'", "t''"],
+}
+
+
+def _binary_dihedral_specs(m: int, labels=None):
+    """Irreps of BD_m = <a, b : a^(2m), b^2 = a^m, b a b^-1 = a^-1>, labelled
+    l0..l3, t1..t(m-1) or by position from `labels`."""
     if m % 2 == 0:
-        one_dims = [
-            ("l0", 1, 1),
-            ("l1", -1, 1),
-            ("l2", 1, -1),
-            ("l3", -1, -1),
-        ]
+        one_dims = [(1, 1), (-1, 1), (1, -1), (-1, -1)]
     else:
         i = zeta(4)
-        one_dims = [
-            ("l0", rational(1), rational(1)),
-            ("l1", rational(1), rational(-1)),
-            ("l2", rational(-1), i),
-            ("l3", rational(-1), -i),
-        ]
-    for lab, av, bv in one_dims:
-        specs.append((lab, [[[av]], [[bv]]]))
+        one_dims = [(_ONE, _ONE), (_ONE, -_ONE), (-_ONE, i), (-_ONE, -i)]
+    mats = [[[[av]], [[bv]]] for av, bv in one_dims]
     for h in range(1, m):
         amat = [[zeta(2 * m, h), 0], [0, zeta(2 * m, -h % (2 * m))]]
-        bmat = [[0, 1], [(-1) ** h, 0]]
-        specs.append(("t%d" % h, [amat, bmat]))
-    return specs
-
-
-_D4_RELABEL = {"l0": "s0", "l1": "s1", "l2": "s2", "l3": "s3", "t1": "t"}
-_D4_ORDER = ["s0", "s1", "s2", "s3", "t"]
-_D5_RELABEL = {
-    "l0": "s'0",
-    "l1": "s'1",
-    "l2": "s'2",
-    "l3": "s'3",
-    "t1": "t'",
-    "t2": "t''",
-}
-_D5_ORDER = ["s'0", "s'1", "s'2", "s'3", "t'", "t''"]
+        mats.append([amat, [[0, 1], [(-1) ** h, 0]]])
+    generic = ["l0", "l1", "l2", "l3"] + ["t%d" % h for h in range(1, m)]
+    return list(zip(labels or generic, mats))
 
 
 def _e6_specs():
+    """Irreps of E6 = <i, g> on the images of i and g = _Q_G."""
     w = zeta(3)
     i = zeta(4)
     h = _HALF
@@ -601,7 +581,7 @@ def _e6_specs():
     # conjugation action on span{i, j, k}: i -> diag(1,-1,-1); g cycles axes
     i_conj = [[1, 0, 0], [0, -1, 0], [0, 0, -1]]
     g_conj = [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
-    specs = [
+    return [
         ("x", [[[_ONE]], [[_ONE]]]),
         ("x'", [[[_ONE]], [[w * w]]]),
         ("x''", [[[_ONE]], [[w]]]),
@@ -610,7 +590,6 @@ def _e6_specs():
         ("y''", [i_su2, _scale_mat(g_su2, w)]),
         ("z", [i_conj, g_conj]),
     ]
-    return specs
 
 
 def _scale_mat(M, c):
@@ -618,41 +597,28 @@ def _scale_mat(M, c):
 
 
 def _e7_specs():
+    """Irreps of E7 = <i, g, s>: E6's images of i and g, and images of s."""
+    e6 = dict(_e6_specs())
     w = zeta(3)
     i = zeta(4)
-    h = _HALF
-    s8 = sqrt_int(2) * _HALF  # 1/sqrt(2)
-    g_su2 = [
-        [h + h * i, h + h * i],
-        [-h + h * i, h - h * i],
-    ]
-    i_su2 = [[i, 0], [0, -i]]
-    s_su2 = [[s8 + s8 * i, _ZERO], [_ZERO, s8 - s8 * i]]
-    i_conj = [[1, 0, 0], [0, -1, 0], [0, 0, -1]]
-    g_conj = [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
+    s_su2 = [[_R2 + _R2 * i, _ZERO], [_ZERO, _R2 - _R2 * i]]
     s_conj = [[1, 0, 0], [0, 0, -1], [0, 1, 0]]
     one = [[_ONE]]
-    sgn = [[-_ONE]]
-    twopp = ([[w, _ZERO], [_ZERO, w * w]], [[_ZERO, _ONE], [_ONE, _ZERO]])
-    eye1 = [[_ONE]]
-    specs = [
-        ("1", [one, one, eye1]),
-        ("1'", [one, one, sgn]),
-        ("2", [i_su2, g_su2, s_su2]),
-        ("2'", [i_su2, g_su2, _scale_mat(s_su2, rational(-1))]),
-        ("2''", [[[_ONE, _ZERO], [_ZERO, _ONE]], list(twopp[0]), list(twopp[1])]),
-        ("3", [i_conj, g_conj, s_conj]),
-        ("3'", [i_conj, g_conj, _scale_mat(s_conj, rational(-1))]),
-        ("4", None),  # filled below as 2 (x) 2''
+    two = e6["y"] + [s_su2]
+    # 2'' is the 2-dim irrep of S_3 = E7/D4, where i is trivial
+    twopp = [
+        [[_ONE, _ZERO], [_ZERO, _ONE]], [[w, _ZERO], [_ZERO, w * w]], [[_ZERO, _ONE], [_ONE, _ZERO]]
     ]
-    # build 4 = 2 tensor 2'' from generator matrices
-    two = specs[2][1]
-    tpp = specs[4][1]
-    four = [
-        _mat_tensor(_as_mat(a), _as_mat(b)) for a, b in zip(two, tpp)
+    return [
+        ("1", [one, one, one]),
+        ("1'", [one, one, [[-_ONE]]]),
+        ("2", two),
+        ("2'", e6["y"] + [_scale_mat(s_su2, rational(-1))]),
+        ("2''", twopp),
+        ("3", e6["z"] + [s_conj]),
+        ("3'", e6["z"] + [_scale_mat(s_conj, rational(-1))]),
+        ("4", [_mat_tensor(_as_mat(a), _as_mat(b)) for a, b in zip(two, twopp)]),
     ]
-    specs[7] = ("4", four)
-    return specs
 
 
 _GROUP_CACHE: dict = {}
@@ -660,92 +626,48 @@ _GROUP_CACHE: dict = {}
 
 def quaternion_group(name: str) -> QuaternionGroup:
     """Construct (and cache) a named finite subgroup of SU(2)."""
-    if name in _GROUP_CACHE:
-        return _GROUP_CACHE[name]
-    g = _build_group(name)
-    _GROUP_CACHE[name] = g
-    return g
+    if name not in _GROUP_CACHE:
+        _GROUP_CACHE[name] = _build_group(name)
+    return _GROUP_CACHE[name]
 
 
 def _build_group(name: str) -> QuaternionGroup:
-    if name.startswith("A") and name[1:].isdigit():
-        n = int(name[1:])
-        if n % 2 == 0:
-            raise ValueError(
-                "A%d is even; cyclic subgroups here are A(odd) = C(odd+1)" % n
-            )
-        return _build_cyclic(name, n + 1)
-    if name.startswith("C") and name[1:].isdigit():
-        return _build_cyclic(name, int(name[1:]))
-    if name == "D4":
-        return _build_binary_dihedral("D4", 2)
-    if name == "D5":
-        return _build_binary_dihedral("D5", 3)
-    if name.startswith("BD") and name[2:].isdigit():
-        return _build_binary_dihedral(name, int(name[2:]))
-    if name == "E6":
-        return _build_e6()
-    if name == "E7":
-        return _build_e7()
-    if name == "E8":
-        return _build_e8()
-    raise ValueError("unknown group %r" % name)
+    """The named group from its (generators, order, irrep specs), then one closure.
 
-
-def _build_cyclic(name: str, m: int) -> QuaternionGroup:
-    g = _quat(cos_frac(1, m), sin_frac(1, m), 0, 0)
-    elems, right = _quaternion_closure([g], m)
-    specs = _cyclic_specs(m)
-    group = QuaternionGroup(name, elems, None, specs, [g], right)
-    if m in _PAPER_CYCLIC_ORDER:
-        group._irrep_specs = _reorder_specs(specs, _PAPER_CYCLIC_ORDER[m])
-    return group
-
-
-def _reorder_specs(specs, order):
-    by_label = {lab: (lab, mats) for lab, mats in specs}
-    return [by_label[lab] for lab in order]
-
-
-def _build_binary_dihedral(name: str, m: int) -> QuaternionGroup:
-    a = _quat(cos_frac(1, 2 * m), sin_frac(1, 2 * m), 0, 0)
-    b = _Q_J
-    elems, right = _quaternion_closure([a, b], 4 * m)
-    specs = _binary_dihedral_specs(m)
-    group = QuaternionGroup(name, elems, None, specs, [a, b], right)
-    if name == "D4":
-        specs = [(_D4_RELABEL[lab], mats) for lab, mats in specs]
-        group._irrep_specs = _reorder_specs(specs, _D4_ORDER)
-    elif name == "D5":
-        specs = [(_D5_RELABEL[lab], mats) for lab, mats in specs]
-        group._irrep_specs = _reorder_specs(specs, _D5_ORDER)
-    return group
-
-
-def _build_e6() -> QuaternionGroup:
-    g = _quat(_HALF, _HALF, _HALF, _HALF)
-    elems, right = _quaternion_closure([_Q_I, g], 24)
-    return QuaternionGroup("E6", elems, None, _e6_specs(), [_Q_I, g], right)
-
-
-def _build_e7() -> QuaternionGroup:
-    g = _quat(_HALF, _HALF, _HALF, _HALF)
-    s8 = sqrt_int(2) * _HALF
-    s = Quaternion(s8, s8, _ZERO, _ZERO)
-    elems, right = _quaternion_closure([_Q_I, g, s], 48)
-    return QuaternionGroup("E7", elems, None, _e7_specs(), [_Q_I, g, s], right)
-
-
-def _build_e8() -> QuaternionGroup:
-    # golden-ratio coordinates; grading queries only, no irrep tables
-    fifth = zeta(5)
-    # phi = (1+sqrt5)/2 and 1/phi = phi-1, via sqrt5 = 1 + 2(zeta5 + zeta5^4)
-    phi_half = (_ONE + fifth + fifth**4) * _HALF
-    phinv_half = phi_half - _HALF
-    g1 = _quat(_HALF, _HALF, _HALF, _HALF)
-    g2 = Quaternion(phi_half, phinv_half, _HALF, _ZERO)
-    elems, right = _quaternion_closure([g1, g2, _Q_I], 120)
-    return QuaternionGroup("E8", elems, None, None, [g1, g2, _Q_I], right)
+    C<m> is generated by exp(2*pi*i/m) and A<odd n> is C<n+1>, with the paper's
+    order of irreps for m = 4, 6; BD<m> by exp(pi*i/m) and j, with D4, D5 =
+    BD2, BD3 under the paper's labels; E6 by i and g = (1+i+j+k)/2, E7 by i, g
+    and (1+i)/sqrt2, E8 (no irrep tables) by g, a golden-ratio element and i.
+    """
+    kind, m = None, 0
+    for prefix in ("A", "C", "BD"):
+        if name.startswith(prefix) and name[len(prefix):].isdigit():
+            kind, m = prefix, int(name[len(prefix):])
+    if name in _DIHEDRAL_LABELS:
+        kind, m = "BD", int(name[1]) - 2
+    if kind == "A":
+        if m % 2 == 0:
+            raise ValueError("A%d is even; cyclic subgroups here are A(odd) = C(odd+1)" % m)
+        kind, m = "C", m + 1
+    if kind == "C":
+        gens = [_quat(cos_frac(1, m), sin_frac(1, m), 0, 0)]
+        order, specs = m, _cyclic_specs(m, _CYCLIC_LABELS.get(m))
+    elif kind == "BD":
+        gens = [_quat(cos_frac(1, 2 * m), sin_frac(1, 2 * m), 0, 0), _Q_J]
+        order, specs = 4 * m, _binary_dihedral_specs(m, _DIHEDRAL_LABELS.get(name))
+    elif name == "E6":
+        gens, order, specs = [_Q_I, _Q_G], 24, _e6_specs()
+    elif name == "E7":
+        gens, order, specs = [_Q_I, _Q_G, Quaternion(_R2, _R2, _ZERO, _ZERO)], 48, _e7_specs()
+    elif name == "E8":
+        # phi/2 and 1/(2 phi) = phi/2 - 1/2, via sqrt5 = 1 + 2(zeta5 + zeta5^4)
+        phi_half = (_ONE + zeta(5) + zeta(5, 4)) * _HALF
+        gens = [_Q_G, Quaternion(phi_half, phi_half - _HALF, _HALF, _ZERO), _Q_I]
+        order, specs = 120, None
+    else:
+        raise ValueError("unknown group %r" % name)
+    elems, right = _quaternion_closure(gens, order)
+    return QuaternionGroup(name, elems, None, specs, gens, right)
 
 
 # -- canonical embeddings -----------------------------------------------------------
@@ -782,35 +704,15 @@ def _embedding_from_generators(sub, sup, gen_images):
     return Embedding(sub, sup, tuple(imgs))
 
 
-def _canonical_generator_images(sub_name, sup_name):
-    g6 = _quat(_HALF, _HALF, _HALF, _HALF)
-    if sub_name == "A1":
-        return [-_Q_ONE]
-    if sub_name == "A3":
-        if sup_name == "D5":
-            return [_Q_J]
-        return [_Q_I]
-    if sub_name == "A5":
-        if sup_name == "D5":
-            return [_quat(cos_frac(1, 6), sin_frac(1, 6), 0, 0)]
-        if sup_name in ("E6", "E7"):
-            return [g6]
-        return None
-    if sub_name == "D4":
-        if sup_name in ("E6", "E7"):
-            return [_Q_I, _Q_J]
-        return None
-    if sub_name == "D5":
-        if sup_name == "E7":
-            s = sqrt_int(2) * _HALF
-            return [g6, Quaternion(_ZERO, _ZERO, s, -s)]
-        return None
-    if sub_name == "E6":
-        if sup_name == "E7":
-            g = quaternion_group("E6")
-            return list(g.generators)
-        return None
-    return None
+# generator images of the canonical embeddings that are not literal containment
+_EMBED_IMAGES = {
+    ("A3", "D5"): [_Q_J],
+    ("A5", "E6"): [_Q_G],
+    ("A5", "E7"): [_Q_G],
+    ("D4", "E6"): [_Q_I, _Q_J],
+    ("D4", "E7"): [_Q_I, _Q_J],
+    ("D5", "E7"): [_Q_G, Quaternion(_ZERO, _ZERO, _R2, -_R2)],
+}
 
 
 _EMBED_CACHE: dict = {}
@@ -823,15 +725,12 @@ def embedding(sub_name: str, sup_name: str) -> Embedding:
         return _EMBED_CACHE[key]
     sub = quaternion_group(sub_name)
     sup = quaternion_group(sup_name)
-    images = _canonical_generator_images(sub_name, sup_name)
+    images = _EMBED_IMAGES.get(key)
     if images is None:
-        # literal containment fallback
-        if all(e in sup.index for e in sub.elements):
-            images = list(sub.generators)
-        else:
-            raise NotASubgroup(
-                "no canonical embedding %s -> %s" % (sub_name, sup_name)
-            )
+        # literal containment
+        if not all(e in sup.index for e in sub.elements):
+            raise NotASubgroup("no canonical embedding %s -> %s" % (sub_name, sup_name))
+        images = sub.generators
     emb = _embedding_from_generators(sub, sup, images)
     _EMBED_CACHE[key] = emb
     return emb
@@ -1098,13 +997,6 @@ def graded_fold(G: QuaternionGroup, grading: Grading = None):
 # -- affine A-D-E recognition --------------------------------------------------------
 
 
-def _adjacency_lists(A: IntMatrix):
-    n = A.rows
-    return [
-        [A[(i, j)] for j in range(n)] for i in range(n)
-    ]
-
-
 def _graph_isomorphic(A, B) -> bool:
     n = len(A)
     if len(B) != n:
@@ -1171,7 +1063,7 @@ def _affine_candidates(n: int):
 
 def recognize_affine_ade(A: IntMatrix) -> str:
     """Name the affine A-D-E diagram isomorphic to the given adjacency."""
-    lists = _adjacency_lists(A)
+    lists = A.to_lists()
     for name, cand in _affine_candidates(A.rows).items():
         if _graph_isomorphic(lists, cand):
             return name
@@ -1215,39 +1107,23 @@ def res_su2_to_O2(m: int) -> dict:
 
 
 def res_O2_to_T(o2rep: dict) -> dict:
-    out = {}
-
-    def add(i, c):
-        out[i] = out.get(i, 0) + c
-        if not out[i]:
-            del out[i]
-
+    """Restriction R_O2 -> R_T: 1, delta -> 1, kappa_i -> a^i + a^-i."""
+    pairs = []
     for k, c in o2rep.items():
         if k in ("1", "delta"):
-            add(0, c)
+            pairs.append((0, c))
         else:
             i = int(k.split("_")[1])
-            add(i, c)
-            add(-i, c)
-    return out
+            pairs += [(i, c), (-i, c)]
+    return _collect(pairs)
 
 
 def ind_T_to_O2(trep: dict) -> dict:
     """Induction R_T -> R_O2: 1 -> 1 + delta, a^i -> kappa_|i|."""
-    out = {}
-
-    def add(k, c):
-        out[k] = out.get(k, 0) + c
-        if not out[k]:
-            del out[k]
-
+    pairs = []
     for i, c in trep.items():
-        if i == 0:
-            add("1", c)
-            add("delta", c)
-        else:
-            add("kappa_%d" % abs(i), c)
-    return out
+        pairs += [("1", c), ("delta", c)] if i == 0 else [("kappa_%d" % abs(i), c)]
+    return _collect(pairs)
 
 
 def dirac_induce_T_to_SU2(weight: int) -> dict:

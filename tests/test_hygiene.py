@@ -1,7 +1,8 @@
 """Source hygiene that needs no linter: no module imports a name it neither
 uses nor exports through its __all__, no module defines a private
-top-level function or class that no library code refers to (a helper
-that only tests call is dead), no top-level function or class is defined
+top-level function, class or assigned constant that no library code
+reads (a helper that only tests call is dead, and an assignment does not
+count as a read of its own name), no top-level function or class is defined
 in two modules, no check is a bare `assert`, which `python -O` strips, no
 decision rests on mpmath's floating-point linear algebra, no module
 imports mpmath when it is imported (only `cyclo.real_embed` loads it, on
@@ -50,13 +51,13 @@ def test_no_unused_imports(path):
 
 
 def _references(paths):
-    """Names used as a variable, an attribute or a from-import anywhere."""
+    """Names read as a variable or an attribute, or from-imported, anywhere."""
     names = set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 names.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 names.update(a.name for a in node.names)
@@ -73,9 +74,22 @@ def _definitions(path):
     }
 
 
+def _assigned_names(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {
+        target.id
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name)
+    }
+
+
 def _private_definitions(path):
     return {
-        name for name in _definitions(path) if name.startswith("_") and not name.endswith("__")
+        name
+        for name in _definitions(path) | _assigned_names(path)
+        if name.startswith("_") and not name.endswith("__")
     }
 
 

@@ -106,6 +106,20 @@ def test_character_table_shapes():
     ct1 = character_table(quaternion_group("A1"))
     assert ct1.labels == ["r''_1", "r''_-1"]
 
+    # the paper's orders, and the generic labels of the same group as BD3
+    paper = {
+        "A3": ["r'_1", "r'_-1", "r'_i", "r'_-i"],
+        "A5": ["r_1", "r_-1", "r_w", "r_-w", "r_w2", "r_-w2"],
+        "D5": ["s'0", "s'1", "s'2", "s'3", "t'", "t''"],
+        "E7": ["1", "1'", "2", "2'", "2''", "3", "3'", "4"],
+        "BD3": ["l0", "l1", "l2", "l3", "t1", "t2"],
+    }
+    for name, labels in paper.items():
+        assert character_table(quaternion_group(name)).labels == labels
+    # a kernel keeps its irreps in exponent order: D5's is C6
+    folded = graded_fold(quaternion_group("D5"))["folded_labels"]
+    assert folded == ["r_1", "r_-w2", "r_w", "r_-1", "r_w2", "r_-w"]
+
     ct6 = character_table(quaternion_group("E6"))
     assert ct6.labels == ["x", "x'", "x''", "y", "y'", "y''", "z"]
     assert sorted(ct6.dims) == [1, 1, 1, 2, 2, 2, 3]
@@ -233,10 +247,9 @@ def test_frobenius_reciprocity_exhaustive():
 
 
 def test_embedding_rejects_non_subgroups():
-    with pytest.raises(NotASubgroup):
-        embedding("D4", "D5")
-    with pytest.raises(NotASubgroup):
-        embedding("E7", "E6")
+    for sub, sup in [("D4", "D5"), ("E7", "E6"), ("A3", "A5"), ("A1", "C5"), ("A3", "BD3")]:
+        with pytest.raises(NotASubgroup):
+            embedding(sub, sup)
 
 
 def test_irrep_generators_must_define_a_homomorphism():
@@ -521,7 +534,7 @@ def test_quaternion_product_matches_hamilton_formula():
 
 def test_irreps_prepare_each_generator_matrix_once(monkeypatch):
     # E7: 8 irreps x 3 generators, not one preparation per Cayley edge (1,152)
-    G = repring._build_e7()
+    G = repring._build_group("E7")
     calls = []
     prepare = repring._times
 
@@ -549,7 +562,7 @@ BUILT = ["A1", "A3", "A5", "A7", "C5", "D4", "D5", "BD4", "BD6", "BD7", "E6", "E
 def test_keyed_closure_matches_the_quaternion_closure(name):
     G = quaternion_group(name)
     elems, right = repring._quaternion_closure(G.generators, G.order)
-    want = repring._closure(G.generators, repring._Q_ONE, Quaternion.__mul__)
+    want = repring._closure(G.generators, G.elements[0], Quaternion.__mul__)
     assert (elems, G.index, right) == want
 
 
@@ -573,7 +586,7 @@ def test_generators_failing_on_a_non_tree_edge_are_not_a_homomorphism():
 
 
 def test_construction_errors_are_typed():
-    one, i = repring._Q_ONE, repring._Q_I
+    one, i = repring._quat(1, 0, 0, 0), repring._Q_I
     # i * i = -1 is not among the elements
     with pytest.raises(GroupMismatch):
         QuaternionGroup("bad", [one, i], {one: 0, i: 1}, None, [i])
