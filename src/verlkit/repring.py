@@ -157,12 +157,8 @@ class Quaternion:
         return 2 * self.w
 
     def __repr__(self):
-        return "Quaternion(%s, %s, %s, %s)" % (
-            self.w.render(),
-            self.x.render(),
-            self.y.render(),
-            self.z.render(),
-        )
+        coords = (self.w, self.x, self.y, self.z)
+        return "Quaternion(%s)" % ", ".join(v.render() for v in coords)
 
 
 def _right_times(q: Quaternion):
@@ -336,10 +332,9 @@ class QuaternionGroup:
             classes = []
             while unassigned:
                 a = min(unassigned)
-                orbit = set()
-                for h in range(n):
-                    orbit.add(self.mul(self.mul(h, a), self.inv(h)))
-                orbit = sorted(orbit)
+                orbit = sorted(
+                    {self.mul(self.mul(h, a), self.inv(h)) for h in range(n)}
+                )
                 classes.append(orbit)
                 unassigned -= set(orbit)
             classes.sort(key=lambda c: (c[0] != 0, len(c), c[0]))
@@ -388,10 +383,7 @@ class CharacterTable:
             for s, col in zip(self.class_sizes, zip(*(self.chars[b] for b in self.labels)))
         ])
         self._self_test()
-        self._class_of = {}
-        for ci, cls in enumerate(self.classes):
-            for e in cls:
-                self._class_of[e] = ci
+        self._class_of = {e: ci for ci, cls in enumerate(self.classes) for e in cls}
 
     def class_of(self, element_index: int) -> int:
         return self._class_of[element_index]
@@ -473,7 +465,8 @@ class VirtualRep:
 
     def __add__(self, o):
         self._check(o)
-        return VirtualRep(self.group, _collect([*self.coeffs.items(), *o.coeffs.items()]))
+        pairs = [*self.coeffs.items(), *o.coeffs.items()]
+        return VirtualRep(self.group, _collect(pairs))
 
     def __sub__(self, o):
         self._check(o)
@@ -607,7 +600,9 @@ def _e7_specs():
     two = e6["y"] + [s_su2]
     # 2'' is the 2-dim irrep of S_3 = E7/D4, where i is trivial
     twopp = [
-        [[_ONE, _ZERO], [_ZERO, _ONE]], [[w, _ZERO], [_ZERO, w * w]], [[_ZERO, _ONE], [_ONE, _ZERO]]
+        [[_ONE, _ZERO], [_ZERO, _ONE]],
+        [[w, _ZERO], [_ZERO, w * w]],
+        [[_ZERO, _ONE], [_ONE, _ZERO]],
     ]
     return [
         ("1", [one, one, one]),
@@ -626,9 +621,11 @@ _GROUP_CACHE: dict = {}
 
 def quaternion_group(name: str) -> QuaternionGroup:
     """Construct (and cache) a named finite subgroup of SU(2)."""
-    if name not in _GROUP_CACHE:
-        _GROUP_CACHE[name] = _build_group(name)
-    return _GROUP_CACHE[name]
+    if name in _GROUP_CACHE:
+        return _GROUP_CACHE[name]
+    g = _build_group(name)
+    _GROUP_CACHE[name] = g
+    return g
 
 
 def _build_group(name: str) -> QuaternionGroup:
@@ -647,7 +644,9 @@ def _build_group(name: str) -> QuaternionGroup:
         kind, m = "BD", int(name[1]) - 2
     if kind == "A":
         if m % 2 == 0:
-            raise ValueError("A%d is even; cyclic subgroups here are A(odd) = C(odd+1)" % m)
+            raise ValueError(
+                "A%d is even; cyclic subgroups here are A(odd) = C(odd+1)" % m
+            )
         kind, m = "C", m + 1
     if kind == "C":
         gens = [_quat(cos_frac(1, m), sin_frac(1, m), 0, 0)]
@@ -658,7 +657,8 @@ def _build_group(name: str) -> QuaternionGroup:
     elif name == "E6":
         gens, order, specs = [_Q_I, _Q_G], 24, _e6_specs()
     elif name == "E7":
-        gens, order, specs = [_Q_I, _Q_G, Quaternion(_R2, _R2, _ZERO, _ZERO)], 48, _e7_specs()
+        s = Quaternion(_R2, _R2, _ZERO, _ZERO)
+        gens, order, specs = [_Q_I, _Q_G, s], 48, _e7_specs()
     elif name == "E8":
         # phi/2 and 1/(2 phi) = phi/2 - 1/2, via sqrt5 = 1 + 2(zeta5 + zeta5^4)
         phi_half = (_ONE + zeta(5) + zeta(5, 4)) * _HALF
@@ -729,7 +729,9 @@ def embedding(sub_name: str, sup_name: str) -> Embedding:
     if images is None:
         # literal containment
         if not all(e in sup.index for e in sub.elements):
-            raise NotASubgroup("no canonical embedding %s -> %s" % (sub_name, sup_name))
+            raise NotASubgroup(
+                "no canonical embedding %s -> %s" % (sub_name, sup_name)
+            )
         images = sub.generators
     emb = _embedding_from_generators(sub, sup, images)
     _EMBED_CACHE[key] = emb
@@ -761,9 +763,7 @@ def induce(rho: VirtualRep, emb: Embedding) -> VirtualRep:
     ct_sup = character_table(sup)
     chi = rho.character()
 
-    preimage = {}
-    for si in range(sub.order):
-        preimage[emb.image_of(si)] = si
+    preimage = {img: si for si, img in enumerate(emb.image_index)}
     chi_on_sub_elem = [chi[ct_sub.class_of(i)] for i in range(sub.order)]
 
     vals = []
@@ -1074,18 +1074,14 @@ def recognize_affine_ade(A: IntMatrix) -> str:
 
 
 def res_su2_to_finite(G: QuaternionGroup, m: int) -> VirtualRep:
-    """Restriction of the m-dimensional SU(2)-irrep sigma_m to G."""
+    """Restriction of the m-dimensional SU(2)-irrep sigma_m to G, by
+    sigma_(m+1) = sigma_2 sigma_m - sigma_(m-1) from sigma_(-1) = -1, sigma_0 = 0."""
     if m < 0:
         raise ValueError("sigma index must be nonnegative")
     ct = character_table(G)
-    if m == 0:
-        return VirtualRep(G, {})
-    ones = [rational(1)] * len(ct.classes)
-    if m == 1:
-        return ct.decompose(ones)
     chi_def = G.defining_character()
-    prev, cur = ones, chi_def
-    for _ in range(m - 2):
+    prev, cur = [-_ONE] * len(ct.classes), [_ZERO] * len(ct.classes)
+    for _ in range(m):
         prev, cur = cur, [d * c - p for d, c, p in zip(chi_def, cur, prev)]
     return ct.decompose(cur)
 
@@ -1122,7 +1118,10 @@ def ind_T_to_O2(trep: dict) -> dict:
     """Induction R_T -> R_O2: 1 -> 1 + delta, a^i -> kappa_|i|."""
     pairs = []
     for i, c in trep.items():
-        pairs += [("1", c), ("delta", c)] if i == 0 else [("kappa_%d" % abs(i), c)]
+        if i == 0:
+            pairs += [("1", c), ("delta", c)]
+        else:
+            pairs.append(("kappa_%d" % abs(i), c))
     return _collect(pairs)
 
 
@@ -1146,12 +1145,7 @@ def dirac_induce_finite_to_O2(rho: VirtualRep, d: str) -> int:
         raise InvalidEmbedding("no irrep %r in %s" % (d, rho.group.name))
     if ct.dim_of(d) != 1:
         raise InvalidEmbedding("%r is not one-dimensional" % d)
-    triv = _trivial_label(ct)
-    return rho.coeffs.get(triv, 0) - rho.coeffs.get(d, 0)
-
-
-def _trivial_label(ct: CharacterTable) -> str:
-    lab = _one_dim_label(ct, [1] * len(ct.classes))
-    if lab is None:
+    triv = _one_dim_label(ct, [1] * len(ct.classes))
+    if triv is None:
         raise SelfCheckFailure("no trivial irrep found")
-    return lab
+    return rho.coeffs.get(triv, 0) - rho.coeffs.get(d, 0)
