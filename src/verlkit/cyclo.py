@@ -576,6 +576,8 @@ def _coerce(x) -> CycNumber:
 
 def zeta(n: int, k: int = 1) -> CycNumber:
     """The root of unity zeta_n^k."""
+    if n < 1:
+        raise ValueError("order must be positive")
     cond = _cond(n)
     return _raw(n, list(cond.rows[k % n]), 1)
 

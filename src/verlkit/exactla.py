@@ -67,7 +67,10 @@ class IntMatrix:
     def __init__(self, rows: int, cols: int, data) -> None:
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        data = tuple(int(x) for x in data)
+        raw = tuple(data)
+        data = tuple(map(int, raw))
+        if data != raw:
+            raise ValueError("matrix entries must be integers")
         if len(data) != rows * cols:
             raise ValueError(
                 "expected %d entries, got %d" % (rows * cols, len(data))
@@ -574,7 +577,10 @@ class FGAbelianGroup:
     __slots__ = ("free_rank", "torsion", "generators")
 
     def __init__(self, free_rank: int, torsion=(), generators=None) -> None:
-        torsion = tuple(int(d) for d in torsion)
+        raw = tuple(torsion)
+        torsion = tuple(map(int, raw))
+        if torsion != raw:
+            raise ValueError("torsion invariant factors must be integers")
         if free_rank < 0:
             raise ValueError("free rank must be nonnegative")
         if any(d < 2 for d in torsion):

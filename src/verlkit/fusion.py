@@ -4,11 +4,14 @@ Covers level-k SU(2), the level-1 SU(3) and Sp(4) theories, torus levels,
 and quantum doubles of finite abelian groups, twisted and untwisted.  All
 S and T entries are cyclotomic numbers, every fusion coefficient is
 certified to be a nonnegative integer, and the modular relations are
-checked exactly at construction time.
+checked exactly at construction time.  A fusion ring stores each product
+lam x mu as the {nu: N_{lam mu}^nu} dict it is, zeros dropped, so a
+group-like ring holds one entry per product; the dense m x m x m tensor
+`FusionRing.N` is a view built on first read.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .cyclo import (
     DivisionByZero, _key, _mat_mul, _pack, _prime_factors, _root_exponent, _rotate, _times,
@@ -186,55 +189,82 @@ def _phase_holds(kS, Sc, roots) -> bool:
     return True
 
 
+def _rule(row, m: int) -> dict:
+    """One product lam x mu, given as a dense row of length m or as a
+    {nu: c} dict, as a dict in label order with zeros dropped.  ValueError
+    unless every nu is a label index and every c a nonnegative integer."""
+    if isinstance(row, dict):
+        items = row.items()
+    else:
+        items = tuple(row)
+        if len(items) != m:
+            raise ValueError("structure constants must be m x m x m")
+        items = enumerate(items)
+    rule = {}
+    for nu, c in items:
+        if nu not in range(m) or int(c) != c or c < 0:
+            raise ValueError("fusion rule %r needs label indices and integers >= 0" % (row,))
+        if c:
+            rule[int(nu)] = int(c)
+    return dict(sorted(rule.items()))
+
+
+def _dense_row(rule: dict, m: int) -> tuple:
+    row = [0] * m
+    for nu, c in rule.items():
+        row[nu] = c
+    return tuple(row)
+
+
 class FusionRing:
     """Fusion coefficients N_{lm}^n over an ordered label set.
 
-    Coefficients are nonnegative integers, label `unit` acts as identity,
-    and the ring is commutative.  Those three facts are checked eagerly;
-    associativity is checked by `check_associativity` since it costs m^5.
+    `N[lam][mu]` is either a dense row of length m or a {nu: c} dict; the
+    ring keeps each product as such a dict, zeros dropped, and builds the
+    dense nested tuple `N` only when it is first read.  Coefficients are
+    nonnegative integers, label `unit` acts as identity, and the ring is
+    commutative.  Those three facts are checked eagerly; associativity is
+    checked by `check_associativity` since it costs m^5.
     """
 
-    __slots__ = ("labels", "N", "unit")
+    __slots__ = ("labels", "unit", "_rules", "_dense")
 
     def __init__(self, labels, N, unit: int = 0) -> None:
         labels = tuple(labels)
         m = len(labels)
-        N = tuple(tuple(tuple(int(c) for c in row) for row in plane) for plane in N)
-        if len(N) != m or any(
-            len(plane) != m or any(len(row) != m for row in plane) for plane in N
-        ):
+        rules = tuple(tuple(_rule(row, m) for row in plane) for plane in N)
+        if len(rules) != m or any(len(plane) != m for plane in rules):
             raise ValueError("structure constants must be m x m x m")
-        for plane in N:
-            for row in plane:
-                for c in row:
-                    if c < 0:
-                        raise ValueError("fusion coefficients must be >= 0")
         if not 0 <= unit < m:
             raise ValueError("unit label out of range")
         for mu in range(m):
-            for nu in range(m):
-                want = 1 if mu == nu else 0
-                if N[unit][mu][nu] != want or N[mu][unit][nu] != want:
-                    raise ValueError("unit label does not act as identity")
+            if rules[unit][mu] != {mu: 1} or rules[mu][unit] != {mu: 1}:
+                raise ValueError("unit label does not act as identity")
         for lam in range(m):
             for mu in range(lam):
-                if N[lam][mu] != N[mu][lam]:
+                if rules[lam][mu] != rules[mu][lam]:
                     raise ValueError("fusion must be commutative")
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "N", N)
         object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "_rules", rules)
+        object.__setattr__(self, "_dense", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("FusionRing is immutable")
 
+    @property
+    def N(self) -> tuple:
+        """N[lam][mu][nu] as nested tuples, built from the rules on first read."""
+        if self._dense is None:
+            m = len(self.labels)
+            dense = tuple(tuple(_dense_row(r, m) for r in plane) for plane in self._rules)
+            object.__setattr__(self, "_dense", dense)
+        return self._dense
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, FusionRing):
             return NotImplemented
-        return (
-            self.labels == other.labels
-            and self.unit == other.unit
-            and self.N == other.N
-        )
+        return (self.labels, self.unit, self._rules) == (other.labels, other.unit, other._rules)
 
     def __hash__(self):
         return hash((self.labels, self.unit))
@@ -244,12 +274,12 @@ class FusionRing:
 
     def matrix(self, lam: int) -> IntMatrix:
         """Fusion matrix (N_lam)_{mu nu} = N_{lam mu}^nu."""
-        return IntMatrix.from_rows([list(row) for row in self.N[lam]])
+        m = len(self.labels)
+        return IntMatrix.from_rows(_dense_row(r, m) for r in self._rules[lam])
 
     def product(self, lam: int, mu: int) -> dict:
         """Decomposition of lam x mu as {nu: multiplicity}, zeros omitted."""
-        row = self.N[lam][mu]
-        return {nu: c for nu, c in enumerate(row) if c}
+        return dict(self._rules[lam][mu])
 
     def check_associativity(self) -> None:
         """Verify N_lam N_mu = sum_nu N_{lam mu}^nu N_nu for all pairs."""
@@ -264,7 +294,7 @@ class FusionRing:
     def is_group_like(self) -> bool:
         """True when every product is a single label with coefficient 1."""
         # the coefficients are nonnegative integers, so a sum of 1 is one 1
-        return all(sum(row) == 1 for plane in self.N for row in plane)
+        return all(sum(r.values()) == 1 for plane in self._rules for r in plane)
 
     def fusion_group(self) -> FGAbelianGroup:
         """The abelian group underlying a group-like ring, in normal form.
@@ -276,7 +306,7 @@ class FusionRing:
         """
         if not self.is_group_like():
             raise ValueError("fusion ring is not group-like")
-        table = [[row.index(1) for row in plane] for plane in self.N]
+        table = [[next(iter(r)) for r in plane] for plane in self._rules]
         mul = lambda a, b: table[a][b]
         return FGAbelianGroup(0, _cayley_invariants(mul, len(table), self.unit))
 
@@ -290,13 +320,13 @@ def _fusion_failure(ring, mats):
     m = len(ring.labels)
     rows = [M.to_lists() for M in mats]
     top = max((abs(c) for M in rows for row in M for c in row), default=0)
-    spread = max(sum(row) for plane in ring.N for row in plane)
+    spread = max(sum(r.values()) for plane in ring._rules for r in plane)
     width = _width(max(len(rows[0]) * top * top, spread * top))
     packed = [[_pack(row, width) for row in M] for M in rows]
     terms = [[[(t, c) for t, c in enumerate(row) if c] for row in M] for M in rows]
     for lam in range(m):
         for mu in range(lam, m):
-            P, rhs = packed[mu], ring.product(lam, mu).items()
+            P, rhs = packed[mu], ring._rules[lam][mu].items()
             for i, row in enumerate(terms[lam]):
                 if sum(c * P[t] for t, c in row) != sum(c * packed[nu][i] for nu, c in rhs):
                     return lam, mu
@@ -356,8 +386,9 @@ def verlinde_matrices(D: ModularData) -> FusionRing:
     zt = [[(x[nu][c].conjugate() * w[c]).normalized() for nu in range(m)] for c in range(m)]
     pairs = [(lam, mu) for lam in range(m) for mu in range(lam, m)]
     sums = _mat_mul([[x[lam][c] * x[mu][c] for c in range(m)] for lam, mu in pairs], zt)
-    N = [[[0] * m for _ in range(m)] for _ in range(m)]
+    N = [[None] * m for _ in range(m)]
     for (lam, mu), row in zip(pairs, sums):
+        N[lam][mu] = N[mu][lam] = rule = {}
         for nu, acc in enumerate(row):
             if not acc.is_rational():
                 raise NonIntegralFusion(
@@ -368,7 +399,7 @@ def verlinde_matrices(D: ModularData) -> FusionRing:
                 raise NonIntegralFusion(
                     "fusion coefficient %s at %r x %r" % (f, lam, mu)
                 )
-            N[lam][mu][nu] = N[mu][lam][nu] = int(f)
+            rule[nu] = f
     return FusionRing(D.labels, N)
 
 
@@ -382,13 +413,11 @@ def su2_fusion_truncated(k: int) -> FusionRing:
     if k < 1:
         raise ValueError("level must be >= 1")
     m = k + 1
-    N = [[[0] * m for _ in range(m)] for _ in range(m)]
-    for lam in range(m):
-        for mu in range(m):
-            lo = abs(lam - mu)
-            hi = min(lam + mu, 2 * k - lam - mu)
-            for nu in range(lo, hi + 1, 2):
-                N[lam][mu][nu] = 1
+    N = [
+        [dict.fromkeys(range(abs(lam - mu), min(lam + mu, 2 * k - lam - mu) + 1, 2), 1)
+         for mu in range(m)]
+        for lam in range(m)
+    ]
     return FusionRing(tuple(range(m)), N)
 
 
@@ -438,15 +467,7 @@ def double_abelian(G):
     pair (ModularData, FusionRing).
     """
     orders = _cyclic_orders(G)
-    M = 1
-    for mi in orders:
-        M *= mi
-    prim = [
-        (a, x)
-        for a in _tuples(orders)
-        for x in _tuples(orders)
-    ]
-    m = len(prim)
+    prim = [(a, x) for a in _tuples(orders) for x in _tuples(orders)]
 
     def chi(x, b):
         # product of zeta_{m_i}^{x_i b_i}
@@ -455,7 +476,7 @@ def double_abelian(G):
             acc = acc * zeta(mi, (xi * bi) % mi)
         return acc
 
-    pref = Fraction(1, M)
+    pref = Fraction(1, prod(orders))
     S = []
     for (a, x) in prim:
         row = []
@@ -467,12 +488,10 @@ def double_abelian(G):
         S.append(row)
     T = [chi(x, a) for (a, x) in prim]
     index = {p: i for i, p in enumerate(prim)}
-    N = [[[0] * m for _ in range(m)] for _ in range(m)]
-    for i, (a, x) in enumerate(prim):
-        for j, (b, y) in enumerate(prim):
-            c = tuple((ai + bi) % mi for mi, ai, bi in zip(orders, a, b))
-            zxy = tuple((xi + yi) % mi for mi, xi, yi in zip(orders, x, y))
-            N[i][j][index[(c, zxy)]] = 1
+    N = [
+        [{index[(_elt_add(a, b, orders), _elt_add(x, y, orders))]: 1} for (b, y) in prim]
+        for (a, x) in prim
+    ]
     return ModularData(tuple(prim), S, T), FusionRing(tuple(prim), N)
 
 
@@ -481,6 +500,10 @@ def _tuples(orders):
     for mi in orders:
         out = [t + (v,) for t in out for v in range(mi)]
     return out
+
+
+def _elt_add(a, b, orders):
+    return tuple((ai + bi) % mi for ai, bi, mi in zip(a, b, orders))
 
 
 def double_cyclic_twisted(n: int, sigma: int) -> FusionRing:
@@ -501,14 +524,12 @@ def double_cyclic_twisted(n: int, sigma: int) -> FusionRing:
     if (n * n) % d != 0:
         raise InvalidTwist("gcd(2n, sigma) = %d does not divide n^2" % d)
     labels = [(g, j) for g in range(n) for j in range(n)]
-    index = {p: i for i, p in enumerate(labels)}
-    m = n * n
-    N = [[[0] * m for _ in range(m)] for _ in range(m)]
-    for i, (g1, j1) in enumerate(labels):
-        for j, (g2, j2) in enumerate(labels):
-            carry = (g1 + g2) // n
-            tgt = ((g1 + g2) % n, (j1 + j2 + sigma * carry) % n)
-            N[i][j][index[tgt]] = 1
+
+    def rule(g1, j1, g2, j2):  # label (g, j) has index g n + j
+        carry, g = divmod(g1 + g2, n)
+        return {g * n + (j1 + j2 + sigma * carry) % n: 1}
+
+    N = [[rule(*p, *q) for q in labels] for p in labels]
     return FusionRing(tuple(labels), N)
 
 
@@ -524,48 +545,19 @@ def level1_data(name: str):
         labels = ("(00)", "(10)", "(01)")
         w = zeta(3, 1)
         pref = sqrt_int(3) / 3
-        S = [
-            [(pref * w ** ((a * b) % 3)).normalized() for b in range(3)]
-            for a in range(3)
-        ]
+        S = [[(pref * w ** (a * b % 3)).normalized() for b in range(3)] for a in range(3)]
         # c = 2, h = 0, 1/3, 1/3
         t0 = zeta(12, 11)
         T = [t0, t0 * w, t0 * w]
-        rows = {}
-        for a in range(3):
-            for b in range(3):
-                rows[(a, b)] = (a + b) % 3
+        N = [[{0: 1}, {1: 1}, {2: 1}], [{1: 1}, {2: 1}, {0: 1}], [{2: 1}, {0: 1}, {1: 1}]]
     elif key == "SP4":
         labels = ("(00)", "(01)", "(10)")
-        r2 = sqrt_int(2)
-        half = Fraction(1, 2)
-        one = _ONE
-        S = [
-            [one * half, one * half, r2 * half],
-            [one * half, one * half, -(r2 * half)],
-            [r2 * half, -(r2 * half), _ZERO],
-        ]
+        half, root = _ONE * Fraction(1, 2), sqrt_int(2) * Fraction(1, 2)
+        S = [[half, half, root], [half, half, -root], [root, -root, _ZERO]]
         # c = 5/2, h = 0, 1/2, 5/16
         t0 = zeta(48, 43)
         T = [t0, (t0 * zeta(2, 1)).normalized(), (t0 * zeta(16, 5)).normalized()]
-        rows = {
-            (0, 0): {0: 1},
-            (0, 1): {1: 1},
-            (0, 2): {2: 1},
-            (1, 1): {0: 1},
-            (1, 2): {2: 1},
-            (2, 2): {0: 1, 1: 1},
-        }
+        N = [[{0: 1}, {1: 1}, {2: 1}], [{1: 1}, {0: 1}, {2: 1}], [{2: 1}, {2: 1}, {0: 1, 1: 1}]]
     else:
         raise ValueError("known level-1 theories: SU3, Sp4")
-    m = len(labels)
-    N = [[[0] * m for _ in range(m)] for _ in range(m)]
-    if key == "SU3":
-        for (a, b), c in rows.items():
-            N[a][b][c] = 1
-    else:
-        for (a, b), dec in rows.items():
-            for c, mult in dec.items():
-                N[a][b][c] = mult
-                N[b][a][c] = mult
     return ModularData(labels, S, T), FusionRing(labels, N)

@@ -46,7 +46,7 @@ from .cyclo import (
 )
 from .exactla import IntMatrix, SelfCheckFailure, _closure, _row_hermite, kernel_basis
 from .fusion import (
-    _cyclic_orders, _fusion_failure, _tuples, su2_fusion_truncated, su2_modular_data,
+    _cyclic_orders, _elt_add, _fusion_failure, _tuples, su2_fusion_truncated, su2_modular_data,
 )
 
 __all__ = [
@@ -676,10 +676,6 @@ def _coerce_elt(x, orders):
     if len(t) != len(orders) or len(tuple(x)) != len(orders):
         raise ValueError("element has the wrong number of components")
     return t
-
-
-def _elt_add(a, b, orders):
-    return tuple((ai + bi) % mi for ai, bi, mi in zip(a, b, orders))
 
 
 def _elt_sub(a, b, orders):

@@ -70,12 +70,13 @@ class LaurentPoly:
             raise ValueError("one or two variables only")
         clean = {}
         for exps, c in terms.items():
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != len(names):
+            e, k = tuple(map(int, exps)), int(c)
+            if len(e) != len(names):
                 raise ValueError("exponent arity mismatch")
-            c = int(c)
-            if c:
-                clean[exps] = clean.get(exps, 0) + c
+            if e != tuple(exps) or k != c:
+                raise ValueError("exponents and coefficients must be integers")
+            if k:
+                clean[e] = clean.get(e, 0) + k
         clean = {e: c for e, c in clean.items() if c}
         object.__setattr__(self, "nvars", len(names))
         object.__setattr__(self, "names", names)

@@ -9,9 +9,11 @@ Derived expectations computed by hand before implementation:
 """
 
 import random
+from fractions import Fraction
 from itertools import product
 from math import prod
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -34,6 +36,8 @@ from verlkit.exactla import (
     smith_with_inverses,
     solve_int,
 )
+from verlkit.fusion import FusionRing
+from verlkit.polyring import LaurentPoly
 
 
 def diag_of(D):
@@ -537,3 +541,27 @@ def test_cayley_invariants_raise_exactly_on_non_groups():
             with pytest.raises(ValueError):
                 _cayley_invariants(mul, m, 0)
     assert min(seen.values()) >= 100
+
+
+NON_INTEGRAL = {
+    "IntMatrix": lambda: IntMatrix(1, 2, [1.5, 2.9]),
+    "FGAbelianGroup": lambda: FGAbelianGroup(0, (2.5,)),
+    "LaurentPoly-exponent": lambda: LaurentPoly(("a",), {(1.7,): 2}),
+    "LaurentPoly-coefficient": lambda: LaurentPoly(("a",), {(1,): 2.5}),
+    "FusionRing": lambda: FusionRing((0, 1), [[[1, 0], [0, 1]], [[0, 1], [1, 0.5]]]),
+}
+
+
+@pytest.mark.parametrize("build", NON_INTEGRAL.values(), ids=NON_INTEGRAL.keys())
+def test_exact_constructors_reject_non_integral_values(build):
+    # int() would truncate 1.5 to 1 and 0.5 to 0; an exact type refuses instead
+    with pytest.raises(ValueError, match="integers"):
+        build()
+
+
+def test_exact_constructors_accept_integral_values():
+    assert IntMatrix(1, 3, [1.0, Fraction(4, 2), np.int64(3)]).data == (1, 2, 3)
+    assert FGAbelianGroup(0, (2.0, Fraction(4, 1), np.int64(8))).torsion == (2, 4, 8)
+    assert LaurentPoly(("a",), {(1.0,): Fraction(6, 3)}).terms == {(1,): 2}
+    ring = FusionRing((0, 1), [[[1.0, 0], [0, np.int64(1)]], [{1: 1}, {0: Fraction(2, 2)}]])
+    assert ring.N == (((1, 0), (0, 1)), ((0, 1), (1, 0)))

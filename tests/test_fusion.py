@@ -536,6 +536,41 @@ def test_fusion_ring_validation():
     N[1][0][0] = 1
     with pytest.raises(ValueError):
         FusionRing(good.labels, N)
+    N = [list(list(row) for row in plane) for plane in good.N]
+    N[1][1][1] = 0.5  # not silently truncated to 0
+    with pytest.raises(ValueError, match="fusion rule"):
+        FusionRing(good.labels, N)
+    # dict rows: a label index equal to m, a negative and a fractional coefficient
+    for bad in ({2: 1}, {0: -1}, {0: 1, 1: Fraction(1, 2)}):
+        rows = [[good.product(a, b) for b in range(2)] for a in range(2)]
+        rows[1][1] = bad
+        with pytest.raises(ValueError, match="fusion rule"):
+            FusionRing(good.labels, rows)
+
+
+RINGS_IN_BOTH_FORMS = {
+    **{"truncated-%d" % k: lambda k=k: su2_fusion_truncated(k) for k in range(1, 7)},
+    **{"verlinde-%d" % k: lambda k=k: verlinde_matrices(su2_modular_data(k)) for k in range(1, 7)},
+    "double-(2,3)": lambda: double_abelian((2, 3))[1],
+    "twisted-(4,2)": lambda: double_cyclic_twisted(4, 2),
+    "SU3": lambda: level1_data("SU3")[1],
+    "Sp4": lambda: level1_data("Sp4")[1],
+}
+
+
+@pytest.mark.parametrize("build", RINGS_IN_BOTH_FORMS.values(), ids=RINGS_IN_BOTH_FORMS.keys())
+def test_dense_and_dict_rules_round_trip(build):
+    ring = build()
+    m = len(ring.labels)
+    N = ring.N
+    assert type(N) is tuple and N is ring.N
+    assert all(type(plane) is tuple and all(type(row) is tuple for row in plane) for plane in N)
+    assert FusionRing(ring.labels, N, ring.unit) == ring
+    rules = [[ring.product(a, b) for b in range(m)] for a in range(m)]
+    assert FusionRing(ring.labels, rules, ring.unit) == ring
+    for a in range(m):
+        for b in range(m):
+            assert N[a][b] == tuple(rules[a][b].get(c, 0) for c in range(m))
 
 
 def test_torus_fusion_examples():

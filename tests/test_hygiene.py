@@ -10,7 +10,8 @@ its first call, and without mpmath it raises an ImportError that names the
 `embed` extra), `cyclo`, the bottom layer, imports no other verlkit module,
 no module but `cyclo` imports or calls the coordinate
 internals `_lift`, `_raw`, `_cond` and `_substitute` (exponent lookups and
-rotations stay behind `cyclo`'s helpers), and every module states its
+rotations stay behind `cyclo`'s helpers), no module but `fusion` reads a
+fusion ring's stored rules `_rules`, and every module states its
 public names in a literal __all__ that lists every public top-level
 function and class it defines and names nothing it neither defines nor
 imports."""
@@ -210,15 +211,10 @@ def test_cyclo_imports_no_other_verlkit_module():
     assert found == []
 
 
-CYCLO_INTERNALS = {"_lift", "_raw", "_cond", "_substitute"}
-
-
-@pytest.mark.parametrize(
-    "path", [p for p in MODULES if p.name != "cyclo.py"], ids=lambda p: p.name
-)
-def test_cyclo_coordinate_internals_stay_in_cyclo(path):
+def _uses(path, names):
+    """(line, name) for each import, attribute or variable in `names`."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    used = [
+    return [
         (n.lineno, name)
         for n in ast.walk(tree)
         for name in (
@@ -227,9 +223,23 @@ def test_cyclo_coordinate_internals_stay_in_cyclo(path):
             else [n.id] if isinstance(n, ast.Name)
             else []
         )
-        if name in CYCLO_INTERNALS
+        if name in names
     ]
-    assert used == []
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "cyclo.py"], ids=lambda p: p.name
+)
+def test_cyclo_coordinate_internals_stay_in_cyclo(path):
+    assert _uses(path, {"_lift", "_raw", "_cond", "_substitute"}) == []
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "fusion.py"], ids=lambda p: p.name
+)
+def test_fusion_rule_storage_stays_in_fusion(path):
+    # how a FusionRing stores its products is fusion's own decision
+    assert _uses(path, {"_rules"}) == []
 
 
 def _top_level_names(tree):

@@ -678,3 +678,18 @@ def test_group_index_is_built_on_first_use_and_folds_do_not_need_it():
             K, image = repring._kernel_group(H, gr)
             assert image == tuple(H.index[e] for e in K.elements)
     assert embedding("D5", "E7").sup is quaternion_group("E7")
+
+
+DEGENERATE_ORDERS = {
+    "zeta(0)": lambda: cyclo.zeta(0),
+    "zeta(-3)": lambda: cyclo.zeta(-3),
+    "C0": lambda: quaternion_group("C0"),
+    "BD0": lambda: quaternion_group("BD0"),
+    "cos_frac(1, 0)": lambda: cyclo.cos_frac(1, 0),
+}
+
+
+@pytest.mark.parametrize("build", DEGENERATE_ORDERS.values(), ids=DEGENERATE_ORDERS.keys())
+def test_degenerate_orders_name_themselves(build):
+    with pytest.raises(ValueError, match="order must be positive"):
+        build()
