@@ -11,8 +11,10 @@ cross-order equality lifts both sides to the lcm order first.
 Multiplication packs coefficient vectors into single big integers (one
 machine multiply replaces the whole convolution) and reduces with packed
 rows of the power table; the test suite cross-checks it against a naive
-convolution.  Slots are 16, 32 or 64 bits, or a multiple of 64; a bias
-of 2^(w-1) per slot makes them unsigned, so one `int.to_bytes` reads them.
+convolution.  Slots are 16, 32 or 64 bits, or a multiple of 64.  Adding
+a bias of 2^(w-1) per slot and XORing it back leaves every slot in two's
+complement, so one `int.to_bytes` and one `struct` unpack of signed words
+read them all (`_unpack`), and `_pack` is the same in reverse.
 A rational (order 1) factor only scales the other numerator.
 Inversion and descent walk the Galois tower by integer substitutions:
 `_descend` reads the coordinates of a value in Q(zeta_(N/p)) off its power
@@ -33,7 +35,7 @@ Computational Algebraic Number Theory, ch. 4).  `_key_trace` and
 `_unkey` give CycNumbers back.
 Roots of unity are exponents: `_root_exponent` finds x = zeta_n^e by one
 lookup in the power table, and `_rotate` writes the vector of zeta_N^q * x
-by substituting into the rows, with no product.  With them
+as one sum of packed rows of the power table, with no product.  With them
 `fusion.ModularData` checks (ST)^3 = S^2 on keys in Q(zeta_B), the field
 of S: when every prime of R = L/B divides B, Phi_L(z) = Phi_B(z^R)
 (Washington, Introduction to Cyclotomic Fields, ch. 2), so zeta_L^0, ...,
@@ -50,7 +52,7 @@ and imports it on its first call.
 
 from __future__ import annotations
 
-import sys
+import struct
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import chain, compress
@@ -92,10 +94,12 @@ def _poly_divexact(num, den):
     return q
 
 
-def _cyclotomic_poly(n: int):
-    """Coefficients of the n-th cyclotomic polynomial, low degree first."""
+@lru_cache(maxsize=None)
+def _cyclotomic_poly(n: int) -> tuple:
+    """Coefficients of the n-th cyclotomic polynomial, low degree first; a
+    tuple, so no caller can edit the memo."""
     if n == 1:
-        return [-1, 1]
+        return (-1, 1)
     num = [0] * (n + 1)
     num[0], num[n] = -1, 1
     den = [1]
@@ -108,13 +112,13 @@ def _cyclotomic_poly(n: int):
                     for j, b in enumerate(phi_d):
                         new[i + j] += a * b
             den = new
-    return _poly_divexact(num, den)
+    return tuple(_poly_divexact(num, den))
 
 
 def _real_cyclotomic_poly(d: int):
     """Minimal polynomial Psi_d of 2cos(2pi/d), d >= 3, low degree first:
     Phi_d(z) = z^r Psi_d(z + 1/z), r = phi(d)/2, peeled from the top down."""
-    c = _cyclotomic_poly(d)
+    c = list(_cyclotomic_poly(d))
     r = len(c) // 2
     psi = [0] * (r + 1)
     for i in range(r, -1, -1):
@@ -180,36 +184,49 @@ def _cond(n: int) -> _CondData:
 
 
 def _pack(vec, width: int) -> int:
-    out = 0
-    for c in reversed(vec):
-        out = (out << width) + c
-    return out
+    """sum_j vec[j] 2^(j width).  Up to 64 bits the values are written as
+    signed little-endian words by one `struct` pack, read by one `from_bytes`
+    and XORed with `_bias`: the inverse of `_unpack`.  Wider slots, and a
+    value that overflows its slot and carries into the next, take the loop."""
+    try:
+        raw = _words(len(vec), width).pack(*vec)
+    except (KeyError, struct.error):
+        out = 0
+        for c in reversed(vec):
+            out = (out << width) + c
+        return out
+    bias = _bias(len(vec), width)
+    return (int.from_bytes(raw, "little") ^ bias) - bias
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _bias(count: int, width: int) -> int:
     """2^(width-1) in each of `count` slots: it makes signed slots nonnegative."""
-    return _pack([1 << (width - 1)] * count, width)
+    return ((1 << count * width) - 1) // ((1 << width) - 1) << (width - 1)
 
 
-_WORD = {16: "H", 32: "I", 64: "Q"}
+# signed words of the standard `struct` sizes, by their width in bits
+_WORD = {16: "h", 32: "i", 64: "q"}
+
+
+@lru_cache(maxsize=256)
+def _words(count: int, width: int) -> struct.Struct:
+    """`count` signed little-endian words of `width` bits, a key of _WORD."""
+    return struct.Struct("<%d%s" % (count, _WORD[width]))
 
 
 def _unpack(n: int, count: int, width: int):
-    """The `count` signed slots of a packed integer, low slot first, read by
-    one `int.to_bytes` of the biased value: as machine words up to 64 bits,
-    by byte slices beyond.  Raises OverflowError if n does not fit."""
-    size = width >> 3
-    raw = (n + _bias(count, width)).to_bytes(count * size, sys.byteorder)
+    """The `count` signed slots of a packed integer, low slot first.  Each
+    slot of n + bias holds its value plus 2^(width-1), so XOR with the bias
+    leaves it in two's complement: one `to_bytes` and one `struct` unpack
+    read every slot up to 64 bits, one signed `from_bytes` per slot beyond.
+    Raises OverflowError if n does not fit."""
+    bias, size = _bias(count, width), width >> 3
+    raw = ((n + bias) ^ bias).to_bytes(count * size, "little")
     if width in _WORD:
-        slots = memoryview(raw).cast(_WORD[width])
-    else:
-        cuts = range(0, len(raw), size)
-        slots = [int.from_bytes(raw[i : i + size], sys.byteorder) for i in cuts]
-    if sys.byteorder == "big":
-        slots = slots[::-1]
-    half = 1 << (width - 1)
-    return [d - half for d in slots]
+        return list(_words(count, width).unpack(raw))
+    cuts = range(0, len(raw), size)
+    return [int.from_bytes(raw[i : i + size], "little", signed=True) for i in cuts]
 
 
 def _width(bound: int) -> int:
@@ -263,8 +280,8 @@ def _mul_int_vecs(a, b, cond: _CondData):
     multiply, then folds the high part down with packed reduction rows.
     """
     phi = cond.phi
-    ma = max(abs(x) for x in a) or 1
-    mb = max(abs(x) for x in b) or 1
+    ma = max(max(a), -min(a)) or 1
+    mb = max(max(b), -min(b)) or 1
     width = _width(phi * ma * mb * (1 + phi * cond.row_max))
     return _fold(_pack(a, width) * _pack(b, width), width, cond)
 
@@ -316,6 +333,9 @@ class CycNumber:
 
     def __setattr__(self, name, value):
         raise AttributeError("CycNumber is immutable")
+
+    def __reduce__(self):  # copy and pickle rebuild through _raw, without the cache
+        return _raw, (self.order, self.num, self.den)
 
     # -- fundamentals ---------------------------------------------------------
 
@@ -460,6 +480,8 @@ class CycNumber:
             other = _coerce(other)
         if not isinstance(other, CycNumber):
             return NotImplemented
+        if self is other:
+            return True
         if self._norm is self and other._norm is other and self.order != other.order:
             return False  # normal forms at different orders: different values
         a, b = CycNumber._common(self, other)
@@ -489,8 +511,8 @@ class CycNumber:
                         break
                     n, vec = n // p, sub
             cur = self if n == self.order else _raw(n, vec, self.den)
-        object.__setattr__(self, "_norm", cur)
-        object.__setattr__(cur, "_norm", cur)
+        _SET_NORM(self, cur)
+        _SET_NORM(cur, cur)
         return cur
 
     # -- output -----------------------------------------------------------------
@@ -532,19 +554,21 @@ def _raw(order: int, num_list, den: int, r=None) -> CycNumber:
     if den < 0:
         den = -den
         num_list = [-c for c in num_list]
-    g = den
-    for c in num_list:
-        g = gcd(g, c)
-        if g == 1:
-            break
+    g = 1 if den == 1 else gcd(den, *num_list)
     if g > 1:
         den //= g
         num_list = [c // g for c in num_list]
-    object.__setattr__(r, "order", order)
-    object.__setattr__(r, "num", tuple(num_list))
-    object.__setattr__(r, "den", den)
-    object.__setattr__(r, "_norm", None)
+    _SET_ORDER(r, order)
+    _SET_NUM(r, tuple(num_list))
+    _SET_DEN(r, den)
+    _SET_NORM(r, None)
     return r
+
+
+# the slot setters, past the __setattr__ that makes CycNumber immutable
+_SET_ORDER, _SET_NUM, _SET_DEN, _SET_NORM = (
+    vars(CycNumber)[a].__set__ for a in CycNumber.__slots__
+)
 
 
 def _prime_factors(n: int):
@@ -657,11 +681,15 @@ def _root_exponent(x):
 
 def _rotate(vec, q: int, n: int, N: int):
     """Canonical vector at order N of zeta_N^q * x, for x with the canonical
-    vector `vec` at an order n dividing N: one substitution into the power
-    table of N, with no multiplication."""
+    vector `vec` at an order n dividing N: sum_i vec[i] zeta_N^(q + i N/n)
+    as one sum of packed rows of the power table of N, and one unpack.  Its
+    coefficients are at most sum |vec_i| * row_max, which sets the width."""
     if N % n:
         raise ValueError("can only rotate at a multiple of the order")
-    return _substitute(vec, N // n, _cond(N), q)
+    cond, k = _cond(N), N // n
+    width = _width(sum(map(abs, vec)) * cond.row_max)
+    rows = cond.packed_rows(width)
+    return _unpack(sum(c * rows[(q + i * k) % N] for i, c in enumerate(vec) if c), cond.phi, width)
 
 
 def _key(M, order: int = 1):
@@ -729,9 +757,11 @@ def _times(B):
     `step` is the product on keys.  At each lcm order L and slot width, B is
     tabulated once: row l * phi + t of the table packs z^t * B_lj, j < p,
     side by side.  Row i of a product is one sum of the m * phi coordinates
-    of row i of the left key times the table rows, already reduced.  Every
+    of row i of the left key times the table rows, already reduced; the rows
+    are shifted into one integer, so a product is unpacked once.  Every
     coefficient of z^t * v is at most sum |v_i| * row_max, so the slots hold
-    m * phi * max|a| * max_lj(sum |B_lj|) * row_max.  One gcd reduces the key."""
+    m * phi * max|a| * max_lj(sum |B_lj|) * row_max.  One gcd reduces the
+    key, skipped when the denominator is 1."""
     m, p = len(B), len(B[0]) if B else 0
     if any(len(row) != p for row in B):
         raise ValueError("matrix shapes do not match for a product")
@@ -752,7 +782,7 @@ def _times(B):
             f, k = _cond(n).phi, L // n
             fa = [c for i in range(0, len(fa), f) for c in _substitute(fa[i : i + f], k, cond)]
         row = m * phi
-        width = _width(row * (max(map(abs, fa), default=0) or 1) * mb)
+        width = _width(row * (max(max(fa, default=0), -min(fa, default=0)) or 1) * mb)
         if width not in tables:
             rots = {v: _rotations(v, width, cond) for v in set(vecs)}
             bias = _bias(p * phi, width)
@@ -761,13 +791,15 @@ def _times(B):
                 for i in range(0, m * p, p or 1)
                 for col in zip(*[rots[v] for v in vecs[i : i + p]])
             ]
-        table, out = tables[width], []
-        for i in range(0, len(fa), row or 1):
+        table, size, total = tables[width], p * phi * width, 0
+        starts = range(0, len(fa), row or 1)
+        for i in reversed(starts):  # the product rows side by side, for one unpack
             coords = fa[i : i + row]  # zero coordinates are skipped
-            total = sum(map(mul, compress(coords, coords), compress(table, coords)))
-            out += _unpack(total, p * phi, width)
+            row_i = sum(map(mul, compress(coords, coords), compress(table, coords)))
+            total = (total << size) + row_i
+        out = _unpack(total, len(starts) * p * phi, width)
         d *= dB
-        g = gcd(d, *out)
+        g = gcd(d, *out) if d > 1 else 1
         if g > 1:
             d, out = d // g, [c // g for c in out]
         return L, d, tuple(out)

@@ -82,6 +82,9 @@ class IntMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
 
+    def __reduce__(self):  # copy and pickle rebuild through the unchecked `_matrix`
+        return _matrix, (self.rows, self.cols, self.data)
+
     # -- construction helpers -------------------------------------------------
 
     @classmethod
@@ -601,6 +604,9 @@ class FGAbelianGroup:
 
     def __setattr__(self, name, value):
         raise AttributeError("FGAbelianGroup is immutable")
+
+    def __reduce__(self):
+        return FGAbelianGroup, (self.free_rank, self.torsion, self.generators)
 
     def __eq__(self, other):
         return (

@@ -11,6 +11,7 @@ group-like ring holds one entry per product; the dense m x m x m tensor
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm, prod
 
 from .cyclo import (
@@ -132,6 +133,9 @@ class ModularData:
     def __setattr__(self, name, value):
         raise AttributeError("ModularData is immutable")
 
+    def __reduce__(self):  # copy and pickle rebuild through the checked constructor
+        return ModularData, (self.labels, self.S, self.T)
+
     def __repr__(self) -> str:
         return "ModularData(%d primaries)" % len(self.labels)
 
@@ -151,8 +155,9 @@ def _phase_holds(kS, Sc, roots) -> bool:
     Both sides have coordinates in Q(zeta_B), so it holds exactly when P_s
     is zeta_B^(q_ij) S_ij where s_ij = s and 0 elsewhere: one key product at
     order B per class, with inner dimensions summing to m.  The left factors
-    and the right-hand sides are slices of kS rotated by zeta_B^q, and each
-    entry of a class product is compared with them as integer vectors.
+    and the right-hand sides are slices of kS rotated by zeta_B^q, each
+    distinct (slice, q) rotated once; every class product is then compared
+    with its whole right-hand side in one list compare.
     """
     n, d, flat = kS
     m = len(roots)
@@ -161,9 +166,13 @@ def _phase_holds(kS, Sc, roots) -> bool:
     B = lcm(n, *_prime_factors(L))
     R = L // B
     e = [r * (L // nr) for nr, r in roots]
+    rotated = {}
 
     def entry(i, j, q):  # zeta_B^q S_ij, at order B, over d
-        return _rotate(flat[(i * m + j) * f:(i * m + j + 1) * f], q, n, B)
+        cell = flat[(i * m + j) * f:(i * m + j + 1) * f], q
+        if cell not in rotated:
+            rotated[cell] = _rotate(*cell, n, B)
+        return rotated[cell]
 
     classes = {}
     for k in range(m):
@@ -173,20 +182,17 @@ def _phase_holds(kS, Sc, roots) -> bool:
     for s, ks in classes.items():
         left = tuple(c for i in range(m) for k, q in ks for c in entry(i, k, q))
         P[s] = _times([Sc[k] for k, _ in ks]).step((B, d, left))
+    want = {s: [] for s in P}
     for i in range(m):
         for j in range(m):
             q, s = divmod((e[i] + e[j]) % L, R)
-            want = entry(i, j, q)
-            g = len(want)
-            if s not in P and any(want):
+            cell = entry(i, j, q)
+            if s not in P and any(cell):
                 return False
-            for t, (_, dP, fP) in P.items():
-                got = fP[(i * m + j) * g:(i * m + j + 1) * g]
-                if t != s and any(got):
-                    return False
-                if t == s and [c * d for c in got] != [c * dP for c in want]:
-                    return False
-    return True
+            for t, rhs in want.items():
+                rhs += cell if t == s else [0] * len(cell)
+    # P_s = rhs / d, with P_s = fP / dP
+    return all([c * d for c in fP] == [c * dP for c in want[s]] for s, (_, dP, fP) in P.items())
 
 
 def _rule(row, m: int) -> dict:
@@ -252,6 +258,9 @@ class FusionRing:
     def __setattr__(self, name, value):
         raise AttributeError("FusionRing is immutable")
 
+    def __reduce__(self):  # the dense view `N` is rebuilt on first read
+        return FusionRing, (self.labels, self._rules, self.unit)
+
     @property
     def N(self) -> tuple:
         """N[lam][mu][nu] as nested tuples, built from the rules on first read."""
@@ -315,21 +324,28 @@ def _fusion_failure(ring, mats):
     """First (lam, mu), lam <= mu, where the integer matrices `mats`, one per
     label, fail M_lam M_mu = sum_nu N_{lam mu}^nu M_nu; None if they represent
     the ring.  With the ring's own fusion matrices this is associativity.
-    Rows are packed once, P_nu[i], at a slot width bounding g max|M|^2 and
-    sum_nu N max|M|: row i of M_lam M_mu is sum_t (M_lam)_it P_mu[t]."""
-    m = len(ring.labels)
-    rows = [M.to_lists() for M in mats]
-    top = max((abs(c) for M in rows for row in M for c in row), default=0)
+    Each g x g matrix is packed at one slot width w bounding g max|M|^2 and
+    sum_nu N max|M|, row by row (P[t]) and whole, row-major (Q).  Row i of
+    M_lam M_mu is sum_t (M_lam)_it P_mu[t]; shifted into place, the rows make
+    the whole product, and one integer compare with sum_nu N Q_nu tests the
+    pair (Kronecker substitution)."""
+    m, g = len(ring.labels), mats[0].rows
+    top = max((max(max(M.data), -min(M.data)) for M in mats if M.data), default=0)
     spread = max(sum(r.values()) for plane in ring._rules for r in plane)
-    width = _width(max(len(rows[0]) * top * top, spread * top))
-    packed = [[_pack(row, width) for row in M] for M in rows]
-    terms = [[[(t, c) for t, c in enumerate(row) if c] for row in M] for M in rows]
+    width = _width(max(g * top * top, spread * top))
+    rows = [[_pack(M.data[t * g:(t + 1) * g], width) for t in range(g)] for M in mats]
+    whole = [_pack(M.data, width) for M in mats]
     for lam in range(m):
+        data = mats[lam].data
+        # the nonzero (t, c) of each row of M_lam, last row first
+        terms = [[(t, c) for t, c in enumerate(data[i * g:(i + 1) * g]) if c]
+                 for i in reversed(range(g))]
         for mu in range(lam, m):
-            P, rhs = packed[mu], ring._rules[lam][mu].items()
-            for i, row in enumerate(terms[lam]):
-                if sum(c * P[t] for t, c in row) != sum(c * packed[nu][i] for nu, c in rhs):
-                    return lam, mu
+            P, got = rows[mu], 0
+            for row in terms:
+                got = (got << g * width) + sum(c * P[t] for t, c in row)
+            if got != sum(c * whole[nu] for nu, c in ring._rules[lam][mu].items()):
+                return lam, mu
     return None
 
 
@@ -403,6 +419,7 @@ def verlinde_matrices(D: ModularData) -> FusionRing:
     return FusionRing(D.labels, N)
 
 
+@lru_cache(maxsize=8)
 def su2_fusion_truncated(k: int) -> FusionRing:
     """Level-k SU(2) fusion from the truncated Clebsch-Gordan rule.
 

@@ -301,23 +301,30 @@ def _t_failure(X, TA, TB):
 
 def _intertwiner_failure(X, A, B):
     """First (i, j), row-major, where the integer X and cyclotomic A, B give
-    X B != A X, or None.  A and B are keyed together, at one order L over
-    one denominator d, so X B = A X holds exactly when X B_t = A_t X for the
-    coordinate slices d B = sum_t B_t zeta_L^t, d A = sum_t A_t zeta_L^t.
-    Each entry's phi(L) coordinates are packed into one integer, in slots
-    wide enough for either side, so one integer compare tests every t."""
+    X B != A X, or None.  A and B are keyed together (once when A is B), at
+    one order L over one denominator d, so X B = A X holds exactly when
+    X B_t = A_t X for the coordinate slices d B = sum_t B_t zeta_L^t,
+    d A = sum_t A_t zeta_L^t.  Each entry's phi(L) coordinates are packed
+    into slots wide enough for either side, and a row of entries side by
+    side: row i of X B is sum_k X_ik (row k of B), row i of A X is built
+    entry by entry from the packed A_ik, and one integer compare tests the
+    row.  The slots of a failing row's difference are signed and fit, so
+    its lowest set bit lies in its first nonzero slot, which names j."""
     r, c = len(A), len(B)
-    _, _, flat = _key(tuple(A) + tuple(B))
-    phi = len(flat) // (r * r + c * c or 1)
-    rows, cols = ([[(k, x) for k, x in enumerate(v) if x] for v in M] for M in (X, zip(*X)))
+    _, _, flat = _key(A) if A is B else _key(tuple(A) + tuple(B))
+    phi = len(flat) // (r * r + (0 if A is B else c * c) or 1)
+    fb = flat[len(flat) - c * c * phi:]
     width = _width(sum(abs(x) for row in X for x in row) * max(map(abs, flat), default=0))
-    cells = [_pack(flat[u * phi:(u + 1) * phi], width) for u in range(r * r + c * c)]
-    pa, pb = cells[:r * r], cells[r * r:]
+    pa = [_pack(flat[u * phi:(u + 1) * phi], width) for u in range(r * r)]
+    pb = [_pack(fb[k * c * phi:(k + 1) * c * phi], width) for k in range(c)]
+    cols = [[(k, x) for k, x in enumerate(v) if x] for v in zip(*X)][::-1]
     for i in range(r):
-        for j in range(c):
-            xb = sum(x * pb[k * c + j] for k, x in rows[i])
-            if xb != sum(pa[i * r + k] * x for k, x in cols[j]):
-                return i, j
+        xb, ax = sum(x * pb[k] for k, x in enumerate(X[i]) if x), 0
+        for col in cols:
+            ax = (ax << phi * width) + sum(pa[i * r + k] * x for k, x in col)
+        if xb != ax:
+            low = (xb - ax) & (ax - xb)  # the lowest set bit of xb - ax
+            return i, (low.bit_length() - 1) // (phi * width)
     return None
 
 

@@ -85,6 +85,9 @@ class LaurentPoly:
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
 
+    def __reduce__(self):
+        return LaurentPoly, (self.names, self.terms)
+
     @classmethod
     def var(cls, name: str, names=None) -> "LaurentPoly":
         names = (name,) if names is None else tuple(names)

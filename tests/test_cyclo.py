@@ -23,11 +23,14 @@ from verlkit.cyclo import (
     DivisionByZero,
     _cond,
     _cos_table,
+    _cyclotomic_poly,
     _fold,
     _key,
     _mat_mul,
     _mul_int_vecs,
     _pack,
+    _poly_divexact,
+    _prime_factors,
     _real_cyclotomic_poly,
     _real_enclosure,
     _root_exponent,
@@ -46,6 +49,7 @@ from verlkit.cyclo import (
     sqrt_int,
     zeta,
 )
+from verlkit.fusion import su2_modular_data
 
 ORDERS = [1, 3, 4, 5, 8, 12]
 
@@ -366,6 +370,37 @@ def test_rotation_and_substitution_match_the_full_row_formula():
             assert _substitute(vec, j, cond, j % 7) == _substitute_reference(vec, j, cond, j % 7)
 
 
+def test_packed_rotation_matches_substitution_on_every_slice_of_s():
+    # every (coordinate slice of S, q) that the (ST)^3 check can rotate, at
+    # the order B of that check: the lcm of S's order and the primes of L
+    for k in range(1, 17):
+        md = su2_modular_data(k)
+        n, _, flat = _key(md.S)
+        L = lcm(n, *(_root_exponent(t)[0] for t in md.T))
+        B = lcm(n, *_prime_factors(L))
+        cond, phi = _cond(B), _cond(n).phi
+        for vec in {flat[u : u + phi] for u in range(0, len(flat), phi)}:
+            for q in range(B):
+                assert _rotate(vec, q, n, B) == _substitute(list(vec), B // n, cond, q)
+
+
+def test_cyclotomic_poly_memo_is_not_edited_by_its_callers():
+    fresh = {}
+    for n in range(1, 61):  # x^n - 1 over the Phi_d of its proper divisors
+        num = [-1] + [0] * (n - 1) + [1]
+        for d in range(1, n):
+            if n % d == 0:
+                num = _poly_divexact(num, fresh[d])
+        fresh[n] = num
+    for _ in range(3):
+        for d in range(3, 61):
+            _real_cyclotomic_poly(d)  # edits a copy in place
+    assert [list(_cyclotomic_poly(n)) for n in range(1, 61)] == [fresh[n] for n in range(1, 61)]
+    for n in range(1, 61):
+        with pytest.raises(TypeError):  # the memo itself cannot be edited
+            _cyclotomic_poly(n)[0] += 7
+
+
 def test_arith_dispatch():
     a, b = zeta(8), zeta(8, 3)
     assert cyc_arith(a, b, "add") == a + b
@@ -605,6 +640,32 @@ def test_width_is_a_machine_word_or_a_multiple_of_64_that_holds_the_bound(bound)
     assert w in (16, 32, 64) or w % 64 == 0
     assert bound < 1 << (w - 1)
     assert _width(0) == 16 and _width(2**40) == 64 and _width(2**60) == 128
+
+
+@pytest.mark.parametrize("width", [16, 32, 64, 128, 192])
+def test_slots_round_trip_at_every_width(width):
+    # 16-64 bits are read as signed words, 128 and 192 slot by slot
+    rng = random.Random(width)
+    half = 1 << (width - 1)
+    ends = [half - 1, -(half - 1), -half, 0, 1, -1]
+    for count in (1, 2, 3, 7, 24, 65):
+        for _ in range(20):
+            vals = [rng.choice(ends) if rng.random() < 0.3 else rng.randrange(-half, half)
+                    for _ in range(count)]
+            n = _pack(vals, width)
+            assert n == sum(c << (j * width) for j, c in enumerate(vals))
+            assert _unpack(n, count, width) == vals
+            # a top slot outside [-2^(w-1), 2^(w-1)) does not fit
+            for top in (half, -half - 1, rng.choice((1, -1)) * (half << rng.randrange(1, 70))):
+                wide = vals[:-1] + [top]
+                n = _pack(wide, width)
+                assert n == sum(c << (j * width) for j, c in enumerate(wide))
+                with pytest.raises(OverflowError):
+                    _unpack(n, count, width)
+            # a lower slot outside its range carries into the next one
+            j = rng.randrange(count)
+            bent = vals[:j] + [vals[j] + rng.choice((1, -1)) * (half << 3)] + vals[j + 1:]
+            assert _pack(bent, width) == sum(c << (i * width) for i, c in enumerate(bent))
 
 
 def test_unpack_rejects_values_that_do_not_fit_in_the_slots():

@@ -20,6 +20,8 @@ oracle both give Z_2 x Z_18.  That point is frozen here as constructed;
 the acceptance suite reports the closed-form comparison.
 """
 
+import copy
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -33,7 +35,7 @@ from hypothesis import strategies as st
 
 from verlkit import cyclo, fusion
 from verlkit.cyclo import cos_frac, rational, sqrt_int, zeta
-from verlkit.exactla import IntMatrix, cokernel
+from verlkit.exactla import FGAbelianGroup, IntMatrix, cokernel
 from verlkit.fusion import (
     FusionRing,
     InvalidTwist,
@@ -52,6 +54,7 @@ from verlkit.fusion import (
     verlinde_matrices,
 )
 from verlkit.modinv import ade_graph, nimrep_from_graph
+from verlkit.polyring import LaurentPoly
 from verlkit.repring import quaternion_group
 
 MAX_LEVEL = 16
@@ -267,6 +270,59 @@ def test_packed_fusion_failure_matches_the_matrix_sums():
         assert all(y and u == -(2**w) * y for u, y in rows)
         mats = [IntMatrix.identity(2), X]
         assert _fusion_failure(z2, mats) == _fusion_failure_reference(z2, mats) == (1, 1)
+
+
+def _ade_graphs(k):
+    """The A-D-E graphs with Coxeter number k + 2."""
+    names = ["A%d" % (k + 1)] + (["D%d" % (k // 2 + 2)] if k % 2 == 0 and k >= 4 else [])
+    return names + {10: ["E6"], 16: ["E7"], 28: ["E8"]}.get(k, [])
+
+
+@pytest.mark.parametrize("level", range(4, 17))
+def test_fusion_failure_names_the_first_pair_a_bent_nimrep_breaks(level):
+    ring = su2_fusion_truncated(level)
+    m, rng = level + 1, random.Random(level)
+    for graph in _ade_graphs(level):
+        mats = list(nimrep_from_graph(ade_graph(graph)[0], level).matrices)
+        assert _fusion_failure(ring, mats) is None
+        g = mats[0].rows
+        for _ in range(3):
+            lam, i, j = rng.randrange(m), rng.randrange(g), rng.randrange(g)
+            rows = mats[lam].to_lists()
+            rows[i][j] += rng.choice((1, -1, 2))
+            bent = mats[:lam] + [IntMatrix.from_rows(rows)] + mats[lam + 1:]
+            assert _fusion_failure(ring, bent) == _fusion_failure_reference(ring, bent) is not None
+
+
+def _with_caches_filled():
+    """One value of each immutable type, its lazy caches filled."""
+    x = (zeta(12, 5) + sqrt_int(3)) * zeta(8)
+    x.normalized()
+    ring = su2_fusion_truncated(4)
+    ring.N
+    a = LaurentPoly.var("a", ("a", "b"))
+    return [
+        x, rational(-3, 4), IntMatrix.from_rows([[1, -2], [3, 4]]), FGAbelianGroup(1, (2, 4)),
+        a**-2 * 3 - 1, ring, double_abelian(2)[1],
+    ]
+
+
+ROUND_TRIPS = {
+    "copy": copy.copy, "deepcopy": copy.deepcopy, "pickle": lambda v: pickle.loads(pickle.dumps(v)),
+}
+
+
+@pytest.mark.parametrize("trip", sorted(ROUND_TRIPS))
+def test_immutable_values_copy_and_pickle(trip):
+    for value in _with_caches_filled():
+        back = ROUND_TRIPS[trip](value)
+        # the lazy normal form and dense tensor are rebuilt, not carried over
+        assert getattr(back, "_norm", None) is None and getattr(back, "_dense", None) is None
+        assert type(back) is type(value) and back == value and hash(back) == hash(value)
+    for data in (su2_modular_data(3), level1_data("Sp4")[0]):
+        back = ROUND_TRIPS[trip](data)
+        fields = lambda d: (d.labels, d.S, d.T, d.charge_conjugation)
+        assert fields(back) == fields(data) and hash(fields(back)) == hash(fields(data))
 
 
 def test_su2_level2_products(su2):

@@ -9,8 +9,10 @@ imports mpmath when it is imported (only `cyclo.real_embed` loads it, on
 its first call, and without mpmath it raises an ImportError that names the
 `embed` extra), `cyclo`, the bottom layer, imports no other verlkit module,
 no module but `cyclo` imports or calls the coordinate
-internals `_lift`, `_raw`, `_cond` and `_substitute` (exponent lookups and
-rotations stay behind `cyclo`'s helpers), no module but `fusion` reads a
+internals `_lift`, `_raw`, `_cond`, `_substitute` and `_unpack` (exponent
+lookups and rotations stay behind `cyclo`'s helpers), no module but `cyclo`
+calls `to_bytes` or `from_bytes` or imports `struct` or `array` (the slot
+layout of a packed integer is `cyclo`'s decision), no module but `fusion` reads a
 fusion ring's stored rules `_rules`, and every module states its
 public names in a literal __all__ that lists every public top-level
 function and class it defines and names nothing it neither defines nor
@@ -231,7 +233,21 @@ def _uses(path, names):
     "path", [p for p in MODULES if p.name != "cyclo.py"], ids=lambda p: p.name
 )
 def test_cyclo_coordinate_internals_stay_in_cyclo(path):
-    assert _uses(path, {"_lift", "_raw", "_cond", "_substitute"}) == []
+    assert _uses(path, {"_lift", "_raw", "_cond", "_substitute", "_unpack"}) == []
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "cyclo.py"], ids=lambda p: p.name
+)
+def test_slot_layout_stays_in_cyclo(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = [
+        n.lineno
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Import) and any(a.name in ("array", "struct") for a in n.names)
+        or isinstance(n, ast.ImportFrom) and n.module in ("array", "struct")
+    ]
+    assert imported == [] and _uses(path, {"to_bytes", "from_bytes"}) == []
 
 
 @pytest.mark.parametrize(

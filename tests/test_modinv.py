@@ -41,6 +41,7 @@ from verlkit.modinv import (
     _charpoly,
     _commutant_rows,
     _floor_exact,
+    _intertwiner_failure,
     _row_hermite,
     BranchingRule,
     CheckReport,
@@ -915,11 +916,13 @@ def test_check_invariant_first_failures_match_the_cyclotomic_loops(level):
     data = su2_modular_data(level)
     rng = random.Random(level)
     seen = {"commutes_with_t": 0, "commutes_with_s": 0}
+    S_copy = [list(row) for row in data.S]  # equal to S, but keyed apart from it
     for z in enumerate_invariants(level):
         for g in [list(map(list, z.matrix))] + _perturbations(z.matrix, rng, 40):
             rep = check_invariant(g, data)
             t_bad = _t_loop_reference(g, data.T, data.T)
             s_bad = _s_loop_reference(g, data.S, data.S)
+            assert _intertwiner_failure(g, data.S, S_copy) == s_bad
             assert rep.notes.get("commutes_with_t") == (
                 None if t_bad is None else "nonzero entry across T classes at %s" % (t_bad,)
             )
