@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import struct
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cache, lru_cache, reduce
 from itertools import chain, compress
 from math import comb, gcd, lcm
 from operator import mul
@@ -94,7 +94,7 @@ def _poly_divexact(num, den):
     return q
 
 
-@lru_cache(maxsize=None)
+@cache
 def _cyclotomic_poly(n: int) -> tuple:
     """Coefficients of the n-th cyclotomic polynomial, low degree first; a
     tuple, so no caller can edit the memo."""
@@ -171,16 +171,9 @@ class _CondData:
             return packed
 
 
-_COND: dict[int, _CondData] = {}
-
-
+@cache
 def _cond(n: int) -> _CondData:
-    try:
-        return _COND[n]
-    except KeyError:
-        data = _CondData(n)
-        _COND[n] = data
-        return data
+    return _CondData(n)
 
 
 def _pack(vec, width: int) -> int:
@@ -331,8 +324,10 @@ class CycNumber:
         num = [int(c * scale) for c in coeffs]
         _raw(order, _substitute(num, 1, cond), den * scale, self)
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, *_):
         raise AttributeError("CycNumber is immutable")
+
+    __delattr__ = __setattr__
 
     def __reduce__(self):  # copy and pickle rebuild through _raw, without the cache
         return _raw, (self.order, self.num, self.den)

@@ -21,6 +21,14 @@ divides is cleared on V and V^-1 alone.  Every group closure is one
 breadth-first walk, `_closure`, and `_cayley_invariants` presents a
 finite abelian group by the relations of its Cayley graph and reads it
 off the same Smith engine.
+
+Every immutable value of the library but `cyclo.CycNumber` (`cyclo`
+imports no other verlkit module) derives from `_Frozen`, which refuses
+writes and deletes, fills slots (`_fill`), and copies and pickles a
+value by calling its constructor again.  A subclass lists its
+`__slots__` in constructor order, then the slots named in its `_derived`
+tuple, which the constructor recomputes or a lazy read refills; those
+are not carried.
 """
 
 from __future__ import annotations
@@ -52,7 +60,27 @@ class SelfCheckFailure(RuntimeError, AssertionError):
     """
 
 
-class IntMatrix:
+class _Frozen:
+    """An immutable value: its constructor slots rebuild it (see the module docstring)."""
+
+    __slots__ = ()
+    _derived = ()
+
+    def __setattr__(self, *_):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    __delattr__ = __setattr__
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(type(self).__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        slots = type(self).__slots__
+        return type(self), tuple(getattr(self, s) for s in slots if s not in self._derived)
+
+
+class IntMatrix(_Frozen):
     """An immutable integer matrix stored row-major.
 
     >>> M = IntMatrix.from_rows([[2, 4], [6, 8]])
@@ -75,15 +103,7 @@ class IntMatrix:
             raise ValueError(
                 "expected %d entries, got %d" % (rows * cols, len(data))
             )
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "data", data)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntMatrix is immutable")
-
-    def __reduce__(self):  # copy and pickle rebuild through the unchecked `_matrix`
-        return _matrix, (self.rows, self.cols, self.data)
+        self._fill(rows, cols, data)
 
     # -- construction helpers -------------------------------------------------
 
@@ -219,9 +239,7 @@ class IntMatrix:
 def _matrix(rows: int, cols: int, data) -> IntMatrix:
     """An IntMatrix around int entries the library computed itself, unchecked."""
     M = object.__new__(IntMatrix)
-    object.__setattr__(M, "rows", rows)
-    object.__setattr__(M, "cols", cols)
-    object.__setattr__(M, "data", tuple(data))
+    M._fill(rows, cols, tuple(data))
     return M
 
 
@@ -569,7 +587,7 @@ def _format_combo(coeffs, labels) -> str:
     return " ".join(parts) if parts else "0"
 
 
-class FGAbelianGroup:
+class FGAbelianGroup(_Frozen):
     """A finitely generated abelian group in invariant-factor normal form.
 
     The group is Z^free_rank  (+)  Z/d1 (+) ... (+) Z/dr with d_i | d_{i+1}
@@ -598,15 +616,7 @@ class FGAbelianGroup:
         generators = tuple(str(g) for g in generators)
         if len(generators) != len(torsion) + free_rank:
             raise ValueError("need one label per invariant factor and free generator")
-        object.__setattr__(self, "free_rank", free_rank)
-        object.__setattr__(self, "torsion", torsion)
-        object.__setattr__(self, "generators", generators)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FGAbelianGroup is immutable")
-
-    def __reduce__(self):
-        return FGAbelianGroup, (self.free_rank, self.torsion, self.generators)
+        self._fill(free_rank, torsion, generators)
 
     def __eq__(self, other):
         return (
@@ -658,7 +668,7 @@ class FGAbelianGroup:
         return cls(obj["free_rank"], obj["torsion"], obj["generators"])
 
 
-class PresentedModule:
+class PresentedModule(_Frozen):
     """Generators plus integer relations (columns in the generator basis)."""
 
     __slots__ = ("generator_labels", "relations")
@@ -667,11 +677,7 @@ class PresentedModule:
         generator_labels = tuple(str(g) for g in generator_labels)
         if relations.rows != len(generator_labels):
             raise ValueError("relations.rows must equal the number of generators")
-        object.__setattr__(self, "generator_labels", generator_labels)
-        object.__setattr__(self, "relations", relations)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PresentedModule is immutable")
+        self._fill(generator_labels, relations)
 
 
 def cokernel(M: IntMatrix, labels=None) -> FGAbelianGroup:

@@ -18,7 +18,7 @@ from .cyclo import (
     DivisionByZero, _key, _mat_mul, _pack, _prime_factors, _root_exponent, _rotate, _times,
     _width, rational, sin_frac, sqrt_int, zeta,
 )
-from .exactla import FGAbelianGroup, IntMatrix, _cayley_invariants, cokernel
+from .exactla import FGAbelianGroup, IntMatrix, _cayley_invariants, _Frozen, cokernel
 
 __all__ = [
     "ModularCheckFailure",
@@ -74,7 +74,7 @@ def _as_permutation(key, m: int):
     return tuple(row.index(1) for row in rows)
 
 
-class ModularData:
+class ModularData(_Frozen):
     """Exact S and T matrices of a rational theory.
 
     S must be symmetric and unitary, T a diagonal of roots of unity, and
@@ -89,6 +89,7 @@ class ModularData:
     """
 
     __slots__ = ("labels", "S", "T", "charge_conjugation")
+    _derived = ("charge_conjugation",)
 
     def __init__(self, labels, S, T) -> None:
         labels = tuple(labels)
@@ -125,16 +126,7 @@ class ModularData:
         # with S^{-1} = S*, (ST)^3 = S^2 is equivalent to TST = S T^-1 S*
         if not _phase_holds(kS, Sc, roots):
             raise ModularCheckFailure("(ST)^3 = S^2 fails")
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "S", S)
-        object.__setattr__(self, "T", T)
-        object.__setattr__(self, "charge_conjugation", perm)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ModularData is immutable")
-
-    def __reduce__(self):  # copy and pickle rebuild through the checked constructor
-        return ModularData, (self.labels, self.S, self.T)
+        self._fill(labels, S, T, perm)
 
     def __repr__(self) -> str:
         return "ModularData(%d primaries)" % len(self.labels)
@@ -222,7 +214,7 @@ def _dense_row(rule: dict, m: int) -> tuple:
     return tuple(row)
 
 
-class FusionRing:
+class FusionRing(_Frozen):
     """Fusion coefficients N_{lm}^n over an ordered label set.
 
     `N[lam][mu]` is either a dense row of length m or a {nu: c} dict; the
@@ -233,7 +225,8 @@ class FusionRing:
     checked by `check_associativity` since it costs m^5.
     """
 
-    __slots__ = ("labels", "unit", "_rules", "_dense")
+    __slots__ = ("labels", "_rules", "unit", "_dense")
+    _derived = ("_dense",)
 
     def __init__(self, labels, N, unit: int = 0) -> None:
         labels = tuple(labels)
@@ -250,16 +243,7 @@ class FusionRing:
             for mu in range(lam):
                 if rules[lam][mu] != rules[mu][lam]:
                     raise ValueError("fusion must be commutative")
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "unit", unit)
-        object.__setattr__(self, "_rules", rules)
-        object.__setattr__(self, "_dense", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FusionRing is immutable")
-
-    def __reduce__(self):  # the dense view `N` is rebuilt on first read
-        return FusionRing, (self.labels, self._rules, self.unit)
+        self._fill(labels, rules, unit, None)
 
     @property
     def N(self) -> tuple:

@@ -44,7 +44,7 @@ from math import gcd, lcm, prod
 from .cyclo import (
     CycNumber, _key, _pack, _poly_divexact, _real_cyclotomic_poly, _real_enclosure, _width,
 )
-from .exactla import IntMatrix, SelfCheckFailure, _closure, _row_hermite, kernel_basis
+from .exactla import IntMatrix, SelfCheckFailure, _closure, _Frozen, _row_hermite, kernel_basis
 from .fusion import (
     _cyclic_orders, _elt_add, _fusion_failure, _tuples, su2_fusion_truncated, su2_modular_data,
 )
@@ -124,17 +124,13 @@ def _int_grid(Z):
     return grid
 
 
-class CheckReport:
+class CheckReport(_Frozen):
     """Per-axiom verdicts for a candidate invariant."""
 
     __slots__ = ("axioms", "notes")
 
     def __init__(self, axioms, notes):
-        object.__setattr__(self, "axioms", dict(axioms))
-        object.__setattr__(self, "notes", dict(notes))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CheckReport is immutable")
+        self._fill(dict(axioms), dict(notes))
 
     @property
     def passed(self) -> bool:
@@ -158,7 +154,7 @@ class CheckReport:
         return "CheckReport(%s)" % state
 
 
-class ModularInvariant:
+class ModularInvariant(_Frozen):
     """Nonnegative integer matrix Z with ZS = SZ and ZT = TZ.
 
     Entry validation happens on construction; the commutation axioms are
@@ -174,14 +170,11 @@ class ModularInvariant:
             raise ValueError("invariant matrix must be square")
         if _bad_entry(grid):
             raise ValueError("entries must be nonnegative integers")
-        object.__setattr__(self, "matrix", grid)
+        self._fill(grid)
         if data is not None:
             rep = check_invariant(grid, data)
             if not rep.passed:
                 raise InvariantCheckFailed(", ".join(rep.failures()))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ModularInvariant is immutable")
 
     @property
     def size(self) -> int:
@@ -217,7 +210,7 @@ class ModularInvariant:
         )
 
 
-class BranchingRule:
+class BranchingRule(_Frozen):
     """Nonnegative integer decomposition matrix, vacuum to vacuum once.
 
     Rows are labels of the extended theory, columns labels of the base;
@@ -240,10 +233,7 @@ class BranchingRule:
             raise ValueError("entries must be nonnegative integers")
         if grid[0][0] != 1:
             raise ValueError("vacuum must branch to the vacuum with coefficient 1")
-        object.__setattr__(self, "matrix", grid)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BranchingRule is immutable")
+        self._fill(grid)
 
     @property
     def rows(self) -> int:
@@ -257,20 +247,13 @@ class BranchingRule:
         return "BranchingRule(%dx%d)" % (self.rows, self.cols)
 
 
-class Nimrep:
+class Nimrep(_Frozen):
     """Graph representation of a truncated fusion ring."""
 
     __slots__ = ("level", "adjacency", "matrices", "exponents", "report")
 
     def __init__(self, level, adjacency, matrices, exponents, report) -> None:
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "adjacency", adjacency)
-        object.__setattr__(self, "matrices", tuple(matrices))
-        object.__setattr__(self, "exponents", tuple(exponents))
-        object.__setattr__(self, "report", dict(report))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Nimrep is immutable")
+        self._fill(level, adjacency, tuple(matrices), tuple(exponents), dict(report))
 
     def to_json(self):
         return {

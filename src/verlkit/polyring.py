@@ -22,6 +22,7 @@ from .exactla import (
     _cokernel_of,
     _diagonal_solve,
     _free_columns,
+    _Frozen,
     _matrix,
     _row_hermite,
     _smith_engine,
@@ -51,7 +52,7 @@ class Inconclusive(RuntimeError):
     """The bounded-degree window certified neither answer."""
 
 
-class LaurentPoly:
+class LaurentPoly(_Frozen):
     """Sparse Laurent polynomial over Z in one or two variables.
 
     Exponents may be negative; zero coefficients are never stored.
@@ -62,7 +63,7 @@ class LaurentPoly:
     '-a^-1 + 1'
     """
 
-    __slots__ = ("nvars", "names", "terms")
+    __slots__ = ("names", "terms")
 
     def __init__(self, names, terms) -> None:
         names = tuple(names)
@@ -78,15 +79,11 @@ class LaurentPoly:
             if k:
                 clean[e] = clean.get(e, 0) + k
         clean = {e: c for e, c in clean.items() if c}
-        object.__setattr__(self, "nvars", len(names))
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "terms", clean)
+        self._fill(names, clean)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
-
-    def __reduce__(self):
-        return LaurentPoly, (self.names, self.terms)
+    @property
+    def nvars(self) -> int:
+        return len(self.names)
 
     @classmethod
     def var(cls, name: str, names=None) -> "LaurentPoly":
@@ -217,7 +214,7 @@ class LaurentPoly:
         return "LaurentPoly(%s)" % self.render()
 
 
-class TruncationWindow:
+class TruncationWindow(_Frozen):
     """Per-variable exponent bounds plus the stabilization stride."""
 
     __slots__ = ("bounds", "stride")
@@ -229,11 +226,7 @@ class TruncationWindow:
         for lo, hi in bounds:
             if hi - lo < 2 * stride:
                 raise ValueError("window too small: need hi - lo >= 2*stride")
-        object.__setattr__(self, "bounds", bounds)
-        object.__setattr__(self, "stride", stride)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncationWindow is immutable")
+        self._fill(bounds, stride)
 
     @classmethod
     def symmetric(cls, radius: int, nvars: int = 1, stride: int = 5):

@@ -36,6 +36,7 @@ gives its elements.  A canonical embedding is literal containment unless
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import lcm
 from operator import mul
@@ -44,7 +45,7 @@ from .cyclo import (
     CycNumber, _coerce, _key, _key_ints, _key_trace, _times, _unkey, cos_frac, rational,
     sin_frac, sqrt_int, zeta,
 )
-from .exactla import IntMatrix, SelfCheckFailure, _closure, _format_combo
+from .exactla import IntMatrix, SelfCheckFailure, _closure, _format_combo, _Frozen
 
 __all__ = [
     "Quaternion",
@@ -107,19 +108,14 @@ _ONE = rational(1)
 _HALF = rational(Fraction(1, 2))
 
 
-class Quaternion:
+class Quaternion(_Frozen):
     """Unit quaternion with exact cyclotomic coordinates."""
 
     __slots__ = ("w", "x", "y", "z", "_hash", "_times")
+    _derived = ("_hash", "_times")
 
     def __init__(self, w, x, y, z) -> None:
-        for name, v in zip("wxyz", (w, x, y, z)):
-            object.__setattr__(self, name, v)
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_times", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Quaternion is immutable")
+        self._fill(w, x, y, z, None, None)
 
     def __mul__(self, o: "Quaternion") -> "Quaternion":
         return Quaternion(*_right_times(o)(((self.w, self.x, self.y, self.z),))[0])
@@ -239,20 +235,14 @@ def _mat_tensor(A, B):
     )
 
 
-class Irrep:
+class Irrep(_Frozen):
     """An irreducible representation as explicit matrices, one per element,
     held as keys (`cyclo._key`); a Cayley walk's are unkeyed on first access."""
 
     __slots__ = ("label", "dim", "_matrices", "_keys")
 
     def __init__(self, label, dim, matrices, _keys=None):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "_matrices", matrices)
-        object.__setattr__(self, "_keys", tuple(map(_key, matrices)) if _keys is None else _keys)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Irrep is immutable")
+        self._fill(label, dim, matrices, tuple(map(_key, matrices)) if _keys is None else _keys)
 
     @property
     def matrices(self):
@@ -308,6 +298,11 @@ class QuaternionGroup:
         if not inverse:
             raise SelfCheckFailure("%s: the Cayley graph is not a group's" % name)
         self._mtab, self._inverse = tab, inverse
+
+    def __reduce__(self):  # copy and pickle rebuild the group; its lazy tables are refilled
+        return QuaternionGroup, (
+            self.name, self.elements, None, self._irrep_specs, self.generators, self._right
+        )
 
     def __repr__(self):
         return "QuaternionGroup(%s, order %d)" % (self.name, self.order)
@@ -441,19 +436,13 @@ def _collect(pairs) -> dict:
     return out
 
 
-class VirtualRep:
+class VirtualRep(_Frozen):
     """Integer combination of irreps of one finite group."""
 
     __slots__ = ("group", "coeffs")
 
     def __init__(self, group, coeffs):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(
-            self, "coeffs", {k: int(v) for k, v in coeffs.items() if v}
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("VirtualRep is immutable")
+        self._fill(group, {k: int(v) for k, v in coeffs.items() if v})
 
     def __eq__(self, o):
         if not isinstance(o, VirtualRep):
@@ -616,16 +605,10 @@ def _e7_specs():
     ]
 
 
-_GROUP_CACHE: dict = {}
-
-
+@cache
 def quaternion_group(name: str) -> QuaternionGroup:
     """Construct (and cache) a named finite subgroup of SU(2)."""
-    if name in _GROUP_CACHE:
-        return _GROUP_CACHE[name]
-    g = _build_group(name)
-    _GROUP_CACHE[name] = g
-    return g
+    return _build_group(name)
 
 
 def _build_group(name: str) -> QuaternionGroup:
@@ -673,18 +656,13 @@ def _build_group(name: str) -> QuaternionGroup:
 # -- canonical embeddings -----------------------------------------------------------
 
 
-class Embedding:
+class Embedding(_Frozen):
     """An injective homomorphism between two quaternion groups."""
 
     __slots__ = ("sub", "sup", "image_index")
 
     def __init__(self, sub, sup, image_index):
-        object.__setattr__(self, "sub", sub)
-        object.__setattr__(self, "sup", sup)
-        object.__setattr__(self, "image_index", image_index)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Embedding is immutable")
+        self._fill(sub, sup, image_index)
 
     def image_of(self, sub_index: int) -> int:
         return self.image_index[sub_index]
@@ -715,17 +693,12 @@ _EMBED_IMAGES = {
 }
 
 
-_EMBED_CACHE: dict = {}
-
-
+@cache
 def embedding(sub_name: str, sup_name: str) -> Embedding:
     """The fixed canonical embedding between two named groups."""
-    key = (sub_name, sup_name)
-    if key in _EMBED_CACHE:
-        return _EMBED_CACHE[key]
     sub = quaternion_group(sub_name)
     sup = quaternion_group(sup_name)
-    images = _EMBED_IMAGES.get(key)
+    images = _EMBED_IMAGES.get((sub_name, sup_name))
     if images is None:
         # literal containment
         if not all(e in sup.index for e in sub.elements):
@@ -733,9 +706,7 @@ def embedding(sub_name: str, sup_name: str) -> Embedding:
                 "no canonical embedding %s -> %s" % (sub_name, sup_name)
             )
         images = sub.generators
-    emb = _embedding_from_generators(sub, sup, images)
-    _EMBED_CACHE[key] = emb
-    return emb
+    return _embedding_from_generators(sub, sup, images)
 
 
 # -- restriction and induction -------------------------------------------------------
@@ -798,19 +769,13 @@ def mckay_graph(G: QuaternionGroup):
 # -- gradings and folding ------------------------------------------------------------
 
 
-class Grading:
+class Grading(_Frozen):
     """A surjection eps: G -> {+1, -1}, stored as its kernel."""
 
     __slots__ = ("group", "kernel", "values", "psi_label")
 
     def __init__(self, group, kernel, values, psi_label):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "kernel", kernel)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "psi_label", psi_label)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Grading is immutable")
+        self._fill(group, kernel, values, psi_label)
 
     def __repr__(self):
         return "Grading(%s, kernel order %d, psi=%s)" % (

@@ -25,6 +25,7 @@ import pickle
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from math import gcd
 from types import SimpleNamespace
 
@@ -35,7 +36,7 @@ from hypothesis import strategies as st
 
 from verlkit import cyclo, fusion
 from verlkit.cyclo import cos_frac, rational, sqrt_int, zeta
-from verlkit.exactla import FGAbelianGroup, IntMatrix, cokernel
+from verlkit.exactla import FGAbelianGroup, IntMatrix, PresentedModule, cokernel
 from verlkit.fusion import (
     FusionRing,
     InvalidTwist,
@@ -53,9 +54,13 @@ from verlkit.fusion import (
     torus_fusion,
     verlinde_matrices,
 )
-from verlkit.modinv import ade_graph, nimrep_from_graph
-from verlkit.polyring import LaurentPoly
-from verlkit.repring import quaternion_group
+from verlkit.modinv import (
+    BranchingRule, ade_graph, check_invariant, enumerate_invariants, nimrep_from_graph,
+)
+from verlkit.polyring import LaurentPoly, TruncationWindow
+from verlkit.repring import (
+    QuaternionGroup, character_table, embedding, gradings, irrep_vr, quaternion_group,
+)
 
 MAX_LEVEL = 16
 _ONE, _ZERO = rational(1), rational(0)
@@ -294,35 +299,84 @@ def test_fusion_failure_names_the_first_pair_a_bent_nimrep_breaks(level):
             assert _fusion_failure(ring, bent) == _fusion_failure_reference(ring, bent) is not None
 
 
+@cache
 def _with_caches_filled():
     """One value of each immutable type, its lazy caches filled."""
-    x = (zeta(12, 5) + sqrt_int(3)) * zeta(8)
-    x.normalized()
-    ring = su2_fusion_truncated(4)
-    ring.N
+    x, half = (zeta(12, 5) + sqrt_int(3)) * zeta(8), rational(-3, 4)
+    ring, double = su2_fusion_truncated(4), double_abelian(2)[1]
+    E6, E7 = quaternion_group("E6"), quaternion_group("E7")
+    q, irrep = E6.elements[5], E6.irreps()[3]
+    x.normalized(), half.normalized(), ring.N, double.N, hash(q), q * q, irrep.matrices
     a = LaurentPoly.var("a", ("a", "b"))
+    data = su2_modular_data(4)
+    inv = enumerate_invariants(4)[-1]
     return [
-        x, rational(-3, 4), IntMatrix.from_rows([[1, -2], [3, 4]]), FGAbelianGroup(1, (2, 4)),
-        a**-2 * 3 - 1, ring, double_abelian(2)[1],
+        x, half, IntMatrix.from_rows([[1, -2], [3, 4]]), FGAbelianGroup(1, (2, 4)),
+        PresentedModule(("u", "v"), IntMatrix.from_cols([[1, -1], [0, 2]])),
+        a**-2 * 3 - 1, TruncationWindow.symmetric(12, 2), ring, double,
+        data, level1_data("Sp4")[0], check_invariant(inv.matrix, data), inv,
+        BranchingRule([[1, 0, 1], [0, 2, 0]]), nimrep_from_graph(ade_graph("D4")[0], 4),
+        q, irrep, irrep_vr(E6, "y") + irrep_vr(E6, "z"), gradings(E7)[0], embedding("D4", "E6"),
     ]
 
+
+IMMUTABLE = {
+    "CycNumber", "IntMatrix", "FGAbelianGroup", "PresentedModule", "LaurentPoly",
+    "TruncationWindow", "FusionRing", "ModularData", "CheckReport", "ModularInvariant",
+    "BranchingRule", "Nimrep", "Quaternion", "Irrep", "VirtualRep", "Grading", "Embedding",
+}
 
 ROUND_TRIPS = {
     "copy": copy.copy, "deepcopy": copy.deepcopy, "pickle": lambda v: pickle.loads(pickle.dumps(v)),
 }
 
 
+def _plain(slot):
+    # a rebuilt group is a new object: compare what its constructor was given
+    if isinstance(slot, QuaternionGroup):
+        return slot.name, slot.elements, slot.generators, slot._right, slot._irrep_specs
+    return slot
+
+
 @pytest.mark.parametrize("trip", sorted(ROUND_TRIPS))
 def test_immutable_values_copy_and_pickle(trip):
-    for value in _with_caches_filled():
+    values = _with_caches_filled()
+    assert {type(v).__name__ for v in values} == IMMUTABLE
+    for value in values:
+        cls = type(value)
+        derived = getattr(cls, "_derived", ("_norm",))  # CycNumber's lazy normal form
+        assert all(getattr(value, d) is not None for d in derived), value
         back = ROUND_TRIPS[trip](value)
-        # the lazy normal form and dense tensor are rebuilt, not carried over
-        assert getattr(back, "_norm", None) is None and getattr(back, "_dense", None) is None
-        assert type(back) is type(value) and back == value and hash(back) == hash(value)
-    for data in (su2_modular_data(3), level1_data("Sp4")[0]):
-        back = ROUND_TRIPS[trip](data)
-        fields = lambda d: (d.labels, d.S, d.T, d.charge_conjugation)
-        assert fields(back) == fields(data) and hash(fields(back)) == hash(fields(data))
+        assert type(back) is cls
+        for slot in cls.__slots__:
+            if slot not in derived:
+                assert _plain(getattr(back, slot)) == _plain(getattr(value, slot)), (cls, slot)
+            elif slot.startswith("_"):  # a lazy cache comes back empty
+                assert getattr(back, slot) is None, (cls, slot)
+            else:  # the constructor recomputes it
+                assert getattr(back, slot) == getattr(value, slot), (cls, slot)
+        if cls.__eq__ is not object.__eq__:
+            assert back == value and hash(back) == hash(value)
+    vr, grading = values[-3], values[-2]
+    for value in (vr, grading):
+        back = ROUND_TRIPS[trip](value)
+        assert character_table(back.group).labels == character_table(value.group).labels
+    assert ROUND_TRIPS[trip](vr).render() == vr.render() == "y + z"
+
+
+@pytest.mark.parametrize("name", sorted(IMMUTABLE))
+def test_immutable_values_refuse_writes_and_deletes(name):
+    value = next(v for v in _with_caches_filled() if type(v).__name__ == name)
+    slot = type(value).__slots__[0]
+    before = getattr(value, slot)
+    for attempt in (
+        lambda: setattr(value, slot, None), lambda: setattr(value, "extra", 1),
+        lambda: delattr(value, slot), lambda: delattr(value, "extra"),
+    ):
+        with pytest.raises(AttributeError) as err:
+            attempt()
+        assert str(err.value) == "%s is immutable" % name
+    assert getattr(value, slot) is before
 
 
 def test_su2_level2_products(su2):

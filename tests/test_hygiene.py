@@ -13,7 +13,10 @@ internals `_lift`, `_raw`, `_cond`, `_substitute` and `_unpack` (exponent
 lookups and rotations stay behind `cyclo`'s helpers), no module but `cyclo`
 calls `to_bytes` or `from_bytes` or imports `struct` or `array` (the slot
 layout of a packed integer is `cyclo`'s decision), no module but `fusion` reads a
-fusion ring's stored rules `_rules`, and every module states its
+fusion ring's stored rules `_rules`, only `exactla._Frozen` and
+`cyclo.CycNumber` refuse writes, copy and pickle for their own kind of value
+(besides `repring.QuaternionGroup`'s `__reduce__`), and other code writes
+past `_Frozen` only into a lazy slot, and every module states its
 public names in a literal __all__ that lists every public top-level
 function and class it defines and names nothing it neither defines nor
 imports."""
@@ -256,6 +259,38 @@ def test_slot_layout_stays_in_cyclo(path):
 def test_fusion_rule_storage_stays_in_fusion(path):
     # how a FusionRing stores its products is fusion's own decision
     assert _uses(path, {"_rules"}) == []
+
+
+def _class_members(names):
+    """(module, class) for each class body that defines or assigns one of `names`."""
+    found = set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        defined = {item.name}
+                    else:
+                        defined = {t.id for t in getattr(item, "targets", []) if isinstance(t, ast.Name)}
+                    if defined & names:
+                        found.add((path.stem, node.name))
+    return found
+
+
+def test_immutability_idiom_lives_in_one_base():
+    # every immutable value but CycNumber (cyclo imports no verlkit module) is a _Frozen
+    frozen = {("exactla", "_Frozen"), ("cyclo", "CycNumber")}
+    assert _class_members({"__setattr__", "__delattr__"}) == frozen
+    assert _class_members({"__reduce__"}) == frozen | {("repring", "QuaternionGroup")}
+    writes = [
+        (path.stem, ast.unparse(node.args[1]))
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__setattr__"
+    ]
+    lazy = {"'_hash'", "'_times'", "'_matrices'", "'_dense'"}
+    # the one write by a variable name is _Frozen._fill's
+    assert [w for w in writes if w[1] not in lazy] == [("exactla", "name")]
 
 
 def _top_level_names(tree):
