@@ -28,7 +28,8 @@ writes and deletes, fills slots (`_fill`), and copies and pickles a
 value by calling its constructor again.  A subclass lists its
 `__slots__` in constructor order, then the slots named in its `_derived`
 tuple, which the constructor recomputes or a lazy read refills; those
-are not carried.
+are not carried.  `_fill` takes one value for every slot, derived ones
+included, and refuses any other count.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ class _Frozen:
     __delattr__ = __setattr__
 
     def _fill(self, *values) -> None:
-        for name, value in zip(type(self).__slots__, values):
+        for name, value in zip(type(self).__slots__, values, strict=True):
             object.__setattr__(self, name, value)
 
     def __reduce__(self):

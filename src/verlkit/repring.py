@@ -605,10 +605,9 @@ def _e7_specs():
     ]
 
 
-@cache
 def quaternion_group(name: str) -> QuaternionGroup:
     """Construct (and cache) a named finite subgroup of SU(2)."""
-    return _build_group(name)
+    return _named_group(name)  # positional, so one cache entry per name
 
 
 def _build_group(name: str) -> QuaternionGroup:
@@ -653,6 +652,9 @@ def _build_group(name: str) -> QuaternionGroup:
     return QuaternionGroup(name, elems, None, specs, gens, right)
 
 
+_named_group = cache(_build_group)
+
+
 # -- canonical embeddings -----------------------------------------------------------
 
 
@@ -693,9 +695,13 @@ _EMBED_IMAGES = {
 }
 
 
-@cache
 def embedding(sub_name: str, sup_name: str) -> Embedding:
     """The fixed canonical embedding between two named groups."""
+    return _canonical_embedding(sub_name, sup_name)
+
+
+@cache
+def _canonical_embedding(sub_name, sup_name):
     sub = quaternion_group(sub_name)
     sup = quaternion_group(sup_name)
     images = _EMBED_IMAGES.get((sub_name, sup_name))
