@@ -11,16 +11,20 @@ clears its columns, its rows and its divisibility fix-ups with it, and
 echelon has two readers: ``modinv.enumerate_invariants`` walks its rows
 for the CIZ search, and ``polyring._common_factor`` reads the gcd over Q
 of two polynomials off the last row of their Sylvester rows' echelon.  The
-Smith engine tracks only the unimodular transforms its reader names:
-none for `rank`, V for `kernel_basis`, U^-1 and V for `connecting_solve`,
-all four for `smith_with_inverses` and so for `cokernel`.  A reader of U
-or V^-1 applied to a few columns B gets U*B or V^-1*B instead: `solve_int`
-tracks U*target and V, ``polyring.e6_tor`` U*target, U^-1 and V^-1 times
-its d2 columns, then U^-1 or nothing for H1.  A pivot row that its pivot
-divides is cleared on V and V^-1 alone.  Every group closure is one
-breadth-first walk, `_closure`, and `_cayley_invariants` presents a
-finite abelian group by the relations of its Cayley graph and reads it
-off the same Smith engine.
+Smith engine, `_smith_engine`, works on lists of rows and hands back U^-1
+and V as lists of their columns, the form it builds them in; only the
+public wrappers turn an IntMatrix into rows and the results back into
+IntMatrix values.  It tracks only the unimodular transforms its reader
+names: none for `rank`, V for `kernel_basis`, U^-1 and V for
+`connecting_solve`, all four for `smith_with_inverses` and so for
+`cokernel`.  A reader of U or V^-1 applied to a few columns B gets U*B or
+V^-1*B instead: `solve_int` tracks U*target and V, ``polyring.e6_tor``
+U*target, U^-1 and V^-1 times its d2 columns, then U^-1 or nothing for
+H1, and reads the cokernel generators straight off U^-1's columns.  A
+pivot row that its pivot divides is cleared on V and V^-1 alone.  Every
+group closure is one breadth-first walk, `_closure`, and
+`_cayley_invariants` presents a finite abelian group by the relations of
+its Cayley graph and reads it off the same Smith engine.
 
 Every immutable value of the library but `cyclo.CycNumber` (`cyclo`
 imports no other verlkit module) derives from `_Frozen`, which refuses
@@ -283,34 +287,39 @@ def _sweep(get, t, stop, add, swap):
     return done
 
 
-def _smith_engine(M: IntMatrix, u=False, uinv=False, v=False, vinv=False):
-    """Run the SNF elimination, returning (U, U^-1, D, V, V^-1).
+def _smith_engine(A, n, u=False, uinv=False, v=False, vinv=False):
+    """Run the SNF elimination on the rows A of an m x n matrix M.
 
-    U*M*V = D with U, V unimodular.  Only the transforms flagged are
-    tracked; the others come back as None.  A row step of M acts on the
-    rows of U and on the columns of U^-1, a column step on the columns of V
-    and on the rows of V^-1.  So U^-1 and V are stored transposed, and every
-    transform update is one `_add` or `_swap` of whole rows.  Pivots are
-    chosen with smallest nonzero magnitude to keep entry growth down on the
-    larger connecting matrices.  Once column t is cleared to p*e_t, a pivot
-    p that divides its row (always when |p| = 1) clears the row by
-    bookkeeping: the column steps change only row t of M, so they run on V
-    and V^-1 alone.  Any other pivot row goes through the Euclid sweeps.
+    Returns (U, U^-1, D, V, V^-1) with U*M*V = D and U, V unimodular, as
+    lists of rows, except that U^-1 and V come as lists of their columns.
+    The column count n is explicit, as a matrix without rows still has
+    columns.  The engine works in place on A, which becomes D, and on any
+    right-hand side it is given.  Only the transforms flagged are tracked;
+    the others come back as None.  A row step of M acts on the rows of U
+    and on the columns of U^-1, a column step on the columns of V and on
+    the rows of V^-1, so every transform update is one `_add` or `_swap`
+    of whole lists.  Pivots are chosen with smallest nonzero magnitude to
+    keep entry growth down on the larger connecting matrices.  Once column
+    t is cleared to p*e_t, a pivot p that divides its row (always when
+    |p| = 1) clears the row by bookkeeping: the column steps change only
+    row t of M, so they run on V and V^-1 alone.  Any other pivot row goes
+    through the Euclid sweeps.
 
-    `u` and `vinv` may also be an IntMatrix B (M.rows, resp. M.cols, rows):
+    `u` and `vinv` may also be the rows of a matrix B (m, resp. n, rows):
     that transform's rows then start from B instead of from I, and its slot
     returns U*B, resp. V^-1*B.  Row operations on U are row operations on
     U*B, so the product is never formed; True is B = I.
     """
-    m, n = M.rows, M.cols
-    A = [list(M.row(i)) for i in range(m)]
+    m = len(A)
 
     def start(k, on):
-        if isinstance(on, IntMatrix):
-            if on.rows != k:
-                raise ValueError("right-hand side needs %d rows" % k)
-            return [list(on.row(i)) for i in range(k)]
-        return [[0] * i + [1] + [0] * (k - 1 - i) for i in range(k)] if on else None
+        if on is False:
+            return None
+        if on is True:
+            return [[0] * i + [1] + [0] * (k - 1 - i) for i in range(k)]
+        if len(on) != k:
+            raise ValueError("right-hand side needs %d rows" % k)
+        return on
 
     U, Uinv_t, V_t, Vinv = start(m, u), start(m, uinv), start(n, v), start(n, vinv)
 
@@ -391,19 +400,7 @@ def _smith_engine(M: IntMatrix, u=False, uinv=False, v=False, vinv=False):
                 if A[i + 1][i + 1] < 0:
                     negate(i + 1)
 
-    def out(rows, k, on, stored_transposed=False):
-        if rows is not None:
-            rows = zip(*rows) if stored_transposed else rows
-            width = on.cols if isinstance(on, IntMatrix) else k
-            return _matrix(k, width, [x for row in rows for x in row])
-
-    return (
-        out(U, m, u),
-        out(Uinv_t, m, uinv, True),
-        _matrix(m, n, [x for row in A for x in row]),
-        out(V_t, n, v, True),
-        out(Vinv, n, vinv),
-    )
+    return U, Uinv_t, A, V_t, Vinv
 
 
 def _row_hermite(rows):
@@ -428,6 +425,11 @@ def _row_hermite(rows):
     return mat[:r]
 
 
+def _from_rows(rows, k, n) -> IntMatrix:
+    """The k x n IntMatrix with these rows of engine output."""
+    return _matrix(k, n, [x for row in rows for x in row])
+
+
 def smith_normal_form(M: IntMatrix):
     """Smith normal form with transforms: returns (U, D, V), U*M*V = D.
 
@@ -438,48 +440,51 @@ def smith_normal_form(M: IntMatrix):
     >>> [D[i, i] for i in range(2)]
     [2, 4]
     """
-    U, _, D, V, _ = _smith_engine(M, u=True, v=True)
-    return U, D, V
+    m, n = M.shape
+    U, _, D, V, _ = _smith_engine(M.to_lists(), n, u=True, v=True)
+    return _from_rows(U, m, m), _from_rows(D, m, n), _from_rows(zip(*V), n, n)
 
 
 def smith_with_inverses(M: IntMatrix):
     """Like :func:`smith_normal_form` but returns (U, U^-1, D, V, V^-1)."""
-    return _smith_engine(M, True, True, True, True)
+    m, n = M.shape
+    U, Uinv, D, V, Vinv = _smith_engine(M.to_lists(), n, True, True, True, True)
+    return (_from_rows(U, m, m), _from_rows(zip(*Uinv), m, m), _from_rows(D, m, n),
+            _from_rows(zip(*V), n, n), _from_rows(Vinv, n, n))
 
 
-def _factor(D: IntMatrix, i: int) -> int:
-    """The i-th invariant factor of a Smith form D (0 past its diagonal)."""
-    return D[i, i] if i < min(D.rows, D.cols) else 0
+def _factors(D, k):
+    """The first k invariant factors of a Smith form D in rows (0 past its diagonal)."""
+    return [D[i][i] if i < len(D) and i < len(D[i]) else 0 for i in range(k)]
 
 
-def _free_columns(snf):
-    """Indices j with zero invariant factor: V's columns there span ker M."""
-    D = snf[2]
-    return [j for j in range(D.cols) if _factor(D, j) == 0]
+def _free_columns(D, n):
+    """Indices j < n with zero invariant factor: V's columns there span ker M."""
+    return [j for j, d in enumerate(_factors(D, n)) if d == 0]
 
 
-def _cokernel_of(snf, labels=None) -> FGAbelianGroup:
-    """Cokernel of the factored matrix, generators read off U^-1's columns;
-    with `labels` None, U^-1 is not read and the generators get default names."""
-    _, Uinv, D, _, _ = snf
-    keep = [i for i in range(D.rows) if _factor(D, i) != 1]
-    torsion = [i for i in keep if _factor(D, i)]
-    free = [i for i in keep if not _factor(D, i)]
-    gens = None if labels is None else [_format_combo(Uinv.col(i), labels) for i in torsion + free]
-    return FGAbelianGroup(len(free), [_factor(D, i) for i in torsion], gens)
+def _cokernel_of(factors, Uinv, labels=None) -> FGAbelianGroup:
+    """Cokernel of a factored matrix from its invariant factors, one per row,
+    generators read off the columns `Uinv` of U^-1; with `labels` None, they
+    are not read and the generators get default names."""
+    keep = [i for i, d in enumerate(factors) if d != 1]
+    torsion = [i for i in keep if factors[i]]
+    free = [i for i in keep if not factors[i]]
+    gens = None if labels is None else [_format_combo(Uinv[i], labels) for i in torsion + free]
+    return FGAbelianGroup(len(free), [factors[i] for i in torsion], gens)
 
 
-def _diagonal_solve(D, y):
-    """x_d with D x_d = y, or None: for U*M*V = D and y = U*b, M x = b is
-    solvable exactly when D x_d = y is, and then x = V*x_d."""
+def _diagonal_solve(D, n, y):
+    """x_d with D x_d = y, or None, for a Smith form D in rows with n columns:
+    for U*M*V = D and y = U*b, M x = b is solvable exactly when D x_d = y
+    is, and then x = V*x_d."""
     x_d = []
-    for j in range(D.cols):
-        d = _factor(D, j)
-        t = y[j] if j < D.rows else 0
+    for j, d in enumerate(_factors(D, n)):
+        t = y[j] if j < len(D) else 0
         if (t % d if d else t) != 0:
             return None
         x_d.append(t // d if d else 0)
-    return None if any(y[D.cols :]) else x_d
+    return None if any(y[n:]) else x_d
 
 
 def _closure(gens, one, mul, cap=512):
@@ -542,9 +547,9 @@ def _cayley_invariants(mul, n, unit):
                 vec[b] = step
             else:
                 relations.append([s - t for s, t in zip(step, vec[b])])
-    R = _matrix(r, len(relations), [rel[i] for i in range(r) for rel in relations])
-    U, _, D, _, _ = _smith_engine(R, u=True)
-    diag = [_factor(D, i) for i in range(r)]
+    R = [[rel[i] for rel in relations] for i in range(r)]
+    U, _, D, _, _ = _smith_engine(R, len(relations), u=True)
+    diag = _factors(D, r)
     keep = [i for i in range(r) if diag[i] != 1]
     # the powers of g_k run into a cycle, whose edges add up to a multiple of
     # e_k in L: no factor is 0
@@ -554,7 +559,7 @@ def _cayley_invariants(mul, n, unit):
     stride = [prod(2 * d for d in torsion[:i]) for i in range(len(torsion) + 1)]
     code = [None] * n
     for a, v in zip(elems, vec):
-        y = U.mul_vec(v)
+        y = [sum(x * e for x, e in zip(row, v)) for row in U]
         code[a] = sum(y[i] % diag[i] * s for i, s in zip(keep, stride))
     at_sum = [None] * stride[-1]
     for a in range(n):
@@ -694,7 +699,8 @@ def cokernel(M: IntMatrix, labels=None) -> FGAbelianGroup:
     if M.cols == 0:
         return FGAbelianGroup(M.rows, (), tuple(labels))
     # the public factorization, so that a tracer of public entry points sees this SNF
-    return _cokernel_of(smith_with_inverses(M), labels)
+    _, Uinv, D, _, _ = smith_with_inverses(M)
+    return _cokernel_of(_factors(D.to_lists(), M.rows), Uinv.transpose().to_lists(), labels)
 
 
 def kernel_basis(M: IntMatrix) -> IntMatrix:
@@ -703,14 +709,15 @@ def kernel_basis(M: IntMatrix) -> IntMatrix:
     >>> kernel_basis(IntMatrix.from_rows([[2, 4], [1, 2]])).col(0)
     (-2, 1)
     """
-    snf = _smith_engine(M, v=True)
-    free = _free_columns(snf)
-    return _matrix(M.cols, len(free), [snf[3][i, j] for i in range(M.cols) for j in free])
+    n = M.cols
+    _, _, D, V, _ = _smith_engine(M.to_lists(), n, v=True)
+    free = [V[j] for j in _free_columns(D, n)]
+    return _from_rows(zip(*free), n, len(free))
 
 
 def rank(M: IntMatrix) -> int:
     """Rank over Q (equals the number of nonzero invariant factors)."""
-    return M.cols - len(_free_columns(_smith_engine(M)))
+    return M.cols - len(_free_columns(_smith_engine(M.to_lists(), M.cols)[2], M.cols))
 
 
 def fgab_from_relations(P: PresentedModule) -> FGAbelianGroup:
@@ -739,13 +746,12 @@ def connecting_solve(beta: IntMatrix, domain_labels=None, codomain_labels=None):
         domain_labels = ["x%d" % j for j in range(beta.cols)]
     if codomain_labels is None:
         codomain_labels = ["y%d" % i for i in range(beta.rows)]
-    snf = _smith_engine(beta, uinv=True, v=True)
-    V = snf[3]
+    _, Uinv, D, V, _ = _smith_engine(beta.to_lists(), beta.cols, uinv=True, v=True)
     ker_labels = tuple(
-        _format_combo(V.col(j), domain_labels) for j in _free_columns(snf)
+        _format_combo(V[j], domain_labels) for j in _free_columns(D, beta.cols)
     )
     ker = FGAbelianGroup(len(ker_labels), (), ker_labels)
-    return ker, _cokernel_of(snf, list(codomain_labels))
+    return ker, _cokernel_of(_factors(D, beta.rows), Uinv, list(codomain_labels))
 
 
 def solve_int(M: IntMatrix, target) -> "tuple | None":
@@ -755,6 +761,8 @@ def solve_int(M: IntMatrix, target) -> "tuple | None":
     """
     if len(target) != M.rows:
         raise ValueError("target length mismatch")
-    Ub, _, D, V, _ = _smith_engine(M, u=IntMatrix(M.rows, 1, target), v=True)
-    x_d = _diagonal_solve(D, Ub.data)
-    return None if x_d is None else V.mul_vec(x_d)
+    n, column = M.cols, IntMatrix(M.rows, 1, target).to_lists()
+    Ub, _, D, V, _ = _smith_engine(M.to_lists(), n, u=column, v=True)
+    x_d = _diagonal_solve(D, n, [y for y, in Ub])
+    return None if x_d is None else tuple(
+        sum(x * col[i] for x, col in zip(x_d, V) if x) for i in range(n))

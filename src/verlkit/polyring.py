@@ -21,9 +21,9 @@ from .exactla import (
     SelfCheckFailure,
     _cokernel_of,
     _diagonal_solve,
+    _factors,
     _free_columns,
     _Frozen,
-    _matrix,
     _row_hermite,
     _smith_engine,
     cokernel,
@@ -465,12 +465,14 @@ def e6_tor(window_size: int = 24, stride: int = 5):
     and the witness are built and checked once per process.
 
     On each of the two windows (`window_size` and `window_size + stride`)
-    d1 is factored once, U d1 V = D, carrying the d2 columns along as
-    V^-1 D2: its rows at zero invariant factors are the kernel coordinates
-    C of the d2 columns, H1 = coker C, and its other rows vanish unless
-    im d2 escaped ker d1.  The first window also tracks U^-1, which labels
-    H0 with the s^i, U (s*s - 2), which decides s*s = 2 in H0, and U^-1 of
-    C, which labels H1; the second reads only the invariants of H0 and H1.
+    the band rows of d1 go to the Smith engine once, U d1 V = D, with the
+    rows of the d2 columns D2 carried along as V^-1 D2: its rows at zero
+    invariant factors are the kernel coordinates C of the d2 columns,
+    H1 = coker C, and its other rows vanish unless im d2 escaped ker d1.
+    The first window also tracks U^-1, whose columns label H0 with the s^i,
+    U (s*s - 2), which decides s*s = 2 in H0, and U^-1 of C, whose columns
+    label H1; the second reads only the invariants of H0 and H1.  Every
+    matrix stays a list of rows; no IntMatrix is built.
     """
     if stride < 1:
         raise ValueError("stride must be positive")
@@ -480,32 +482,32 @@ def e6_tor(window_size: int = 24, stride: int = 5):
     d2_top = max(d2f.degree(), d2g.degree())
 
     def window(w: int, first: bool):
-        cod = w + d1g.degree()
+        cod, n = w + d1g.degree(), 2 * w
         d1 = [f + g for f, g in zip(_band(d1f, cod, w), _band(d1g, cod, w))]
         k = max(0, w - d2_top)
         d2 = _band(d2f, w, k) + _band(d2g, w, k)
-        target = _matrix(cod, 1, [-2, 0, 1] + [0] * (cod - 3))  # s*s - 2*1
-        snf = _smith_engine(_matrix(cod, 2 * w, [x for row in d1 for x in row]),
-                            u=target if first else False, uinv=first,
-                            vinv=_matrix(2 * w, k, [x for row in d2 for x in row]))
-        free = _free_columns(snf)
-        Vinv_d2 = snf[4]
-        if any(any(Vinv_d2.row(j)) for j in set(range(2 * w)).difference(free)):
+        target = [[c] for c in [-2, 0, 1] + [0] * (cod - 3)]  # s*s - 2*1
+        U, Uinv, D, _, Vinv_d2 = _smith_engine(
+            d1, n, u=target if first else False, uinv=first, vinv=d2)
+        free = _free_columns(D, n)
+        if any(any(Vinv_d2[j]) for j in set(range(n)).difference(free)):
             raise SelfCheckFailure("im d2 escaped ker d1 on the window")
-        C = _matrix(len(free), k, [x for j in free for x in Vinv_d2.row(j)])
+        C = [Vinv_d2[j] for j in free]
+        _, C_Uinv, C_D, _, _ = _smith_engine(C, k, uinv=first)
         labels = ["k%d" % i for i in range(len(free))] if first else None
-        h1 = _cokernel_of(_smith_engine(C, uinv=first), labels)
-        h0 = _cokernel_of(snf, ["s^%d" % i for i in range(cod)] if first else None)
-        return h0, h1, snf
+        h1 = _cokernel_of(_factors(C_D, len(free)), C_Uinv, labels)
+        labels = ["s^%d" % i for i in range(cod)] if first else None
+        h0 = _cokernel_of(_factors(D, cod), Uinv, labels)
+        return h0, h1, first and _diagonal_solve(D, n, [y for y, in U]) is not None
 
-    h0, h1, snf = window(window_size, True)
+    h0, h1, sigma_squared_is_two = window(window_size, True)
     h0b, h1b, _ = window(window_size + stride, False)
     _check_stable("", window_size, stride, h0, h0b)
     _check_stable("H1 ", window_size, stride, h1, h1b)
 
     cert = {
         "coprime_witness": witness,
-        "sigma_squared_is_two": _diagonal_solve(snf[2], snf[0].data) is not None,
+        "sigma_squared_is_two": sigma_squared_is_two,
         "generators": ("1", "s"),
         "relation": "s*s = 2",
     }

@@ -171,6 +171,17 @@ def test_kernel_columns_annihilate_and_rank_nullity():
         for j in range(K.cols):
             assert all(x == 0 for x in M.mul_vec(K.col(j)))
         assert K.cols + rank(M) == n
+    # a matrix without rows still has columns, and one without columns rows
+    no_rows, no_cols = IntMatrix(0, 2, []), IntMatrix(2, 0, [])
+    assert kernel_basis(IntMatrix(0, 3, [])) == IntMatrix.identity(3)
+    assert kernel_basis(no_cols) == IntMatrix(0, 0, [])
+    assert rank(IntMatrix(0, 0, [])) == 0
+    assert solve_int(no_cols, [0, 0]) == ()
+    assert solve_int(no_cols, [1, 0]) is None
+    assert solve_int(no_rows, []) == (0, 0)
+    assert tuple(g.describe() for g in connecting_solve(no_cols)) == ("0", "Z^2")
+    assert tuple(g.describe() for g in connecting_solve(no_rows)) == ("Z^2", "0")
+    assert smith_normal_form(no_rows) == (IntMatrix(0, 0, []), no_rows, IntMatrix.identity(2))
 
 
 # --- presentations and the connecting solver ------------------------------
@@ -320,17 +331,26 @@ def _assert_smith_form(M, full):
     assert all(D[i, j] == 0 for i in range(D.rows) for j in range(D.cols) if i != j)
 
 
+def _engine_form(full):
+    """smith_with_inverses' five matrices as the engine returns them: lists
+    of rows, but U^-1 and V as lists of their columns."""
+    U, Uinv, D, V, Vinv = full
+    return (U.to_lists(), Uinv.transpose().to_lists(), D.to_lists(),
+            V.transpose().to_lists(), Vinv.to_lists())
+
+
 def test_smith_engine_tracks_exactly_the_transforms_asked_for():
     cases, fixups = _engine_cases(random.Random(6))
     assert len(cases) >= 400 and fixups >= 20
     assert any(M.rows * M.cols == 0 for M in cases)
     assert any(rank(M) < min(M.shape) for M in cases)
     for M in cases:
-        full = _smith_engine(M, True, True, True, True)
+        full = smith_with_inverses(M)
         _assert_smith_form(M, full)
+        full = _engine_form(full)
         D = full[2]
         for flags in product((False, True), repeat=4):
-            got = _smith_engine(M, *flags)
+            got = _smith_engine(M.to_lists(), M.cols, *flags)
             assert got[2] == D
             for on, x, y in zip(flags, got[:2] + got[3:], full[:2] + full[3:]):
                 assert (x == y) if on else (x is None)
@@ -358,10 +378,12 @@ def test_pivot_rows_are_cleared_on_v_alone_when_the_pivot_divides_them(
 
     monkeypatch.setattr(exactla, "_sweep", recording)
     M = IntMatrix.from_rows(rows)
-    full = _smith_engine(M, True, True, True, True)
-    _assert_smith_form(M, full)
-    assert diag_of(full[2]) == diagonal
+    got = _smith_engine(M.to_lists(), M.cols, True, True, True, True)
     assert kinds.count("col_add") == row_sweeps
+    full = smith_with_inverses(M)
+    _assert_smith_form(M, full)
+    assert got == _engine_form(full)
+    assert diag_of(full[2]) == diagonal
 
 
 def _random_rhs(rng, rows):
@@ -376,30 +398,33 @@ def test_smith_engine_applies_u_and_vinv_to_right_hand_sides():
     cases, _ = _engine_cases(rng)
     shapes = set()
     for M in cases:
-        U, Uinv, D, V, Vinv = smith_with_inverses(M)
+        full = smith_with_inverses(M)
+        U, Uinv, D, V, Vinv = _engine_form(full)
         B, C = _random_rhs(rng, M.rows), _random_rhs(rng, M.cols)
         shapes.add((B.cols, C.cols))
-        got = _smith_engine(M, u=B, vinv=C)
-        assert got == (U * B, None, D, None, Vinv * C)
-        assert _smith_engine(M, B, True, True, C) == (U * B, Uinv, D, V, Vinv * C)
+        UB, VinvC = (full[0] * B).to_lists(), (full[4] * C).to_lists()
+        got = _smith_engine(M.to_lists(), M.cols, u=B.to_lists(), vinv=C.to_lists())
+        assert got == (UB, None, D, None, VinvC)
+        got = _smith_engine(M.to_lists(), M.cols, B.to_lists(), True, True, C.to_lists())
+        assert got == (UB, Uinv, D, V, VinvC)
     assert {(0, 0), (0, 3), (3, 0), (1, 1)} <= shapes
 
 
 def test_smith_engine_rejects_a_right_hand_side_of_the_wrong_height():
     M = IntMatrix.from_rows([[2, 4], [6, 8], [1, 1]])
     with pytest.raises(ValueError, match="needs 3 rows"):
-        _smith_engine(M, u=IntMatrix.zero(2, 1))
+        _smith_engine(M.to_lists(), M.cols, u=IntMatrix.zero(2, 1).to_lists())
     with pytest.raises(ValueError, match="needs 2 rows"):
-        _smith_engine(M, vinv=IntMatrix.zero(3, 1))
+        _smith_engine(M.to_lists(), M.cols, vinv=IntMatrix.zero(3, 1).to_lists())
 
 
 def test_diagonal_solve_rejects_what_has_no_integer_solution():
     # D = diag(2, 0) in a 3 x 2 frame: y solvable iff y0 even, y1 = y2 = 0
-    D = IntMatrix.from_rows([[2, 0], [0, 0], [0, 0]])
-    assert _diagonal_solve(D, (4, 0, 0)) == [2, 0]
-    assert _diagonal_solve(D, (3, 0, 0)) is None  # not a multiple of d1
-    assert _diagonal_solve(D, (4, 1, 0)) is None  # hits a zero factor
-    assert _diagonal_solve(D, (4, 0, 1)) is None  # past the diagonal
+    D = IntMatrix.from_rows([[2, 0], [0, 0], [0, 0]]).to_lists()
+    assert _diagonal_solve(D, 2, (4, 0, 0)) == [2, 0]
+    assert _diagonal_solve(D, 2, (3, 0, 0)) is None  # not a multiple of d1
+    assert _diagonal_solve(D, 2, (4, 1, 0)) is None  # hits a zero factor
+    assert _diagonal_solve(D, 2, (4, 0, 1)) is None  # past the diagonal
     # the same three through solve_int: M's column span is 2Z x 0 x 0
     M = IntMatrix.from_rows([[2, 4], [0, 0], [0, 0]])
     for t in ((3, 0, 0), (4, 1, 0), (4, 0, 1)):

@@ -16,12 +16,15 @@ layout of a packed integer is `cyclo`'s decision), no module but `fusion` reads 
 fusion ring's stored rules `_rules`, only `exactla._Frozen` and
 `cyclo.CycNumber` refuse writes, copy and pickle for their own kind of value
 (besides `repring.QuaternionGroup`'s `__reduce__`), and other code writes
-past `_Frozen` only into a lazy slot, and every module states its
+past `_Frozen` only into a lazy slot, no module but `exactla` names the
+unchecked IntMatrix constructor `_matrix`, every module states its
 public names in a literal __all__ that lists every public top-level
 function and class it defines and names nothing it neither defines nor
-imports."""
+imports, and each __all__ and every public signature match a snapshot."""
 
 import ast
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -326,3 +329,241 @@ def test_every_module_declares_all(path):
         and not node.name.startswith("_")
     }
     assert sorted(public - set(names)) == []
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "exactla.py"], ids=lambda p: p.name
+)
+def test_unchecked_matrix_constructor_stays_in_exactla(path):
+    # `_matrix` skips IntMatrix's entry checks; only exactla's own results use it
+    assert _uses(path, {"_matrix"}) == []
+
+
+PUBLIC_NAMES = {
+    "cyclo": ("CycNumber", "DivisionByZero", "cyc_arith", "cyc_conjugate", "real_embed",
+        "zeta", "rational", "sqrt_int", "cos_frac", "sin_frac"),
+    "exactla": ("IntMatrix", "FGAbelianGroup", "PresentedModule", "smith_normal_form",
+        "smith_with_inverses", "cokernel", "kernel_basis", "rank", "fgab_from_relations",
+        "connecting_solve", "solve_int", "SelfCheckFailure"),
+    "fusion": ("ModularCheckFailure", "NonIntegralFusion", "NonAbelian", "InvalidTwist",
+        "SingularLevel", "ModularData", "FusionRing", "su2_modular_data", "verlinde_matrices",
+        "su2_fusion_truncated", "torus_fusion", "double_abelian", "double_cyclic_twisted",
+        "level1_data"),
+    "modinv": ("InvariantCheckFailed", "NegativeEntry", "SpectrumMismatch",
+        "SearchBudgetExceeded", "DiagonalNotContained", "SelfCheckFailure", "ModularInvariant",
+        "BranchingRule", "Nimrep", "CheckReport", "check_invariant", "enumerate_invariants",
+        "embed_invariant", "cardinalities", "ade_graph", "nimrep_from_graph",
+        "central_charge_check", "alpha_induction_abelian", "overgroups_of_diagonal",
+        "permutation_orbifold_count"),
+    "polyring": ("LaurentPoly", "TruncationWindow", "StabilizationFailure", "Inconclusive",
+        "SelfCheckFailure", "truncated_quotient", "stabilized_family", "matrix_from_columns",
+        "coprime_certificate", "e6_tor"),
+    "repring": ("Quaternion", "QuaternionGroup", "CharacterTable", "Irrep", "VirtualRep",
+        "Grading", "Embedding", "GroupMismatch", "NotASubgroup", "OrthogonalityFailure",
+        "SelfCheckFailure", "NoGradingExists", "InvalidEmbedding", "quaternion_group",
+        "character_table", "embedding", "tensor_decompose", "irrep_vr", "restrict", "induce",
+        "mckay_graph", "gradings", "classify_graded", "graded_fold", "dirac_induce_T_to_SU2",
+        "dirac_induce_finite_to_O2", "res_su2_to_finite", "res_su2_to_O2", "res_su2_to_T",
+        "res_O2_to_T", "ind_T_to_O2", "recognize_affine_ade"),
+}
+
+# one line per public function, class (its constructor) and public method, as
+# inspect.signature prints it; an exception class without a signature of its
+# own prints (...)
+PUBLIC_SIGNATURES = """
+cyclo.CycNumber(order: 'int', coeffs, den: 'int' = 1) -> 'None'
+cyclo.CycNumber.is_zero(self) -> 'bool'
+cyclo.CycNumber.is_rational(self) -> 'bool'
+cyclo.CycNumber.as_fraction(self) -> 'Fraction'
+cyclo.CycNumber.as_int(self) -> 'int'
+cyclo.CycNumber.inverse(self) -> "'CycNumber'"
+cyclo.CycNumber.galois(self, j: 'int') -> "'CycNumber'"
+cyclo.CycNumber.conjugate(self) -> "'CycNumber'"
+cyclo.CycNumber.normalized(self) -> "'CycNumber'"
+cyclo.CycNumber.render(self) -> 'str'
+cyclo.CycNumber.coeff_vector(self)
+cyclo.DivisionByZero(...)
+cyclo.cyc_arith(a: 'CycNumber', b: 'CycNumber', op: 'str') -> 'CycNumber'
+cyclo.cyc_conjugate(a: 'CycNumber') -> 'CycNumber'
+cyclo.real_embed(a: 'CycNumber')
+cyclo.zeta(n: 'int', k: 'int' = 1) -> 'CycNumber'
+cyclo.rational(q, order: 'int' = 1) -> 'CycNumber'
+cyclo.sqrt_int(m: 'int') -> 'CycNumber'
+cyclo.cos_frac(num: 'int', den: 'int') -> 'CycNumber'
+cyclo.sin_frac(num: 'int', den: 'int') -> 'CycNumber'
+exactla.IntMatrix(rows: 'int', cols: 'int', data) -> 'None'
+exactla.IntMatrix.from_rows(rows_list) -> "'IntMatrix'"
+exactla.IntMatrix.from_cols(cols_list) -> "'IntMatrix'"
+exactla.IntMatrix.identity(n: 'int') -> "'IntMatrix'"
+exactla.IntMatrix.zero(rows: 'int', cols: 'int') -> "'IntMatrix'"
+exactla.IntMatrix.row(self, i)
+exactla.IntMatrix.col(self, j)
+exactla.IntMatrix.to_lists(self)
+exactla.IntMatrix.transpose(self)
+exactla.IntMatrix.mul_vec(self, vec)
+exactla.IntMatrix.hstack(self, other)
+exactla.IntMatrix.is_zero(self)
+exactla.IntMatrix.to_json(self)
+exactla.IntMatrix.from_json(obj)
+exactla.FGAbelianGroup(free_rank: 'int', torsion=(), generators=None) -> 'None'
+exactla.FGAbelianGroup.is_trivial(self) -> 'bool'
+exactla.FGAbelianGroup.order(self)
+exactla.FGAbelianGroup.describe(self) -> 'str'
+exactla.FGAbelianGroup.to_json(self)
+exactla.FGAbelianGroup.from_json(obj)
+exactla.PresentedModule(generator_labels, relations: 'IntMatrix') -> 'None'
+exactla.smith_normal_form(M: 'IntMatrix')
+exactla.smith_with_inverses(M: 'IntMatrix')
+exactla.cokernel(M: 'IntMatrix', labels=None) -> 'FGAbelianGroup'
+exactla.kernel_basis(M: 'IntMatrix') -> 'IntMatrix'
+exactla.rank(M: 'IntMatrix') -> 'int'
+exactla.fgab_from_relations(P: 'PresentedModule') -> 'FGAbelianGroup'
+exactla.connecting_solve(beta: 'IntMatrix', domain_labels=None, codomain_labels=None)
+exactla.solve_int(M: 'IntMatrix', target) -> "'tuple | None'"
+exactla.SelfCheckFailure(...)
+fusion.ModularCheckFailure(...)
+fusion.NonIntegralFusion(...)
+fusion.NonAbelian(...)
+fusion.InvalidTwist(...)
+fusion.SingularLevel(...)
+fusion.ModularData(labels, S, T) -> None
+fusion.FusionRing(labels, N, unit: int = 0) -> None
+fusion.FusionRing.matrix(self, lam: int) -> verlkit.exactla.IntMatrix
+fusion.FusionRing.product(self, lam: int, mu: int) -> dict
+fusion.FusionRing.check_associativity(self) -> None
+fusion.FusionRing.is_group_like(self) -> bool
+fusion.FusionRing.fusion_group(self) -> verlkit.exactla.FGAbelianGroup
+fusion.su2_modular_data(k: int) -> verlkit.fusion.ModularData
+fusion.verlinde_matrices(D: verlkit.fusion.ModularData) -> verlkit.fusion.FusionRing
+fusion.su2_fusion_truncated(k: int) -> verlkit.fusion.FusionRing
+fusion.torus_fusion(tau) -> verlkit.exactla.FGAbelianGroup
+fusion.double_abelian(G)
+fusion.double_cyclic_twisted(n: int, sigma: int) -> verlkit.fusion.FusionRing
+fusion.level1_data(name: str)
+modinv.InvariantCheckFailed(...)
+modinv.NegativeEntry(...)
+modinv.SpectrumMismatch(...)
+modinv.SearchBudgetExceeded(volume, budget, rank, pivot_bounds)
+modinv.DiagonalNotContained(...)
+modinv.ModularInvariant(matrix, data=None) -> None
+modinv.ModularInvariant.trace(self) -> int
+modinv.ModularInvariant.to_json(self)
+modinv.BranchingRule(matrix) -> None
+modinv.Nimrep(level, adjacency, matrices, exponents, report) -> None
+modinv.Nimrep.to_json(self)
+modinv.CheckReport(axioms, notes)
+modinv.CheckReport.failures(self)
+modinv.CheckReport.to_json(self)
+modinv.check_invariant(Z, data) -> verlkit.modinv.CheckReport
+modinv.enumerate_invariants(level: int, budget: int = 4000000)
+modinv.embed_invariant(branching, extended, base) -> verlkit.modinv.ModularInvariant
+modinv.cardinalities(Z, branching=None) -> dict
+modinv.ade_graph(name: str)
+modinv.nimrep_from_graph(adjacency, level: int) -> verlkit.modinv.Nimrep
+modinv.central_charge_check(sub_dim: int, sub_coxeter: int, sub_level: int, ambient_dim: int, ambient_coxeter: int, ambient_level: int) -> bool
+modinv.alpha_induction_abelian(G, H) -> dict
+modinv.overgroups_of_diagonal(G)
+modinv.permutation_orbifold_count(base_primary_count: int, copies: int, group, resolve_fixed_points: bool = False) -> int
+polyring.LaurentPoly(names, terms) -> 'None'
+polyring.LaurentPoly.var(name: 'str', names=None) -> "'LaurentPoly'"
+polyring.LaurentPoly.const(c: 'int', names=('a',)) -> "'LaurentPoly'"
+polyring.LaurentPoly.is_zero(self) -> 'bool'
+polyring.LaurentPoly.support_bounds(self)
+polyring.LaurentPoly.degree(self) -> 'int'
+polyring.LaurentPoly.coeff(self, *exps) -> 'int'
+polyring.LaurentPoly.render(self) -> 'str'
+polyring.TruncationWindow(bounds, stride: 'int' = 5) -> 'None'
+polyring.TruncationWindow.symmetric(radius: 'int', nvars: 'int' = 1, stride: 'int' = 5)
+polyring.TruncationWindow.enlarged(self, delta: 'int' = None) -> "'TruncationWindow'"
+polyring.TruncationWindow.points(self)
+polyring.StabilizationFailure(...)
+polyring.Inconclusive(...)
+polyring.truncated_quotient(generators, relations, window: 'TruncationWindow') -> 'FGAbelianGroup'
+polyring.stabilized_family(family, size: 'int', stride: 'int' = 5) -> 'FGAbelianGroup'
+polyring.matrix_from_columns(labels, columns) -> 'IntMatrix'
+polyring.coprime_certificate(f: 'LaurentPoly', g: 'LaurentPoly')
+polyring.e6_tor(window_size: 'int' = 24, stride: 'int' = 5)
+repring.Quaternion(w, x, y, z) -> 'None'
+repring.Quaternion.inverse(self) -> "'Quaternion'"
+repring.Quaternion.su2_matrix(self)
+repring.Quaternion.trace(self) -> 'CycNumber'
+repring.QuaternionGroup(name, elements, index, irrep_specs, generators, right=None)
+repring.QuaternionGroup.mul(self, a: 'int', b: 'int') -> 'int'
+repring.QuaternionGroup.inv(self, a: 'int') -> 'int'
+repring.QuaternionGroup.conjugacy_classes(self)
+repring.QuaternionGroup.irreps(self)
+repring.QuaternionGroup.irrep_labels(self)
+repring.QuaternionGroup.defining_character(self)
+repring.CharacterTable(group: 'QuaternionGroup')
+repring.CharacterTable.class_of(self, element_index: 'int') -> 'int'
+repring.CharacterTable.inner(self, chi1, chi2) -> 'int'
+repring.CharacterTable.decompose(self, chi) -> "'VirtualRep'"
+repring.CharacterTable.dim_of(self, label: 'str') -> 'int'
+repring.Irrep(label, dim, matrices, _keys=None)
+repring.Irrep.character(self)
+repring.VirtualRep(group, coeffs)
+repring.VirtualRep.character(self)
+repring.VirtualRep.dim(self) -> 'int'
+repring.VirtualRep.render(self) -> 'str'
+repring.Grading(group, kernel, values, psi_label)
+repring.Embedding(sub, sup, image_index)
+repring.Embedding.image_of(self, sub_index: 'int') -> 'int'
+repring.Embedding.image_set(self)
+repring.GroupMismatch(...)
+repring.NotASubgroup(...)
+repring.OrthogonalityFailure(...)
+repring.NoGradingExists(...)
+repring.InvalidEmbedding(...)
+repring.quaternion_group(name: 'str') -> 'QuaternionGroup'
+repring.character_table(G: 'QuaternionGroup') -> 'CharacterTable'
+repring.embedding(sub_name: 'str', sup_name: 'str') -> 'Embedding'
+repring.tensor_decompose(rho: 'VirtualRep', tau: 'VirtualRep') -> 'VirtualRep'
+repring.irrep_vr(G: 'QuaternionGroup', label: 'str') -> 'VirtualRep'
+repring.restrict(rho: 'VirtualRep', emb: 'Embedding') -> 'VirtualRep'
+repring.induce(rho: 'VirtualRep', emb: 'Embedding') -> 'VirtualRep'
+repring.mckay_graph(G: 'QuaternionGroup')
+repring.gradings(G: 'QuaternionGroup')
+repring.classify_graded(rho, grading: 'Grading' = None) -> 'str'
+repring.graded_fold(G: 'QuaternionGroup', grading: 'Grading' = None)
+repring.dirac_induce_T_to_SU2(weight: 'int') -> 'dict'
+repring.dirac_induce_finite_to_O2(rho: 'VirtualRep', d: 'str') -> 'int'
+repring.res_su2_to_finite(G: 'QuaternionGroup', m: 'int') -> 'VirtualRep'
+repring.res_su2_to_O2(m: 'int') -> 'dict'
+repring.res_su2_to_T(m: 'int') -> 'dict'
+repring.res_O2_to_T(o2rep: 'dict') -> 'dict'
+repring.ind_T_to_O2(trep: 'dict') -> 'dict'
+repring.recognize_affine_ade(A: 'IntMatrix') -> 'str'
+""".strip().splitlines()
+
+
+def _signature(obj):
+    try:
+        return str(inspect.signature(obj))
+    except ValueError:
+        return "(...)"
+
+
+def _public_signatures(module):
+    lines = []
+    for name in module.__all__:
+        obj = getattr(module, name)
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue  # a re-export is pinned where it is defined
+        prefix = "%s.%s" % (module.__name__.split(".")[-1], name)
+        lines.append(prefix + _signature(obj))
+        if inspect.isclass(obj):
+            lines += [
+                "%s.%s%s" % (prefix, attr, _signature(getattr(obj, attr)))
+                for attr, value in vars(obj).items()
+                if not attr.startswith("_")
+                and (inspect.isfunction(value) or isinstance(value, (classmethod, staticmethod)))
+            ]
+    return lines
+
+
+def test_public_contract_matches_the_snapshot():
+    # a change to any __all__ or public signature shows here, in the diff
+    assert sorted(PUBLIC_NAMES) == [p.stem for p in MODULES if p.name != "__init__.py"]
+    modules = [importlib.import_module("verlkit." + name) for name in PUBLIC_NAMES]
+    assert {m.__name__.split(".")[-1]: tuple(m.__all__) for m in modules} == PUBLIC_NAMES
+    assert [line for m in modules for line in _public_signatures(m)] == PUBLIC_SIGNATURES

@@ -145,8 +145,8 @@ def test_stabilization_messages_name_both_windows(monkeypatch):
     groups = []
     cokernel_of = polyring._cokernel_of
 
-    def cokernel_of_growing(snf, labels=None):
-        groups.append(cokernel_of(snf, labels))
+    def cokernel_of_growing(factors, Uinv, labels=None):
+        groups.append(cokernel_of(factors, Uinv, labels))
         g = groups[-1]
         return FGAbelianGroup(g.free_rank, (3,)) if len(groups) == 3 else g
 
@@ -317,7 +317,7 @@ def _e6_reference(w):
 
 
 def test_e6_tor_matches_kernel_then_solve_reference():
-    for w in (20, 24):
+    for w in (20, 24, 42):
         h0, h1, _ = e6_tor(window_size=w)
         for got, want in zip((h0, h1), _e6_reference(w)):
             assert (got.free_rank, got.torsion, got.generators) == (
@@ -346,9 +346,13 @@ def test_e6_windows_apply_the_transforms_to_their_right_hand_sides():
         target = IntMatrix(d1.rows, 1, [-2, 0, 1] + [0] * (d1.rows - 3))
         U, Uinv, D, V, Vinv = smith_with_inverses(d1)
         assert sum(1 for i in range(min(D.shape)) if D[i, i]) < min(D.shape)
-        got = _smith_engine(d1, u=target, uinv=True, vinv=D2)
-        assert got == (U * target, Uinv, D, None, Vinv * D2)
-        assert _smith_engine(d1, vinv=D2) == (None, None, D, None, Vinv * D2)
+        Ut, Vinv_D2 = (U * target).to_lists(), (Vinv * D2).to_lists()
+        Uinv, D = Uinv.transpose().to_lists(), D.to_lists()
+        got = _smith_engine(d1.to_lists(), d1.cols, u=target.to_lists(), uinv=True,
+                            vinv=D2.to_lists())
+        assert got == (Ut, Uinv, D, None, Vinv_D2)
+        got = _smith_engine(d1.to_lists(), d1.cols, vinv=D2.to_lists())
+        assert got == (None, None, D, None, Vinv_D2)
 
 
 def test_e6_window_matrices_are_bands_of_shifted_polynomials():
