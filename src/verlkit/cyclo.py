@@ -251,14 +251,14 @@ def _fold(prod: int, width: int, cond: _CondData):
     return _unpack(acc, phi, width)
 
 
-def _substitute(vec, k: int, cond: _CondData, shift: int = 0):
-    """Canonical vector of the sum of vec[i] * z^(shift + i*k), z = zeta_{cond.n}.
+def _substitute(vec, k: int, cond: _CondData):
+    """Canonical vector of the sum of vec[i] * z^(i*k), z = zeta_{cond.n}.
     An exponent e < phi has the unit row: its coefficient goes to out[e]."""
     phi, n, rows = cond.phi, cond.n, cond.rows
     out = [0] * phi
     for i, c in enumerate(vec):
         if c:
-            e = (shift + i * k) % n
+            e = i * k % n
             if e < phi:
                 out[e] += c
             else:

@@ -696,8 +696,6 @@ def cokernel(M: IntMatrix, labels=None) -> FGAbelianGroup:
         labels = ["g%d" % i for i in range(M.rows)]
     if len(labels) != M.rows:
         raise ValueError("need one label per codomain generator")
-    if M.cols == 0:
-        return FGAbelianGroup(M.rows, (), tuple(labels))
     # the public factorization, so that a tracer of public entry points sees this SNF
     _, Uinv, D, _, _ = smith_with_inverses(M)
     return _cokernel_of(_factors(D.to_lists(), M.rows), Uinv.transpose().to_lists(), labels)

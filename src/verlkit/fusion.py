@@ -4,7 +4,8 @@ Covers level-k SU(2), the level-1 SU(3) and Sp(4) theories, torus levels,
 and quantum doubles of finite abelian groups, twisted and untwisted.  All
 S and T entries are cyclotomic numbers, every fusion coefficient is
 certified to be a nonnegative integer, and the modular relations are
-checked exactly at construction time.  A fusion ring stores each product
+checked exactly at construction time; S S is the one key product that
+S^2 and unitarity need, as S* = S^2 S.  A fusion ring stores each product
 lam x mu as the {nu: N_{lam mu}^nu} dict it is, zeros dropped, so a
 group-like ring holds one entry per product; the dense m x m x m tensor
 `FusionRing.N` is a view built on first read.
@@ -81,11 +82,13 @@ class ModularData(_Frozen):
     (ST)^3 = S^2 with S^2 a permutation squaring to the identity.  The
     relations are verified exactly on construction; the permutation is
     stored as `charge_conjugation`.  A T entry that is not a root of unity
-    raises ModularCheckFailure.  Every check compares keys (`cyclo._key`):
-    S S and S S* are key products of S's key, and the phase relation is
-    proved in Q(zeta_B), the field of S, over the relative power basis of
-    the field of T (`_phase_holds`): Phi_L(z) = Phi_B(z^R) splits each
-    entry of (ST)^3 = S^2 into R = L/B identities at order B.
+    raises ModularCheckFailure.  One key product of S's key (`cyclo._key`)
+    gives C = S^2.  Unitarity is then checked entry by entry as S* = C S:
+    C commutes with S, so S S* = S C S = C^2 = 1; for a real S it forces
+    C = 1.  The phase relation is proved in Q(zeta_B), the field of S, over
+    the relative power basis of the field of T (`_phase_holds`):
+    Phi_L(z) = Phi_B(z^R) splits each entry of (ST)^3 = S^2 into R = L/B
+    identities at order B.
     """
 
     __slots__ = ("labels", "S", "T", "charge_conjugation")
@@ -106,23 +109,17 @@ class ModularData(_Frozen):
                 if S[i][j] != S[j][i]:
                     raise ModularCheckFailure("S is not symmetric")
         cells = {id(e): e for row in S for e in row}  # entries are often shared
+        conj = {i: e.conjugate() for i, e in cells.items()}
+        Sc = [[conj[id(e)] for e in row] for row in S]
         kS = _key(S)
-        if all(e.conjugate() == e for e in cells.values()):
-            # real symmetric: unitarity forces S^2 = 1, one product does both
-            Sc = S
-            perm = _as_permutation(_times(S).step(kS), m)
-            if perm != tuple(range(m)):
-                raise ModularCheckFailure("real S must square to the identity")
-        else:
-            Sc = [[e.conjugate() for e in row] for row in S]
-            if _as_permutation(_times(Sc).step(kS), m) != tuple(range(m)):
-                raise ModularCheckFailure("S is not unitary")
-            perm = _as_permutation(_times(S).step(kS), m)
-            if perm is None:
-                raise ModularCheckFailure("S^2 is not a permutation")
-            for i in range(m):
-                if perm[perm[i]] != i:
-                    raise ModularCheckFailure("charge conjugation must square to 1")
+        perm = _as_permutation(_times(S).step(kS), m)
+        if perm is None:
+            raise ModularCheckFailure("S^2 is not a permutation")
+        if any(perm[perm[i]] != i for i in range(m)):
+            raise ModularCheckFailure("charge conjugation must square to 1")
+        # C = S^2 commutes with S, so S* = C S gives S S* = S C S = C^2 = 1
+        if any(a != b for i in range(m) for a, b in zip(Sc[i], S[perm[i]])):
+            raise ModularCheckFailure("S is not unitary")
         # with S^{-1} = S*, (ST)^3 = S^2 is equivalent to TST = S T^-1 S*
         if not _phase_holds(kS, Sc, roots):
             raise ModularCheckFailure("(ST)^3 = S^2 fails")
@@ -449,13 +446,19 @@ def _cyclic_orders(G):
             raise ValueError("cyclic orders must be >= 1")
         return orders
     if hasattr(G, "mul") and hasattr(G, "order"):
-        n = G.order
-        for a in range(n):
-            for b in range(a):
-                if G.mul(a, b) != G.mul(b, a):
-                    raise NonAbelian("group is not abelian")
-        return _cayley_invariants(G.mul, n, 0)
+        try:
+            return _cayley_invariants(G.mul, G.order, 0)
+        except ValueError as exc:
+            raise NonAbelian("group is not abelian: %s" % exc) from None
     raise TypeError("expected an int, a tuple of ints, or a finite group")
+
+
+def _pairing(orders):
+    """(L, chi) for the cyclic orders m_i, L their lcm: the character with
+    exponents x takes b to prod_i zeta_(m_i)^(x_i b_i) = zeta_L^chi(x, b)."""
+    L = lcm(*orders)
+    weights = [L // mi for mi in orders]
+    return L, lambda x, b: sum(xi * bi * w for xi, bi, w in zip(x, b, weights)) % L
 
 
 def double_abelian(G):
@@ -468,26 +471,13 @@ def double_abelian(G):
     pair (ModularData, FusionRing).
     """
     orders = _cyclic_orders(G)
+    L, chi = _pairing(orders)
     prim = [(a, x) for a in _tuples(orders) for x in _tuples(orders)]
-
-    def chi(x, b):
-        # product of zeta_{m_i}^{x_i b_i}
-        acc = _ONE
-        for mi, xi, bi in zip(orders, x, b):
-            acc = acc * zeta(mi, (xi * bi) % mi)
-        return acc
-
+    # S takes L distinct values zeta_L^-e / |G|, each built once
     pref = Fraction(1, prod(orders))
-    S = []
-    for (a, x) in prim:
-        row = []
-        for (b, y) in prim:
-            e = _ONE
-            for mi, xi, bi, yi, ai in zip(orders, x, b, y, a):
-                e = e * zeta(mi, (-(xi * bi + yi * ai)) % mi)
-            row.append((e * pref).normalized())
-        S.append(row)
-    T = [chi(x, a) for (a, x) in prim]
+    values = [(zeta(L, -e % L) * pref).normalized() for e in range(L)]
+    S = [[values[(chi(x, b) + chi(y, a)) % L] for (b, y) in prim] for (a, x) in prim]
+    T = [zeta(L, chi(x, a)) for (a, x) in prim]
     index = {p: i for i, p in enumerate(prim)}
     N = [
         [{index[(_elt_add(a, b, orders), _elt_add(x, y, orders))]: 1} for (b, y) in prim]

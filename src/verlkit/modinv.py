@@ -39,14 +39,15 @@ lemma on pairs; Phys. Lett. B 419 (1998) 175), one O(|G|^2 copies) pass.
 import re
 from collections import defaultdict
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, prod
 
 from .cyclo import (
     CycNumber, _key, _pack, _poly_divexact, _real_cyclotomic_poly, _real_enclosure, _width,
 )
 from .exactla import IntMatrix, SelfCheckFailure, _closure, _Frozen, _row_hermite, kernel_basis
 from .fusion import (
-    _cyclic_orders, _elt_add, _fusion_failure, _tuples, su2_fusion_truncated, su2_modular_data,
+    _cyclic_orders, _elt_add, _fusion_failure, _pairing, _tuples, su2_fusion_truncated,
+    su2_modular_data,
 )
 
 __all__ = [
@@ -672,15 +673,6 @@ def _elt_sub(a, b, orders):
     return tuple((ai - bi) % mi for ai, bi, mi in zip(a, b, orders))
 
 
-def _char_trivial_on(x, group_elements, orders):
-    # the character with exponents x kills every listed element
-    L = lcm(*orders)
-    for n in group_elements:
-        if sum(xi * ni * (L // mi) for xi, ni, mi in zip(x, n, orders)) % L:
-            return False
-    return True
-
-
 def alpha_induction_abelian(G, H) -> dict:
     """Both chiral inductions for the double of a finite abelian group.
 
@@ -715,7 +707,8 @@ def alpha_induction_abelian(G, H) -> dict:
     N = sorted({_elt_sub(a, b, orders) for a, b in pairs})
     coset_rep = {g: min(_elt_add(g, n, orders) for n in N) for g in elements}
     ell_labels = sorted(set(coset_rep.values()))
-    annihilator = [x for x in elements if _char_trivial_on(x, N, orders)]
+    _, chi = _pairing(orders)
+    annihilator = [x for x in elements if not any(chi(x, n) for n in N)]
     nu_rep = {x: min(_elt_add(x, a, orders) for a in annihilator) for x in elements}
     nu_labels = sorted(set(nu_rep.values()))
 

@@ -26,7 +26,8 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from math import gcd
+from itertools import product
+from math import gcd, prod
 from types import SimpleNamespace
 
 import numpy as np
@@ -471,6 +472,11 @@ def test_modular_data_validation():
     with pytest.raises(ModularCheckFailure):
         # unimodular but wrong phase breaks (ST)^3 = S^2
         ModularData(md.labels, md.S, [md.T[0] * zeta(3, 1), md.T[1]])
+    # symmetric with S^2 = 1, a permutation squaring to 1: only S* = C S catches it
+    i_root3 = zeta(4) * sqrt_int(3)
+    S = [[rational(2), i_root3], [i_root3, rational(-2)]]
+    with pytest.raises(ModularCheckFailure, match="not unitary"):
+        ModularData((0, 1), S, [_ONE, _ONE])
 
 
 def _oracle_phase_holds(S, T):
@@ -730,6 +736,34 @@ def test_double_abelian_small_groups():
     md, ring = double_abelian((2, 2))
     assert len(md.labels) == 16
     assert ring.fusion_group().torsion == (2, 2, 2, 2)
+
+
+def _double_by_factors(orders):
+    """S and T of the double of the product of the Z_(m_i), each entry a
+    product of one root of unity per cyclic factor, S normalized."""
+    elts = list(product(*map(range, orders)))
+    prim = [(a, x) for a in elts for x in elts]
+
+    def char(x, b):  # x(b) = prod_i zeta_(m_i)^(x_i b_i), multiplied out
+        acc = _ONE
+        for mi, xi, bi in zip(orders, x, b):
+            acc = acc * zeta(mi, xi * bi % mi)
+        return acc
+
+    size = Fraction(1, prod(orders))
+    S = [[((char(x, b) * char(y, a)).conjugate() * size).normalized() for (b, y) in prim]
+         for (a, x) in prim]
+    T = [char(x, a) for (a, x) in prim]
+    return prim, S, T
+
+
+@pytest.mark.parametrize("G", [1, 2, 3, 4, 6, (2, 2), (2, 3), (2, 4), (3, 3)], ids=repr)
+def test_double_abelian_matches_the_per_factor_products(G):
+    prim, S, T = _double_by_factors(G if isinstance(G, tuple) else (G,))
+    md, _ = double_abelian(G)
+    assert list(md.labels) == prim
+    assert [list(row) for row in md.S] == S
+    assert [(t.order, t.num, t.den) for t in md.T] == [(t.order, t.num, t.den) for t in T]
 
 
 def test_double_abelian_duck_typed_group():
