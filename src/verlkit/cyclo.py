@@ -48,6 +48,11 @@ den * x = sum_t c_t cos(2 pi t / N) and sums a fixed-point cosine table
 within 1 of 2^bits cos(2 pi t / N)) into integers lo <= 2^bits den x <= hi.
 Only `real_embed` uses mpmath, an optional dependency (the `embed` extra),
 and imports it on its first call.
+Two idioms shared across the library live here, because `cyclo` is the one
+module every other may import and it imports none of them: `_format_combo`
+writes every signed sum of labelled terms (cyclotomic numbers, Laurent
+polynomials, cokernel generators, virtual representations), and `_power`
+is the one square-and-multiply behind both `__pow__` methods.
 """
 
 from __future__ import annotations
@@ -445,14 +450,7 @@ class CycNumber:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        result = rational(1, self.order)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _power(self, k, rational(1, self.order))
 
     # -- Galois ------------------------------------------------------------------
 
@@ -515,22 +513,8 @@ class CycNumber:
     def render(self) -> str:
         """Text form like '1/2 + 3*z(8)^1 - z(8)^3' on the minimal order."""
         v = self.normalized()
-        terms = []
-        for i, c in enumerate(v.num):
-            if c == 0:
-                continue
-            f = Fraction(c, v.den)
-            mag = abs(f)
-            if i == 0:
-                body = str(mag)
-            else:
-                head = "" if mag == 1 else "%s*" % mag
-                body = "%sz(%d)^%d" % (head, v.order, i)
-            if not terms:
-                terms.append(body if f > 0 else "-" + body)
-            else:
-                terms.append(("+ " if f > 0 else "- ") + body)
-        return " ".join(terms) if terms else "0"
+        labels = [None] + ["z(%d)^%d" % (v.order, i) for i in range(1, len(v.num))]
+        return _format_combo([Fraction(c, v.den) for c in v.num], labels)
 
     def __repr__(self):
         return "CycNumber(%s)" % self.render()
@@ -580,6 +564,39 @@ def _prime_factors(n: int):
     return out
 
 
+def _power(base, k: int, one):
+    """base ** k for k >= 0 by square-and-multiply, starting from `one`."""
+    while k:
+        if k & 1:
+            one = one * base
+        k >>= 1
+        if k:  # a square past the top bit would go unused
+            base = base * base
+    return one
+
+
+def _format_combo(coeffs, labels) -> str:
+    """Render a combination of labelled terms, zero coefficients skipped and
+    signs between the terms; a None label marks the constant term, written
+    as its magnitude alone.
+
+    >>> _format_combo([1, -1, 2], ["x", "y", "z"])
+    'x - y + 2*z'
+    >>> _format_combo([0, 0], ["a", "b"])
+    '0'
+    >>> _format_combo([Fraction(-1, 2), 0, Fraction(3, 4)], [None, "z(8)^1", "z(8)^3"])
+    '-1/2 + 3/4*z(8)^3'
+    """
+    parts = []
+    for c, lab in zip(coeffs, labels):
+        if c:
+            mag = abs(c)
+            term = str(mag) if lab is None else lab if mag == 1 else "%s*%s" % (mag, lab)
+            sign = ("- " if c < 0 else "+ ") if parts else ("-" if c < 0 else "")
+            parts.append(sign + term)
+    return " ".join(parts) or "0"
+
+
 def _coerce(x) -> CycNumber:
     if isinstance(x, CycNumber):
         return x
@@ -622,14 +639,11 @@ def sqrt_int(m: int) -> CycNumber:
         raise ValueError("nonnegative integers only")
     if m == 0:
         return rational(0)
-    s = 1
-    q = m
-    d = 2
-    while d * d <= q:
-        while q % (d * d) == 0:
-            q //= d * d
-            s *= d
-        d += 1
+    s, q = 1, m
+    for p in _prime_factors(m):
+        while q % (p * p) == 0:
+            q //= p * p
+            s *= p
     out = rational(s)
     if q % 2 == 0:
         out = out * (zeta(8) - zeta(8, 3))
@@ -825,8 +839,6 @@ def cyc_arith(a: CycNumber, b: CycNumber, op: str) -> CycNumber:
     if op == "mul":
         return a * b
     if op == "div":
-        if b.is_zero():
-            raise DivisionByZero("division by zero")
         return a / b
     raise ValueError("unknown op %r" % op)
 

@@ -41,6 +41,8 @@ from __future__ import annotations
 from itertools import product
 from math import prod
 
+from .cyclo import _format_combo
+
 __all__ = [
     "IntMatrix",
     "FGAbelianGroup",
@@ -572,27 +574,6 @@ def _cayley_invariants(mul, n, unit):
     return torsion
 
 
-def _format_combo(coeffs, labels) -> str:
-    """Render an integer combination of labelled generators.
-
-    >>> _format_combo([1, -1, 2], ["x", "y", "z"])
-    'x - y + 2*z'
-    >>> _format_combo([0, 0], ["a", "b"])
-    '0'
-    """
-    parts = []
-    for c, lab in zip(coeffs, labels):
-        if c == 0:
-            continue
-        mag = abs(c)
-        term = lab if mag == 1 else "%d*%s" % (mag, lab)
-        if not parts:
-            parts.append(term if c > 0 else "-" + term)
-        else:
-            parts.append(("+ " if c > 0 else "- ") + term)
-    return " ".join(parts) if parts else "0"
-
-
 class FGAbelianGroup(_Frozen):
     """A finitely generated abelian group in invariant-factor normal form.
 
@@ -639,12 +620,7 @@ class FGAbelianGroup(_Frozen):
 
     def order(self):
         """Group order, or None when infinite."""
-        if self.free_rank:
-            return None
-        n = 1
-        for d in self.torsion:
-            n *= d
-        return n
+        return None if self.free_rank else prod(self.torsion)
 
     def describe(self) -> str:
         """Human form like 'Z^2 + Z/2 + Z/4' (trivial group renders '0').

@@ -15,6 +15,7 @@ from functools import cache
 from itertools import product
 from math import gcd
 
+from .cyclo import _format_combo, _power
 from .exactla import (
     FGAbelianGroup,
     IntMatrix,
@@ -146,14 +147,7 @@ class LaurentPoly(_Frozen):
             return LaurentPoly(
                 self.names, {tuple(x * k for x in e): c if k % 2 else 1}
             )
-        out = LaurentPoly.const(1, self.names)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, LaurentPoly.const(1, self.names))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -190,25 +184,12 @@ class LaurentPoly(_Frozen):
         return hash((self.names, frozenset(self.terms.items())))
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for e in sorted(self.terms):
-            c = self.terms[e]
-            mono = "*".join(
-                "%s^%d" % (n, x) if x != 1 else n
-                for n, x in zip(self.names, e)
-                if x != 0
-            )
-            if not mono:
-                body = str(abs(c))
-            else:
-                body = mono if abs(c) == 1 else "%d*%s" % (abs(c), mono)
-            if not parts:
-                parts.append(body if c > 0 else "-" + body)
-            else:
-                parts.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(parts)
+        exps = sorted(self.terms)
+        monos = [
+            "*".join("%s^%d" % (n, x) if x != 1 else n for n, x in zip(self.names, e) if x)
+            for e in exps
+        ]  # the constant's empty monomial becomes the None label
+        return _format_combo([self.terms[e] for e in exps], [m or None for m in monos])
 
     def __repr__(self):
         return "LaurentPoly(%s)" % self.render()
@@ -301,31 +282,18 @@ def _monomial_label(names, exps) -> str:
 
 
 def _ideal_family(names, relations, window: TruncationWindow):
-    nvars = len(names)
-
     def family(extra: int):
-        bounds = [(lo - extra, hi + extra) for lo, hi in window.bounds]
-        pts = list(product(*[range(lo, hi + 1) for lo, hi in bounds]))
-        labels = [_monomial_label(names, p) for p in pts]
-        member = set(pts)
+        grown = window.enlarged(extra)
+        labels = [_monomial_label(names, p) for p in grown.points()]
         rels = []
         for f in relations:
-            supp = f.support_bounds()
-            shift_ranges = [
-                range(bounds[i][0] - supp[i][0], bounds[i][1] - supp[i][1] + 1)
-                for i in range(nvars)
-            ]
-            for shift in product(*shift_ranges):
-                col = {}
-                ok = True
-                for e, c in f.terms.items():
-                    pt = tuple(x + s for x, s in zip(e, shift))
-                    if pt not in member:
-                        ok = False
-                        break
-                    col[_monomial_label(names, pt)] = c
-                if ok and col:
-                    rels.append(col)
+            # every shift in these ranges keeps the support of f inside the window
+            pairs = zip(grown.bounds, f.support_bounds())
+            for shift in product(*[range(lo - a, hi - b + 1) for (lo, hi), (a, b) in pairs]):
+                rels.append({
+                    _monomial_label(names, [x + s for x, s in zip(e, shift)]): c
+                    for e, c in f.terms.items()
+                })
         return labels, rels
 
     return family
@@ -393,9 +361,8 @@ def coprime_certificate(f: LaurentPoly, g: LaurentPoly):
     size = f.degree() + g.degree() + 8
     fshift = size - f.degree()
     gshift = size - g.degree()
-    M = IntMatrix.from_cols(
-        [_poly_to_vec(f, size, i) for i in range(fshift)]
-        + [_poly_to_vec(g, size, j) for j in range(gshift)]
+    M = IntMatrix.from_rows(
+        [a + b for a, b in zip(_band(f, size, fshift), _band(g, size, gshift))]
     )
     target = [1] + [0] * (size - 1)
     sol = solve_int(M, target)

@@ -42,10 +42,10 @@ from math import lcm
 from operator import mul
 
 from .cyclo import (
-    CycNumber, _coerce, _key, _key_ints, _key_trace, _times, _unkey, cos_frac, rational,
-    sin_frac, sqrt_int, zeta,
+    CycNumber, _coerce, _format_combo, _key, _key_ints, _key_trace, _times, _unkey, cos_frac,
+    rational, sin_frac, sqrt_int, zeta,
 )
-from .exactla import IntMatrix, SelfCheckFailure, _closure, _format_combo, _Frozen
+from .exactla import IntMatrix, SelfCheckFailure, _closure, _Frozen
 
 __all__ = [
     "Quaternion",
@@ -732,27 +732,22 @@ def restrict(rho: VirtualRep, emb: Embedding) -> VirtualRep:
 
 
 def induce(rho: VirtualRep, emb: Embedding) -> VirtualRep:
-    """Induction along an embedding, by the Frobenius character formula."""
+    """Induction along an embedding, by the Frobenius character formula
+    Ind chi(g) = |G| / (|H| |g^G|) * sum of chi(h) over h in H meeting g^G
+    (Serre, Linear Representations of Finite Groups, 7.2): one pass over
+    the image of H sums chi into the classes of G."""
     if rho.group.name != emb.sub.name:
         raise GroupMismatch("rho does not live in the embedding's subgroup")
     sub, sup = emb.sub, emb.sup
     ct_sub = character_table(sub)
     ct_sup = character_table(sup)
     chi = rho.character()
-
-    preimage = {img: si for si, img in enumerate(emb.image_index)}
-    chi_on_sub_elem = [chi[ct_sub.class_of(i)] for i in range(sub.order)]
-
-    vals = []
-    for g in ct_sup.class_reps:
-        tot = _ZERO
-        for xi in range(sup.order):
-            conj = sup.mul(sup.mul(sup.inv(xi), g), xi)
-            si = preimage.get(conj)
-            if si is not None:
-                tot = tot + chi_on_sub_elem[si]
-        vals.append(tot / sub.order)
-    return ct_sup.decompose(vals)
+    sums = [_ZERO] * len(ct_sup.classes)
+    for si, img in enumerate(emb.image_index):
+        c = ct_sup.class_of(img)
+        sums[c] = sums[c] + chi[ct_sub.class_of(si)]
+    scale = [Fraction(sup.order, sub.order * size) for size in ct_sup.class_sizes]
+    return ct_sup.decompose([t * f for t, f in zip(sums, scale)])
 
 
 # -- McKay graphs ------------------------------------------------------------------

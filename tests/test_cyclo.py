@@ -111,6 +111,64 @@ def test_render_forms():
     assert rational(0).render() == "0"
 
 
+def _reference_render(x):
+    """The per-term loop that `CycNumber.render` ran before `_format_combo`."""
+    v = x.normalized()
+    terms = []
+    for i, c in enumerate(v.num):
+        if c == 0:
+            continue
+        f = Fraction(c, v.den)
+        mag = abs(f)
+        if i == 0:
+            body = str(mag)
+        else:
+            head = "" if mag == 1 else "%s*" % mag
+            body = "%sz(%d)^%d" % (head, v.order, i)
+        if not terms:
+            terms.append(body if f > 0 else "-" + body)
+        else:
+            terms.append(("+ " if f > 0 else "- ") + body)
+    return " ".join(terms) if terms else "0"
+
+
+def _random_cyc(rng):
+    """Zero, a constant or a sparse value at an order up to 30, with int and
+    Fraction coefficients of either sign and a denominator up to 5."""
+    n = rng.randint(1, 30)
+    coeffs = [0] * n
+    for _ in range(rng.choice([0, 1, 2, rng.randint(1, n)])):
+        coeffs[rng.randrange(n)] = rng.choice(
+            [1, -1, rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 7))]
+        )
+    return CycNumber(n, coeffs, rng.randint(1, 5))
+
+
+def test_render_matches_the_per_term_loop_it_replaced():
+    rng = random.Random(30)
+    values = [_random_cyc(rng) for _ in range(400)]
+    for x in values:
+        assert x.render() == _reference_render(x)
+        assert repr(x) == "CycNumber(%s)" % _reference_render(x)
+    texts = [x.render() for x in values]
+    assert "0" in texts  # zero
+    assert any(x.is_rational() and not x.is_zero() for x in values)  # nonzero constants
+    assert any(t.startswith("-") for t in texts)  # a negative leading term
+    assert any("/" in t and "*z(" in t for t in texts)  # a Fraction coefficient
+
+
+def test_powers_match_repeated_products():
+    rng = random.Random(31)
+    for _ in range(60):
+        x = _random_cyc(rng)
+        product = rational(1, x.order)
+        for k in range(10):
+            p = x**k
+            assert (p.order, p.num, p.den) == (product.order, product.num, product.den)
+            product = product * x
+        assert (x**0).order == x.order
+
+
 def test_division_by_zero_raises():
     try:
         cyc_arith(zeta(4), rational(0), "div")

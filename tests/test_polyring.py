@@ -53,6 +53,62 @@ def test_poly_arithmetic_basics():
     assert (a**3 - 2 * a).support_bounds() == ((1, 3),)
 
 
+def _reference_render(p):
+    """The per-term loop that `LaurentPoly.render` ran before `_format_combo`."""
+    if not p.terms:
+        return "0"
+    parts = []
+    for e in sorted(p.terms):
+        c = p.terms[e]
+        mono = "*".join(
+            "%s^%d" % (n, x) if x != 1 else n
+            for n, x in zip(p.names, e)
+            if x != 0
+        )
+        if not mono:
+            body = str(abs(c))
+        else:
+            body = mono if abs(c) == 1 else "%d*%s" % (abs(c), mono)
+        if not parts:
+            parts.append(body if c > 0 else "-" + body)
+        else:
+            parts.append(("+ " if c > 0 else "- ") + body)
+    return " ".join(parts)
+
+
+def _random_laurent(rng, names):
+    """Up to four terms with exponents in -3..3 and coefficients of either sign."""
+    return LaurentPoly(names, {
+        tuple(rng.randint(-3, 3) for _ in names): rng.choice([1, -1, rng.randint(-9, 9)])
+        for _ in range(rng.randint(0, 4))
+    })
+
+
+def test_render_matches_the_per_term_loop_it_replaced():
+    rng = random.Random(30)
+    polys = [_random_laurent(rng, rng.choice([("a",), ("a", "b")])) for _ in range(400)]
+    for p in polys:
+        assert p.render() == _reference_render(p)
+        assert repr(p) == "LaurentPoly(%s)" % _reference_render(p)
+    texts = [p.render() for p in polys]
+    assert "0" in texts  # zero
+    assert any(p.terms and set(p.terms) == {(0,) * p.nvars} for p in polys)  # constants
+    assert any(t.startswith("-") for t in texts)  # a negative leading term
+    assert any("^-" in t and "*b" in t for t in texts)  # two variables, negative exponents
+
+
+def test_powers_match_repeated_products():
+    rng = random.Random(31)
+    for _ in range(40):
+        names = rng.choice([("a",), ("a", "b")])
+        x = _random_laurent(rng, names)
+        product = LaurentPoly.const(1, names)
+        for k in range(10):
+            assert x**k == product
+            product = product * x
+        assert (x**0).names == x.names
+
+
 def test_two_variable_product():
     x = LaurentPoly.var("a", names=("a", "b"))
     y = LaurentPoly.var("b", names=("a", "b"))
