@@ -450,7 +450,8 @@ class CycNumber:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        return _power(self, k, rational(1, self.order))
+        # from the rational one, so the first product takes __mul__'s order-1 path
+        return _power(self, k, rational(1)) if k else rational(1, self.order)
 
     # -- Galois ------------------------------------------------------------------
 

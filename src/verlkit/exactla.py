@@ -15,13 +15,14 @@ Smith engine, `_smith_engine`, works on lists of rows and hands back U^-1
 and V as lists of their columns, the form it builds them in; only the
 public wrappers turn an IntMatrix into rows and the results back into
 IntMatrix values.  It tracks only the unimodular transforms its reader
-names: none for `rank`, V for `kernel_basis`, U^-1 and V for
-`connecting_solve`, all four for `smith_with_inverses` and so for
-`cokernel`.  A reader of U or V^-1 applied to a few columns B gets U*B or
-V^-1*B instead: `solve_int` tracks U*target and V, ``polyring.e6_tor``
-U*target, U^-1 and V^-1 times its d2 columns, then U^-1 or nothing for
-H1, and reads the cokernel generators straight off U^-1's columns.  A
-pivot row that its pivot divides is cleared on V and V^-1 alone.  Every
+names: none for `rank`, V for `kernel_basis` and for
+``repring.recognize_affine_ade``, U^-1 and V for `connecting_solve`, all
+four for `smith_with_inverses` and so for `cokernel`.  A reader of U or
+V^-1 applied to a few columns B gets U*B or V^-1*B instead: `solve_int`
+tracks U*target and V, ``polyring.e6_tor`` U*target, U^-1 and V^-1 times
+its d2 columns, then U^-1 or nothing for H1, and reads the cokernel
+generators straight off U^-1's columns.  A pivot row that its pivot
+divides is cleared on V and V^-1 alone.  Every
 group closure is one breadth-first walk, `_closure`, and
 `_cayley_invariants` presents a finite abelian group by the relations of
 its Cayley graph and reads it off the same Smith engine.

@@ -16,6 +16,10 @@ chi diag(class sizes) conj(X)^T, prepared once per table.  Character
 tables are self-verified against the orthogonality relations
 (OrthogonalityFailure, a SelfCheckFailure like every failed self-check).
 A graded fold restricts irreps along the embedding of the grading's kernel.
+An affine A-D-E diagram is recognized by the null vector of 2I - A,
+which is positive exactly for affine type (Kac, Infinite-dimensional Lie
+algebras, Thm 4.3) and is the irrep dimension vector on a McKay graph
+(McKay 1980); its largest entry names the type.
 
 Infinite groups appear symbolically: the circle ring Z[a^(+-1)], the O(2)
 ring Span{1, delta, kappa_1, ...}, and the SU(2) ring Z[sigma].  Dirac
@@ -45,7 +49,9 @@ from .cyclo import (
     CycNumber, _coerce, _format_combo, _key, _key_ints, _key_trace, _times, _unkey, cos_frac,
     rational, sin_frac, sqrt_int, zeta,
 )
-from .exactla import IntMatrix, SelfCheckFailure, _closure, _Frozen
+from .exactla import (
+    IntMatrix, SelfCheckFailure, _closure, _free_columns, _Frozen, _smith_engine,
+)
 
 __all__ = [
     "Quaternion",
@@ -963,77 +969,32 @@ def graded_fold(G: QuaternionGroup, grading: Grading = None):
 # -- affine A-D-E recognition --------------------------------------------------------
 
 
-def _graph_isomorphic(A, B) -> bool:
-    n = len(A)
-    if len(B) != n:
-        return False
-    degA = sorted(sum(r) for r in A)
-    degB = sorted(sum(r) for r in B)
-    if degA != degB:
-        return False
-    perm = [None] * n
-    used = [False] * n
-
-    def backtrack(i):
-        if i == n:
-            return True
-        for j in range(n):
-            if used[j] or sum(A[i]) != sum(B[j]):
-                continue
-            ok = True
-            for k in range(i):
-                if A[i][k] != B[j][perm[k]] or A[k][i] != B[perm[k]][j]:
-                    ok = False
-                    break
-            if ok and A[i][i] == B[j][j]:
-                perm[i] = j
-                used[j] = True
-                if backtrack(i + 1):
-                    return True
-                used[j] = False
-        return False
-
-    return backtrack(0)
-
-
-# affine E-diagrams by node count: a star with three arms of length 2, and
-# paths of 7 and 8 nodes with one more leaf at node 3 and node 2
-_AFFINE_E = {
-    7: ("E6", [(0, 1), (1, 2), (3, 4), (4, 2), (5, 6), (6, 2)]),
-    8: ("E7", [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 7)]),
-    9: ("E8", [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (2, 8)]),
-}
-
-
-def _affine_candidates(n: int):
-    """Affine A-D-E adjacencies on n nodes; every edge adds 1 both ways, so
-    the n-cycle's one loop gives A0 = [[2]] and its two edges A1's double."""
-    edges = {"A%d" % (n - 1): [(i, (i + 1) % n) for i in range(n)]} if n else {}
-    if n >= 5:
-        # affine D_(n-1): a path 4..n-1 with leaves 0, 1 and 2, 3 at its ends
-        path = list(range(4, n))
-        edges["D%d" % (n - 1)] = list(zip(path, path[1:])) + [
-            (0, 4), (1, 4), (2, n - 1), (3, n - 1)
-        ]
-    if n in _AFFINE_E:
-        name, e = _AFFINE_E[n]
-        edges[name] = e
-    out = {}
-    for name, es in edges.items():
-        adj = out[name] = [[0] * n for _ in range(n)]
-        for a, b in es:
-            adj[a][b] += 1
-            adj[b][a] += 1
-    return out
+def _affine_marks(A: IntMatrix) -> list:
+    """The marks delta > 0 spanning ker(2I - A), as `recognize_affine_ade` checks them."""
+    n, grid = A.rows, A.to_lists()
+    if A.cols == n and all(a >= 0 and a == grid[j][i] and (i != j or n == 1 or not a)
+                           for i, row in enumerate(grid) for j, a in enumerate(row)):
+        cartan = [[2 * (i == j) - a for j, a in enumerate(row)] for i, row in enumerate(grid)]
+        _, _, D, V, _ = _smith_engine(cartan, n, v=True)
+        free = _free_columns(D, n)
+        if len(free) == 1 and all(d * V[free[0]][0] > 0 for d in V[free[0]]):
+            return [abs(d) for d in V[free[0]]]
+    raise ValueError("adjacency is not an affine A-D-E diagram")
 
 
 def recognize_affine_ade(A: IntMatrix) -> str:
-    """Name the affine A-D-E diagram isomorphic to the given adjacency."""
-    lists = A.to_lists()
-    for name, cand in _affine_candidates(A.rows).items():
-        if _graph_isomorphic(lists, cand):
-            return name
-    raise ValueError("adjacency is not an affine A-D-E diagram")
+    """Name the affine A-D-E diagram with adjacency A, up to relabelling.
+
+    A must be square, symmetric and nonnegative, with a zero diagonal past
+    one node, and ker(2I - A) must have rank 1 and a generator of one sign
+    (a disconnected graph fails one of the two).  That generator, a column
+    of the unimodular Smith transform V and so primitive, is the marks
+    delta > 0.  The largest mark names the n-node diagram: 1 for A(n-1), 2
+    for D(n-1), 3, 4 or 6 for E6, E7 or E8.  So the loop [[2]] is A0 and
+    the double edge [[0, 2], [2, 0]] is A1.  Other input raises ValueError.
+    """
+    marks = _affine_marks(A)
+    return "%s%d" % ({1: "A", 2: "D"}.get(max(marks), "E"), len(marks) - 1)
 
 
 # -- symbolic rings: SU(2), O(2), circle ----------------------------------------------

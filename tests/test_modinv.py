@@ -126,7 +126,17 @@ def test_level_10_finds_three_including_the_e_block():
 def test_ciz_census_above_level_ten(level, count):
     # A alone at odd level, A + D at even level, E7 at 16 and E8 at 28:
     # the levels where the Hermite walk prunes branches
-    assert len(enumerate_invariants(level)) == count
+    invs = enumerate_invariants(level)
+    assert len(invs) == count
+    # CIZ: each diagonal (Z_ll)_l is the exponent multiplicity vector of one
+    # A-D-E graph of Coxeter number level + 2, and each graph has one invariant
+    m = level + 1
+    diagonals = sorted(tuple(z.matrix[lam][lam] for lam in range(m)) for z in invs)
+    graphs = ["A%d" % m] + (["D%d" % (level // 2 + 2)] if level % 2 == 0 else [])
+    graphs += {10: ["E6"], 16: ["E7"], 28: ["E8"]}.get(level, [])
+    exponents = [nimrep_from_graph(ade_graph(g)[0], level).exponents for g in graphs]
+    spectra = sorted(tuple(e.count(lam) for lam in range(m)) for e in exponents)
+    assert diagonals == spectra
 
 
 @pytest.mark.parametrize("level", [2, 3, 4, 5, 6, 10])

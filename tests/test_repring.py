@@ -31,6 +31,8 @@ from hypothesis import given, settings, strategies as st
 
 from verlkit import cyclo, repring
 from verlkit.cyclo import CycNumber
+from verlkit.exactla import IntMatrix, kernel_basis
+from verlkit.modinv import ade_graph
 from verlkit.repring import (
     GroupMismatch,
     InvalidEmbedding,
@@ -304,6 +306,63 @@ def test_mckay_affine_cartan_property():
         for i in range(len(dims)):
             acc = sum(A[(i, j)] * dims[j] for j in range(len(dims)))
             assert acc == 2 * dims[i]
+        # the marks that name the diagram are the irrep dimensions (McKay)
+        assert repring._affine_marks(A) == ct.dims
+
+
+AFFINE = ["A%d" % n for n in range(1, 10)] + ["D%d" % n for n in range(4, 10)] + ["E6", "E7", "E8"]
+
+
+def _affine_grid(name):
+    """The affine diagram: ade_graph's finite graph plus its extending node,
+    joined to both ends of A_n (twice to the one node of A1), to node 1 of
+    D_n, and to the end of the arm that it lengthens to 2 in E6, 3 in E7
+    and 5 in E8."""
+    A, _ = ade_graph(name)
+    n = A.rows
+    ends = {"A": [0, n - 1], "D": [1]}.get(name[0]) or {"E6": [5], "E7": [0], "E8": [6]}[name]
+    grid = [row + [0] for row in A.to_lists()] + [[0] * (n + 1)]
+    for i in ends:
+        grid[i][n] += 1
+        grid[n][i] += 1
+    return grid
+
+
+def test_affine_diagrams_are_named_under_relabelling():
+    assert recognize_affine_ade(IntMatrix.from_rows([[2]])) == "A0"
+    assert _affine_grid("A1") == [[0, 2], [2, 0]]
+    rng = random.Random(31)
+    for name in AFFINE:
+        grid = _affine_grid(name)
+        for _ in range(5):
+            p = rng.sample(range(len(grid)), len(grid))
+            relabelled = IntMatrix.from_rows([[grid[i][j] for j in p] for i in p])
+            assert recognize_affine_ade(relabelled) == name
+
+
+def _union(a, b):
+    return [row + [0] * len(b) for row in a] + [[0] * len(a) + row for row in b]
+
+
+def test_non_affine_adjacencies_are_refused():
+    # each has a positive null vector of 2I - A, so only one guard refuses it:
+    # asymmetric, looped, and a 4-cycle with a negative entry
+    guarded = [[[0, 1], [4, 0]], [[1, 1], [1, 1]],
+               [[0, -1, 0, 3], [-1, 0, 3, 0], [0, 3, 0, -1], [3, 0, -1, 0]]]
+    for grid in guarded:
+        cartan = IntMatrix.from_rows(
+            [[2 * (i == j) - a for j, a in enumerate(row)] for i, row in enumerate(grid)])
+        kernel = kernel_basis(cartan)
+        assert kernel.cols == 1 and (min(kernel.col(0)) > 0 or max(kernel.col(0)) < 0)
+    refused = [ade_graph(name)[0] for name in AFFINE]
+    # two affine components give a kernel of rank 2; an affine one beside a
+    # finite one a generator with zeros
+    unions = [_union(_affine_grid("D4"), _affine_grid("A2")), _union(_affine_grid("A2"), [[0]])]
+    refused += [IntMatrix.from_rows(g) for g in unions + guarded]
+    refused.append(IntMatrix.zero(0, 0))
+    for A in refused:
+        with pytest.raises(ValueError, match="not an affine A-D-E diagram"):
+            recognize_affine_ade(A)
 
 
 def test_gradings_census():
