@@ -30,18 +30,18 @@ prepares B for the key -> key product `step`: a table of the packed
 z^t * B_lj, t < phi(L), built once per order and slot width, so each
 product row is one sum of integer multiples of table rows, already
 reduced (the power-basis multiplication table; H. Cohen, A Course in
-Computational Algebraic Number Theory, ch. 4).  `_key_trace` and
-`_key_ints` read traces and integer entries off a key; `_mat_mul` and
-`_unkey` give CycNumbers back.
+Computational Algebraic Number Theory, ch. 4).  `_key_trace` reads traces
+off a key and `_unkey` gives CycNumbers back.  `_key_ints` is the one reader
+of integer entries: character tables, Verlinde fusion and S^2 go through it.
 Roots of unity are exponents: `_root_exponent` finds x = zeta_n^e by one
-lookup in the power table, and `_rotate` writes the vector of zeta_N^q * x
-as one sum of packed rows of the power table, with no product.  With them
-`fusion.ModularData` checks (ST)^3 = S^2 on keys in Q(zeta_B), the field
-of S: when every prime of R = L/B divides B, Phi_L(z) = Phi_B(z^R)
-(Washington, Introduction to Cyclotomic Fields, ch. 2), so zeta_L^0, ...,
-zeta_L^(R-1) are a basis of Q(zeta_L) over Q(zeta_B), and the coordinates
-on it of a canonical vector at L are its stride-R slices, as in `_descend`
-for p | d.
+lookup in the power table, and `_rotate` writes zeta_N^q * x, with no
+product, as a substitution with an offset: `_substitute` at z -> zeta_N^(N/n)
+shifted by q.  With them `fusion.ModularData` checks (ST)^3 = S^2 on keys
+in Q(zeta_B), the field of S: when every prime of R = L/B divides B,
+Phi_L(z) = Phi_B(z^R) (Washington, Introduction to Cyclotomic Fields,
+ch. 2), so zeta_L^0, ..., zeta_L^(R-1) are a basis of Q(zeta_L) over
+Q(zeta_B), and the coordinates on it of a canonical vector at L are its
+stride-R slices, as in `_descend` for p | d.
 Real values are bounded with integers alone: `_real_enclosure` writes
 den * x = sum_t c_t cos(2 pi t / N) and sums a fixed-point cosine table
 (`_cos_table`: Machin's pi and Taylor series in integers, each entry
@@ -256,14 +256,14 @@ def _fold(prod: int, width: int, cond: _CondData):
     return _unpack(acc, phi, width)
 
 
-def _substitute(vec, k: int, cond: _CondData):
-    """Canonical vector of the sum of vec[i] * z^(i*k), z = zeta_{cond.n}.
+def _substitute(vec, k: int, cond: _CondData, q: int = 0):
+    """Canonical vector of the sum of vec[i] * z^(q + i*k), z = zeta_{cond.n}.
     An exponent e < phi has the unit row: its coefficient goes to out[e]."""
     phi, n, rows = cond.phi, cond.n, cond.rows
     out = [0] * phi
     for i, c in enumerate(vec):
         if c:
-            e = i * k % n
+            e = (q + i * k) % n
             if e < phi:
                 out[e] += c
             else:
@@ -691,15 +691,11 @@ def _root_exponent(x):
 
 def _rotate(vec, q: int, n: int, N: int):
     """Canonical vector at order N of zeta_N^q * x, for x with the canonical
-    vector `vec` at an order n dividing N: sum_i vec[i] zeta_N^(q + i N/n)
-    as one sum of packed rows of the power table of N, and one unpack.  Its
-    coefficients are at most sum |vec_i| * row_max, which sets the width."""
+    vector `vec` at an order n dividing N: the substitution z -> zeta_N^(N/n)
+    with the offset q, sum_i vec[i] zeta_N^(q + i N/n)."""
     if N % n:
         raise ValueError("can only rotate at a multiple of the order")
-    cond, k = _cond(N), N // n
-    width = _width(sum(map(abs, vec)) * cond.row_max)
-    rows = cond.packed_rows(width)
-    return _unpack(sum(c * rows[(q + i * k) % N] for i, c in enumerate(vec) if c), cond.phi, width)
+    return _substitute(vec, N // n, _cond(N), q)
 
 
 def _key(M, order: int = 1):
@@ -750,16 +746,21 @@ def _key_trace(key, dim: int) -> CycNumber:
 
 
 def _key_ints(key, scale: int = 1):
-    """The entries of a key over `scale`, row-major, as integers; ValueError
-    when one is not rational or not an integer multiple of `scale`."""
+    """The entries of a key over `scale`, row-major, as integers.  The first
+    entry that is not rational or not an integer multiple of `scale` raises a
+    ValueError; its `index` is the entry's row-major position and its `value`
+    the entry over `scale` as a Fraction, None when it is not rational."""
     L, d, flat = key
     phi, scale = _cond(L).phi, scale * d
-    if any(map(any, (flat[t::phi] for t in range(1, phi)))):
-        raise ValueError("not rational")
-    bad = next((c for c in flat[::phi] if c % scale), None)
-    if bad is not None:
-        raise ValueError("not an integer: %s" % Fraction(bad, scale))
-    return [c // scale for c in flat[::phi]]
+    ints = flat[::phi]
+    if any(map(any, (flat[t::phi] for t in range(1, phi)))) or any(c % scale for c in ints):
+        for i, c in enumerate(ints):
+            q = None if any(flat[i * phi + 1 : (i + 1) * phi]) else Fraction(c, scale)
+            if q is None or q.denominator != 1:
+                err = ValueError("not rational" if q is None else "not an integer: %s" % q)
+                err.index, err.value = i, q
+                raise err
+    return [c // scale for c in ints]
 
 
 def _times(B):
@@ -821,11 +822,6 @@ def _times(B):
 
     times.step = step
     return times
-
-
-def _mat_mul(A, B):
-    """Product of two matrices of CycNumbers, given as row sequences."""
-    return _times(B)(A)
 
 
 # -- spec operation wrappers -----------------------------------------------------

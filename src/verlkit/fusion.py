@@ -12,11 +12,11 @@ group-like ring holds one entry per product; the dense m x m x m tensor
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import gcd, lcm, prod
 
 from .cyclo import (
-    DivisionByZero, _key, _mat_mul, _pack, _prime_factors, _root_exponent, _rotate, _times,
+    DivisionByZero, _key, _key_ints, _pack, _prime_factors, _root_exponent, _rotate, _times,
     _width, rational, sin_frac, sqrt_int, zeta,
 )
 from .exactla import FGAbelianGroup, IntMatrix, _cayley_invariants, _Frozen, cokernel
@@ -65,12 +65,14 @@ _ZERO = rational(0)
 
 def _as_permutation(key, m: int):
     """The permutation of an m x m permutation matrix given by its key, or
-    None for any other matrix.  Coordinate 0 of each row must hold a 1; with
-    d = 1 and m as the sum of all |flat|, every other coordinate is 0."""
-    _, d, flat = key
-    phi = len(flat) // (m * m or 1)
-    rows = [flat[i * m * phi:(i + 1) * m * phi:phi] for i in range(m)]
-    if d != 1 or sum(map(abs, flat)) != m or any(1 not in row for row in rows):
+    None for any other matrix: its entries must be integers whose absolute
+    values sum to m, with a 1 in every row."""
+    try:
+        ints = _key_ints(key)
+    except ValueError:
+        return None
+    rows = [ints[i * m:(i + 1) * m] for i in range(m)]
+    if sum(map(abs, ints)) != m or any(1 not in row for row in rows):
         return None
     return tuple(row.index(1) for row in rows)
 
@@ -155,13 +157,10 @@ def _phase_holds(kS, Sc, roots) -> bool:
     B = lcm(n, *_prime_factors(L))
     R = L // B
     e = [r * (L // nr) for nr, r in roots]
-    rotated = {}
+    rotate = cache(lambda vec, q: _rotate(vec, q, n, B))
 
     def entry(i, j, q):  # zeta_B^q S_ij, at order B, over d
-        cell = flat[(i * m + j) * f:(i * m + j + 1) * f], q
-        if cell not in rotated:
-            rotated[cell] = _rotate(*cell, n, B)
-        return rotated[cell]
+        return rotate(flat[(i * m + j) * f:(i * m + j + 1) * f], q)
 
     classes = {}
     for k in range(m):
@@ -366,10 +365,11 @@ def su2_modular_data(k: int) -> ModularData:
 def verlinde_matrices(D: ModularData) -> FusionRing:
     """Fusion ring diagonalized by S: N_{lm}^n = sum_c S_lc S_mc S*_nc / S_0c.
 
-    The sums are one exact product Y Z^t: Y has a row x_lc x_mc per l <= m
-    (x_ac = S_ac / S_0c) and Z^t[c][n] = conj(x_nc) |S_0c|^2.  The first
-    entry in (l, m >= l, n) order that is not a nonnegative integer raises
-    NonIntegralFusion.
+    The sums are one key product Y Z^t (`cyclo._times`): Y has a row
+    x_lc x_mc per l <= m (x_ac = S_ac / S_0c) and Z^t[c][n] = conj(x_nc)
+    |S_0c|^2; `cyclo._key_ints` reads the coefficients off its key.  The
+    first entry in (l, m >= l, n) order that is not an integer raises
+    NonIntegralFusion, and if there is none, the first negative one.
     """
     m = len(D.labels)
     S = D.S
@@ -382,21 +382,19 @@ def verlinde_matrices(D: ModularData) -> FusionRing:
     w = [(S[0][c] * S[0][c].conjugate()).normalized() for c in range(m)]
     zt = [[(x[nu][c].conjugate() * w[c]).normalized() for nu in range(m)] for c in range(m)]
     pairs = [(lam, mu) for lam in range(m) for mu in range(lam, m)]
-    sums = _mat_mul([[x[lam][c] * x[mu][c] for c in range(m)] for lam, mu in pairs], zt)
+    key = _times(zt).step(_key([[x[a][c] * x[b][c] for c in range(m)] for a, b in pairs]))
+    try:
+        coeffs = _key_ints(key)
+        bad = next(((i, c) for i, c in enumerate(coeffs) if c < 0), None)
+    except ValueError as err:
+        bad = err.index, err.value
+    if bad:
+        i, q = bad
+        what = "non-rational fusion coefficient" if q is None else "fusion coefficient %s" % q
+        raise NonIntegralFusion("%s at %r x %r" % (what, *pairs[i // m]))
     N = [[None] * m for _ in range(m)]
-    for (lam, mu), row in zip(pairs, sums):
-        N[lam][mu] = N[mu][lam] = rule = {}
-        for nu, acc in enumerate(row):
-            if not acc.is_rational():
-                raise NonIntegralFusion(
-                    "non-rational fusion coefficient at %r x %r" % (lam, mu)
-                )
-            f = acc.as_fraction()
-            if f.denominator != 1 or f < 0:
-                raise NonIntegralFusion(
-                    "fusion coefficient %s at %r x %r" % (f, lam, mu)
-                )
-            rule[nu] = f
+    for i, (lam, mu) in enumerate(pairs):
+        N[lam][mu] = N[mu][lam] = coeffs[i * m:(i + 1) * m]
     return FusionRing(D.labels, N)
 
 
@@ -472,17 +470,18 @@ def double_abelian(G):
     """
     orders = _cyclic_orders(G)
     L, chi = _pairing(orders)
-    prim = [(a, x) for a in _tuples(orders) for x in _tuples(orders)]
+    elements = _tuples(orders)
+    prim = [(a, x) for a in elements for x in elements]
     # S takes L distinct values zeta_L^-e / |G|, each built once
     pref = Fraction(1, prod(orders))
     values = [(zeta(L, -e % L) * pref).normalized() for e in range(L)]
     S = [[values[(chi(x, b) + chi(y, a)) % L] for (b, y) in prim] for (a, x) in prim]
     T = [zeta(L, chi(x, a)) for (a, x) in prim]
-    index = {p: i for i, p in enumerate(prim)}
-    N = [
-        [{index[(_elt_add(a, b, orders), _elt_add(x, y, orders))]: 1} for (b, y) in prim]
-        for (a, x) in prim
-    ]
+    # prim[i * g + j] is (elements[i], elements[j]), so a product is one index
+    g = len(elements)
+    add = [[elements.index(_elt_add(a, b, orders)) for b in elements] for a in elements]
+    N = [[{add[a][b] * g + add[x][y]: 1} for b in range(g) for y in range(g)]
+         for a in range(g) for x in range(g)]
     return ModularData(tuple(prim), S, T), FusionRing(tuple(prim), N)
 
 
@@ -525,7 +524,7 @@ def double_cyclic_twisted(n: int, sigma: int) -> FusionRing:
 
 
 def level1_data(name: str):
-    """Exact modular data and fusion ring of SU(3)_1 or Sp(4)_1.
+    """Exact modular data of SU(3)_1 or Sp(4)_1 and their Verlinde fusion ring.
 
     SU(3)_1 has three primaries {(00),(10),(01)} obeying Z_3 fusion;
     Sp(4)_1 has three primaries {(00),(01),(10)} obeying the Ising rules
@@ -540,7 +539,6 @@ def level1_data(name: str):
         # c = 2, h = 0, 1/3, 1/3
         t0 = zeta(12, 11)
         T = [t0, t0 * w, t0 * w]
-        N = [[{0: 1}, {1: 1}, {2: 1}], [{1: 1}, {2: 1}, {0: 1}], [{2: 1}, {0: 1}, {1: 1}]]
     elif key == "SP4":
         labels = ("(00)", "(01)", "(10)")
         half, root = _ONE * Fraction(1, 2), sqrt_int(2) * Fraction(1, 2)
@@ -548,7 +546,7 @@ def level1_data(name: str):
         # c = 5/2, h = 0, 1/2, 5/16
         t0 = zeta(48, 43)
         T = [t0, (t0 * zeta(2, 1)).normalized(), (t0 * zeta(16, 5)).normalized()]
-        N = [[{0: 1}, {1: 1}, {2: 1}], [{1: 1}, {0: 1}, {2: 1}], [{2: 1}, {2: 1}, {0: 1, 1: 1}]]
     else:
         raise ValueError("known level-1 theories: SU3, Sp4")
-    return ModularData(labels, S, T), FusionRing(labels, N)
+    md = ModularData(labels, S, T)
+    return md, verlinde_matrices(md)

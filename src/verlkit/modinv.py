@@ -669,10 +669,6 @@ def _coerce_elt(x, orders):
     return t
 
 
-def _elt_sub(a, b, orders):
-    return tuple((ai - bi) % mi for ai, bi, mi in zip(a, b, orders))
-
-
 def alpha_induction_abelian(G, H) -> dict:
     """Both chiral inductions for the double of a finite abelian group.
 
@@ -704,7 +700,7 @@ def alpha_induction_abelian(G, H) -> dict:
             if (_elt_add(a, c, orders), _elt_add(b, d, orders)) not in pairs:
                 raise ValueError("H is not closed under the group law")
 
-    N = sorted({_elt_sub(a, b, orders) for a, b in pairs})
+    N = sorted(a for a, b in pairs if b == zero)  # (a, b) - (b, b) = (a - b, 0) is in H
     coset_rep = {g: min(_elt_add(g, n, orders) for n in N) for g in elements}
     ell_labels = sorted(set(coset_rep.values()))
     _, chi = _pairing(orders)
@@ -769,7 +765,7 @@ def overgroups_of_diagonal(G):
             if T not in subgroups:
                 subgroups.add(T)
                 frontier.append(T)
-    out = [frozenset((a, _elt_sub(a, n, orders)) for a in elements for n in N) for N in subgroups]
+    out = [frozenset((add(a, n), a) for a in elements for n in N) for N in subgroups]
     return sorted(out, key=lambda h: (len(h), sorted(h)))
 
 

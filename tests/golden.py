@@ -39,7 +39,7 @@ def canon(x) -> str:
         return "cyc(%d,%s,%d)" % (x.order, canon(x.num), x.den)
     if isinstance(x, IntMatrix):
         return "mat(%d,%d,%s)" % (x.rows, x.cols, canon(x.data))
-    if isinstance(x, (bool, int, Fraction, str)) or x is None:
+    if isinstance(x, (int, Fraction, str)):
         return repr(x)
     if isinstance(x, (tuple, list)):
         return "[%s]" % ",".join(map(canon, x))

@@ -26,7 +26,7 @@ from verlkit.cyclo import (
     _cyclotomic_poly,
     _fold,
     _key,
-    _mat_mul,
+    _key_ints,
     _mul_int_vecs,
     _pack,
     _poly_divexact,
@@ -512,7 +512,8 @@ def test_coordinate_matrices_rebuild_every_entry_at_one_order_and_scale():
 
 
 def _mat_mul_reference(A, B):
-    """Entrywise sum of scalar products; oracle for the packed `_mat_mul`."""
+    """Entrywise sum of scalar products; oracle for the packed key product
+    `_times(B)(A)`."""
     n, m, p = len(A), len(B), len(B[0]) if B else 0
     return tuple(
         tuple(
@@ -536,7 +537,7 @@ def _random_matrix(rng, rows, cols, orders, size, dens):
 
 
 def _assert_products_agree(A, B):
-    got, want = _mat_mul(A, B), _mat_mul_reference(A, B)
+    got, want = _times(B)(A), _mat_mul_reference(A, B)
     assert len(got) == len(want)
     for g_row, w_row in zip(got, want):
         assert len(g_row) == len(w_row)
@@ -611,16 +612,37 @@ def test_packed_mat_mul_width_holds_huge_coefficients():
 
 def test_packed_mat_mul_rejects_mismatched_shapes():
     with pytest.raises(ValueError):
-        _mat_mul([[1, 1, 1]], [[1], [1]])
+        _times([[1], [1]])([[1, 1, 1]])
     with pytest.raises(ValueError):
-        _mat_mul([[1]], [])
+        _times([])([[1]])
     with pytest.raises(ValueError):
-        _mat_mul([[1, 2], [3]], [[1], [2]])
+        _times([[1], [2]])([[1, 2], [3]])
     with pytest.raises(ValueError):
-        _mat_mul([[1, 2]], [[1], [2, 3]])
+        _times([[1], [2, 3]])([[1, 2]])
     # an empty inner dimension gives the (empty) zero product
-    assert _mat_mul([[], []], []) == ((), ())
-    assert _mat_mul([[zeta(5)]], [[]]) == ((),)
+    assert _times([])([[], []]) == ((), ())
+    assert _times([[]])([[zeta(5)]]) == ((),)
+
+
+def test_key_ints_names_the_first_entry_that_is_not_an_integer():
+    # row-major order decides, not the kind of failure: a half before an
+    # irrational entry is named as the half, and the other way round
+    half, i = rational(Fraction(1, 2)), zeta(4)
+    cases = [
+        ([[1, half], [i, 2]], 1, "not an integer: 1/2", Fraction(1, 2)),
+        ([[1, i], [half, 2]], 1, "not rational", None),
+        ([[2, 3], [4, half]], 3, "not an integer: 1/2", Fraction(1, 2)),
+        ([[3, 1 + i]], 1, "not rational", None),
+    ]
+    for M, index, message, value in cases:
+        with pytest.raises(ValueError) as err:
+            _key_ints(_key(M))
+        assert (str(err.value), err.value.index, err.value.value) == (message, index, value)
+    with pytest.raises(ValueError) as err:
+        _key_ints(_key([[6, 3, 2]]), 3)
+    assert (str(err.value), err.value.index) == ("not an integer: 2/3", 2)
+    assert _key_ints(_key([[2, 4], [-6, 0]]), 2) == [1, 2, -3, 0]
+    assert _key_ints(_key([[zeta(3) + zeta(3, 2), 2 * i * i]])) == [-1, -2]
 
 
 def _unpack_reference(n, count, width):

@@ -421,6 +421,17 @@ def test_verlinde_failure_messages_name_the_first_bad_pair():
     assert str(err.value) == "non-rational fusion coefficient at 0 x 0"
 
 
+def test_verlinde_names_the_first_negative_coefficient():
+    # a negated row 2 of S negates N_{lam mu}^nu when an odd number of
+    # lam, mu, nu are 2: first at 1 x 1 = 0 + 2
+    def negate_row_2(S):
+        S[2] = [-e for e in S[2]]
+
+    with pytest.raises(NonIntegralFusion) as err:
+        verlinde_matrices(_edited_su2_4(negate_row_2))
+    assert str(err.value) == "fusion coefficient -1 at 1 x 1"
+
+
 def test_modular_checks_reduce_once_per_product_entry(monkeypatch):
     # a product that reduces every term modulo Phi_L unpacks m^3 times;
     # the packed key product unpacks twice per output entry
@@ -486,7 +497,7 @@ def _oracle_phase_holds(S, T):
     m = len(S)
     lhs = [[T[i] * S[i][j] * T[j] for j in range(m)] for i in range(m)]
     X = [[T[i].conjugate() * S[i][j].conjugate() for j in range(m)] for i in range(m)]
-    rhs = cyclo._mat_mul(S, X)
+    rhs = cyclo._times(X)(S)
     return all(lhs[i][j] == rhs[i][j] for i in range(m) for j in range(m))
 
 
@@ -498,7 +509,7 @@ def _oracle_valid(S, T):
     if any(S[i][j] != S[j][i] for i in range(m) for j in range(i)):
         return False
     Sc = [[e.conjugate() for e in row] for row in S]
-    P, Q = cyclo._mat_mul(S, Sc), cyclo._mat_mul(S, S)
+    P, Q = cyclo._times(Sc)(S), cyclo._times(S)(S)
     if any(P[i][j] != (1 if i == j else 0) for i in range(m) for j in range(m)):
         return False
     ones = [[j for j in range(m) if Q[i][j] != 0] for i in range(m)]

@@ -704,6 +704,10 @@ def test_decompose_rejects_class_functions_that_are_not_characters():
             ct.decompose([Fraction(1, 2)] * len(ct.classes))
         with pytest.raises(ValueError, match="not rational"):
             ct.decompose([CycNumber(4, [0, 1])] + [0] * (len(ct.classes) - 1))
+        # multiplicities 1/2 and i: the first entry is the one named
+        first, last = ct.chars[ct.labels[0]], ct.chars[ct.labels[-1]]
+        with pytest.raises(ValueError, match="not an integer: 1/2"):
+            ct.decompose([a / 2 + CycNumber(4, [0, 1]) * b for a, b in zip(first, last)])
         with pytest.raises(ValueError, match="one value per class"):
             ct.decompose([1] * (len(ct.classes) + 1))
 
