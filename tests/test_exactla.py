@@ -590,3 +590,24 @@ def test_exact_constructors_accept_integral_values():
     assert LaurentPoly(("a",), {(1.0,): Fraction(6, 3)}).terms == {(1,): 2}
     ring = FusionRing((0, 1), [[[1.0, 0], [0, np.int64(1)]], [{1: 1}, {0: Fraction(2, 2)}]])
     assert ring.N == (((1, 0), (0, 1)), ((0, 1), (1, 0)))
+
+
+FG_ABELIAN_INPUT_ERRORS = {
+    "fractional torsion": (lambda: FGAbelianGroup(0, (Fraction(5, 2),)), ValueError,
+                           "torsion invariant factors must be integers"),
+    "negative free rank": (lambda: FGAbelianGroup(-1), ValueError,
+                           "free rank must be nonnegative"),
+    "trivial torsion": (lambda: FGAbelianGroup(0, (1,)), ValueError,
+                        "torsion invariant factors must be >= 2"),
+    "no divisibility chain": (lambda: FGAbelianGroup(0, (2, 3)), ValueError,
+                              "invariant factors must form a divisibility chain"),
+    "one label short": (lambda: FGAbelianGroup(1, (2,), ["t0"]), ValueError,
+                        "need one label per invariant factor and free generator"),
+}
+
+@pytest.mark.parametrize("case", FG_ABELIAN_INPUT_ERRORS)
+def test_fg_abelian_group_input_errors_are_named(case):
+    call, kind, message = FG_ABELIAN_INPUT_ERRORS[case]
+    with pytest.raises(kind) as err:
+        call()
+    assert type(err.value) is kind and str(err.value) == message

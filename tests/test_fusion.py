@@ -67,15 +67,6 @@ MAX_LEVEL = 16
 _ONE, _ZERO = rational(1), rational(0)
 
 
-@pytest.fixture(scope="module")
-def su2():
-    data = {}
-    for k in range(1, MAX_LEVEL + 1):
-        md = su2_modular_data(k)
-        data[k] = (md, verlinde_matrices(md))
-    return data
-
-
 def _oracle_twisted_orders(n: int, sigma: int):
     """Element-order multiset of the twisted double's fusion group.
 
@@ -908,3 +899,24 @@ def test_level1_sp4():
 def test_level1_unknown_name():
     with pytest.raises(ValueError):
         level1_data("G2")
+
+
+_UNIT_ROWS = [[{0: 1}, {1: 1}, {2: 1}], [{1: 1}, {0: 1}, {1: 1}], [{2: 1}, {2: 1}, {0: 1}]]
+FUSION_RING_INPUT_ERRORS = {
+    "short dense row": (lambda: FusionRing(["a"], [[[1, 0]]]), ValueError,
+                        "structure constants must be m x m x m"),
+    "missing plane": (lambda: FusionRing(["a", "b"], [[[1, 0], [0, 1]]]), ValueError,
+                      "structure constants must be m x m x m"),
+    "unit out of range": (lambda: FusionRing(["a"], [[[1]]], unit=1), ValueError,
+                          "unit label out of range"),
+    # 1 x 2 = 1 but 2 x 1 = 2
+    "not commutative": (lambda: FusionRing("abc", _UNIT_ROWS), ValueError,
+                        "fusion must be commutative"),
+}
+
+@pytest.mark.parametrize("case", FUSION_RING_INPUT_ERRORS)
+def test_fusion_ring_input_errors_are_named(case):
+    call, kind, message = FUSION_RING_INPUT_ERRORS[case]
+    with pytest.raises(kind) as err:
+        call()
+    assert type(err.value) is kind and str(err.value) == message

@@ -996,3 +996,28 @@ def test_embed_invariant_first_failures_match_the_cyclotomic_loops(name, level, 
             got = str(exc) if "intertwine" in str(exc) else None
         assert got == want
     assert s_only > 0
+
+
+MODINV_INPUT_ERRORS = {
+    "non-square invariant": (lambda: ModularInvariant([[1, 0]]), ValueError,
+                             "invariant matrix must be square"),
+    "empty branching": (lambda: BranchingRule([]), ValueError,
+                        "branching matrix must be nonempty"),
+    "ragged branching": (lambda: BranchingRule([[1, 0], [1]]), ValueError,
+                         "branching rows must have equal length"),
+    "plain integer in a product": (lambda: alpha_induction_abelian((2, 2), [(0, 0)]), ValueError,
+                                   "plain integers only label single cyclic factors"),
+    "too many components": (lambda: alpha_induction_abelian(2, [((0, 1), 0)]), ValueError,
+                            "element has the wrong number of components"),
+    "non-square adjacency": (lambda: nimrep_from_graph([[0, 1]], 2), ValueError,
+                             "adjacency matrix must be square"),
+    "negative level": (lambda: nimrep_from_graph(ade_graph("A3")[0], -1), ValueError,
+                       "level must be nonnegative"),
+}
+
+@pytest.mark.parametrize("case", MODINV_INPUT_ERRORS)
+def test_modinv_input_errors_are_named(case):
+    call, kind, message = MODINV_INPUT_ERRORS[case]
+    with pytest.raises(kind) as err:
+        call()
+    assert type(err.value) is kind and str(err.value) == message

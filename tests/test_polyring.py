@@ -441,3 +441,30 @@ def test_e6_tor_builds_the_sigma_complex_once(monkeypatch):
     first, second = e6_tor(8)[2], e6_tor(13)[2]
     assert len(calls) == 1
     assert first["coprime_witness"] == second["coprime_witness"]
+
+
+POLYRING_INPUT_ERRORS = {
+    "three variables": (lambda: LaurentPoly(("a", "b", "c"), {}), ValueError,
+                        "one or two variables only"),
+    "exponent arity": (lambda: LaurentPoly(("a",), {(1, 2): 1}), ValueError,
+                       "exponent arity mismatch"),
+    "zero stride": (lambda: TruncationWindow([(0, 20)], stride=0), ValueError,
+                    "stride must be positive"),
+    "window arity": (lambda: truncated_quotient(("a",), [a], TruncationWindow([(0, 20)] * 2)),
+                     ValueError, "window arity does not match the variable count"),
+    "integer relation": (lambda: truncated_quotient(("a",), [1], TruncationWindow([(0, 20)])),
+                         TypeError, "relations must be LaurentPoly values"),
+    "zero relation": (lambda: truncated_quotient(("a",), [a - a], TruncationWindow([(0, 20)])),
+                      ValueError, "zero relation is not shift-periodic"),
+    "other ring": (
+        lambda: truncated_quotient(("a",), [LaurentPoly.var("b")], TruncationWindow([(0, 20)])),
+        ValueError, "relation lives in a different ring",
+    ),
+}
+
+@pytest.mark.parametrize("case", POLYRING_INPUT_ERRORS)
+def test_polyring_input_errors_are_named(case):
+    call, kind, message = POLYRING_INPUT_ERRORS[case]
+    with pytest.raises(kind) as err:
+        call()
+    assert type(err.value) is kind and str(err.value) == message

@@ -439,6 +439,43 @@ def test_fold_refused_without_grading():
             graded_fold(quaternion_group(name))
 
 
+def test_a_fold_needs_one_grading_with_a_sign_character():
+    with pytest.raises(ValueError) as err:
+        graded_fold(quaternion_group("BD4"))
+    assert str(err.value) == "BD4 has 3 gradings; pass one explicitly"
+    G = quaternion_group("A3")
+    (gr,) = gradings(G)
+    with pytest.raises(SelfCheckFailure) as err:
+        graded_fold(G, repring.Grading(G, gr.kernel, gr.values, None))
+    assert str(err.value) == "grading has no matching sign character"
+
+
+# E7 folds onto E6 (psi = 1'): 2'' and 4 are fixed, 1, 2, 3 stand for their
+# pairs.  Each fake below changes one answer on one irrep, so one check fails.
+E7_FOLD_FAULTS = {
+    "fixed node 4 is not type 1_2": ("classify_graded", "4", lambda rho, gr: "2_1"),
+    "swapped node 3 is not type 2_1": ("classify_graded", "3", lambda rho, gr: "1_2"),
+    "type 1_2 restriction did not split in two":
+        ("restrict", "4", lambda rho, emb: restrict(irrep_vr(rho.group, "1"), emb)),
+    "type 2_1 restriction is not irreducible":
+        ("restrict", "3", lambda rho, emb: restrict(irrep_vr(rho.group, "4"), emb)),
+    "folded nodes do not biject with kernel irreps":
+        ("restrict", "3", lambda rho, emb: restrict(irrep_vr(rho.group, "1"), emb)),
+}
+
+
+@pytest.mark.parametrize("message", E7_FOLD_FAULTS)
+def test_each_fold_check_fails_on_its_own(monkeypatch, message):
+    name, label, fake = E7_FOLD_FAULTS[message]
+    real = getattr(repring, name)
+    monkeypatch.setattr(
+        repring, name, lambda rho, x: (fake if rho.coeffs == {label: 1} else real)(rho, x)
+    )
+    with pytest.raises(SelfCheckFailure) as err:
+        graded_fold(quaternion_group("E7"))
+    assert str(err.value) == message
+
+
 def test_e7_fold_types():
     r = graded_fold(quaternion_group("E7"))
     assert r["psi"] == "1'"
@@ -741,6 +778,42 @@ def test_group_index_is_built_on_first_use_and_folds_do_not_need_it():
             K, image = repring._kernel_group(H, gr)
             assert image == tuple(H.index[e] for e in K.elements)
     assert embedding("D5", "E7").sup is quaternion_group("E7")
+
+
+def _d4(label):
+    return irrep_vr(quaternion_group("D4"), label)
+
+
+def _d4_grading():
+    return next(g for g in gradings(quaternion_group("D4")) if g.psi_label == "s2")
+
+
+PUBLIC_INPUT_ERRORS = {
+    "unknown O(2) irrep":
+        (lambda: classify_graded("lambda"), ValueError, "unknown O(2) irrep 'lambda'"),
+    "no grading":
+        (lambda: classify_graded(_d4("t")), ValueError, "a Grading is required for finite groups"),
+    "other group": (
+        lambda: classify_graded(irrep_vr(quaternion_group("A3"), "r'_1"), _d4_grading()),
+        GroupMismatch, "rho and grading live in different groups",
+    ),
+    "not irreducible": (
+        lambda: classify_graded(2 * _d4("t"), _d4_grading()),
+        ValueError, "classify_graded wants a single irreducible",
+    ),
+    "negative sigma": (
+        lambda: res_su2_to_finite(quaternion_group("D4"), -1),
+        ValueError, "sigma index must be nonnegative",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", PUBLIC_INPUT_ERRORS)
+def test_public_input_errors_are_typed_and_named(case):
+    call, kind, message = PUBLIC_INPUT_ERRORS[case]
+    with pytest.raises(kind) as err:
+        call()
+    assert type(err.value) is kind and str(err.value) == message
 
 
 DEGENERATE_ORDERS = {
