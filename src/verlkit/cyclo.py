@@ -48,11 +48,19 @@ den * x = sum_t c_t cos(2 pi t / N) and sums a fixed-point cosine table
 within 1 of 2^bits cos(2 pi t / N)) into integers lo <= 2^bits den x <= hi.
 Only `real_embed` uses mpmath, an optional dependency (the `embed` extra),
 and imports it on its first call.
-Two idioms shared across the library live here, because `cyclo` is the one
+Three idioms shared across the library live here, because `cyclo` is the one
 module every other may import and it imports none of them: `_format_combo`
 writes every signed sum of labelled terms (cyclotomic numbers, Laurent
-polynomials, cokernel generators, virtual representations), and `_power`
-is the one square-and-multiply behind both `__pow__` methods.
+polynomials, cokernel generators, virtual representations), `_power`
+is the one square-and-multiply behind both `__pow__` methods, and every
+immutable value of the library, `CycNumber` included, derives from
+`_Frozen`, which refuses writes and deletes, fills slots (`_fill`), and
+copies and pickles a value by calling its constructor again.  A subclass
+lists its `__slots__` in constructor order, then the slots named in its
+`_derived` tuple, which the constructor recomputes or a lazy read refills;
+those are not carried.  `_fill` takes one value for every slot, derived
+ones included, and refuses any other count; `CycNumber` fills its slots
+through `_raw`'s slot setters instead, and derives its normal form `_norm`.
 """
 
 from __future__ import annotations
@@ -305,7 +313,27 @@ def _descend(n: int, p: int, vec):
     return None if any(map(any, coords[1:])) else coords[0]
 
 
-class CycNumber:
+class _Frozen:
+    """An immutable value: its constructor slots rebuild it (see the module docstring)."""
+
+    __slots__ = ()
+    _derived = ()
+
+    def __setattr__(self, *_):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    __delattr__ = __setattr__
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(type(self).__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        slots = type(self).__slots__
+        return type(self), tuple(getattr(self, s) for s in slots if s not in self._derived)
+
+
+class CycNumber(_Frozen):
     """An exact element of Q(zeta_N).
 
     >>> (zeta(4) * zeta(4)).normalized().render()
@@ -315,6 +343,7 @@ class CycNumber:
     """
 
     __slots__ = ("order", "num", "den", "_norm")
+    _derived = ("_norm",)
 
     def __init__(self, order: int, coeffs, den: int = 1) -> None:
         if order < 1:
@@ -328,14 +357,6 @@ class CycNumber:
         scale = lcm(*(c.denominator for c in coeffs))
         num = [int(c * scale) for c in coeffs]
         _raw(order, _substitute(num, 1, cond), den * scale, self)
-
-    def __setattr__(self, *_):
-        raise AttributeError("CycNumber is immutable")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):  # copy and pickle rebuild through _raw, without the cache
-        return _raw, (self.order, self.num, self.den)
 
     # -- fundamentals ---------------------------------------------------------
 
@@ -545,7 +566,7 @@ def _raw(order: int, num_list, den: int, r=None) -> CycNumber:
     return r
 
 
-# the slot setters, past the __setattr__ that makes CycNumber immutable
+# the slot setters, past the __setattr__ of _Frozen
 _SET_ORDER, _SET_NUM, _SET_DEN, _SET_NORM = (
     vars(CycNumber)[a].__set__ for a in CycNumber.__slots__
 )

@@ -25,16 +25,8 @@ generators straight off U^-1's columns.  A pivot row that its pivot
 divides is cleared on V and V^-1 alone.  Every
 group closure is one breadth-first walk, `_closure`, and
 `_cayley_invariants` presents a finite abelian group by the relations of
-its Cayley graph and reads it off the same Smith engine.
-
-Every immutable value of the library but `cyclo.CycNumber` (`cyclo`
-imports no other verlkit module) derives from `_Frozen`, which refuses
-writes and deletes, fills slots (`_fill`), and copies and pickles a
-value by calling its constructor again.  A subclass lists its
-`__slots__` in constructor order, then the slots named in its `_derived`
-tuple, which the constructor recomputes or a lazy read refills; those
-are not carried.  `_fill` takes one value for every slot, derived ones
-included, and refuses any other count.
+its Cayley graph and reads it off the same Smith engine.  Its immutable
+values derive from `cyclo._Frozen`.
 """
 
 from __future__ import annotations
@@ -42,7 +34,7 @@ from __future__ import annotations
 from itertools import product
 from math import prod
 
-from .cyclo import _format_combo
+from .cyclo import _format_combo, _Frozen
 
 __all__ = [
     "IntMatrix",
@@ -66,26 +58,6 @@ class SelfCheckFailure(RuntimeError, AssertionError):
     The one self-check failure of the library: both a RuntimeError and an
     AssertionError, so a handler for either kind catches it.
     """
-
-
-class _Frozen:
-    """An immutable value: its constructor slots rebuild it (see the module docstring)."""
-
-    __slots__ = ()
-    _derived = ()
-
-    def __setattr__(self, *_):
-        raise AttributeError("%s is immutable" % type(self).__name__)
-
-    __delattr__ = __setattr__
-
-    def _fill(self, *values) -> None:
-        for name, value in zip(type(self).__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
-
-    def __reduce__(self):
-        slots = type(self).__slots__
-        return type(self), tuple(getattr(self, s) for s in slots if s not in self._derived)
 
 
 class IntMatrix(_Frozen):

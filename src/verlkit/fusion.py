@@ -16,10 +16,10 @@ from functools import cache, lru_cache
 from math import gcd, lcm, prod
 
 from .cyclo import (
-    DivisionByZero, _key, _key_ints, _pack, _prime_factors, _root_exponent, _rotate, _times,
-    _width, rational, sin_frac, sqrt_int, zeta,
+    DivisionByZero, _Frozen, _key, _key_ints, _pack, _prime_factors, _root_exponent, _rotate,
+    _times, _width, rational, sin_frac, sqrt_int, zeta,
 )
-from .exactla import FGAbelianGroup, IntMatrix, _cayley_invariants, _Frozen, cokernel
+from .exactla import FGAbelianGroup, IntMatrix, _cayley_invariants, cokernel
 
 __all__ = [
     "ModularCheckFailure",
@@ -117,9 +117,9 @@ class ModularData(_Frozen):
         perm = _as_permutation(_times(S).step(kS), m)
         if perm is None:
             raise ModularCheckFailure("S^2 is not a permutation")
-        if any(perm[perm[i]] != i for i in range(m)):
-            raise ModularCheckFailure("charge conjugation must square to 1")
-        # C = S^2 commutes with S, so S* = C S gives S S* = S C S = C^2 = 1
+        # S is symmetric, so is S^2, and a symmetric permutation matrix is its
+        # own inverse: C^2 = 1 needs no check.  C = S^2 commutes with S, so
+        # S* = C S gives S S* = S C S = C^2 = 1
         if any(a != b for i in range(m) for a, b in zip(Sc[i], S[perm[i]])):
             raise ModularCheckFailure("S is not unitary")
         # with S^{-1} = S*, (ST)^3 = S^2 is equivalent to TST = S T^-1 S*

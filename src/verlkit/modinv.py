@@ -42,9 +42,9 @@ from fractions import Fraction
 from math import gcd, prod
 
 from .cyclo import (
-    CycNumber, _key, _pack, _poly_divexact, _real_cyclotomic_poly, _real_enclosure, _width,
+    CycNumber, _Frozen, _key, _pack, _poly_divexact, _real_cyclotomic_poly, _real_enclosure, _width,
 )
-from .exactla import IntMatrix, SelfCheckFailure, _closure, _Frozen, _row_hermite, kernel_basis
+from .exactla import IntMatrix, SelfCheckFailure, _closure, _row_hermite, kernel_basis
 from .fusion import (
     _cyclic_orders, _elt_add, _fusion_failure, _pairing, _tuples, su2_fusion_truncated,
     su2_modular_data,

@@ -15,7 +15,7 @@ from functools import cache
 from itertools import product
 from math import gcd
 
-from .cyclo import _format_combo, _power
+from .cyclo import _format_combo, _Frozen, _power
 from .exactla import (
     FGAbelianGroup,
     IntMatrix,
@@ -24,7 +24,6 @@ from .exactla import (
     _diagonal_solve,
     _factors,
     _free_columns,
-    _Frozen,
     _row_hermite,
     _smith_engine,
     cokernel,

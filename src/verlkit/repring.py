@@ -15,7 +15,9 @@ every multiplicity <chi, psi> as an integer entry of one key product,
 chi diag(class sizes) conj(X)^T, prepared once per table.  Character
 tables are self-verified against the orthogonality relations
 (OrthogonalityFailure, a SelfCheckFailure like every failed self-check).
-A graded fold restricts irreps along the embedding of the grading's kernel.
+A graded fold is one pass over the irreps that cross-checks three
+computations of each: its partner under the sign character (a tensor
+product), its type (a norm on the kernel) and its restriction to the kernel.
 An affine A-D-E diagram is recognized by the null vector of 2I - A,
 which is positive exactly for affine type (Kac, Infinite-dimensional Lie
 algebras, Thm 4.3) and is the irrep dimension vector on a McKay graph
@@ -46,12 +48,10 @@ from math import lcm
 from operator import mul
 
 from .cyclo import (
-    CycNumber, _coerce, _format_combo, _key, _key_ints, _key_trace, _times, _unkey, cos_frac,
-    rational, sin_frac, sqrt_int, zeta,
+    CycNumber, _coerce, _format_combo, _Frozen, _key, _key_ints, _key_trace, _times, _unkey,
+    cos_frac, rational, sin_frac, sqrt_int, zeta,
 )
-from .exactla import (
-    IntMatrix, SelfCheckFailure, _closure, _free_columns, _Frozen, _smith_engine,
-)
+from .exactla import IntMatrix, SelfCheckFailure, _closure, _free_columns, _smith_engine
 
 __all__ = [
     "Quaternion",
@@ -897,70 +897,67 @@ def _kernel_group(G: QuaternionGroup, grading: Grading):
 def graded_fold(G: QuaternionGroup, grading: Grading = None):
     """Fold the McKay graph of G along a grading; verify against kernel.
 
+    One pass over Irr(G) cross-checks three independent computations for
+    each rho: its partner rho (x) psi (`tensor_decompose`; type 1_2 when
+    rho is its own partner, else 2_1), its type (`classify_graded`), and
+    its restriction to the kernel (`restrict`: two irreducibles for 1_2,
+    one for 2_1).  The second node of a swapped pair is skipped, and the
+    restrictions must biject with the kernel's irreps.  A grading of
+    another group raises GroupMismatch.
+
     Returns a dict with the folded-graph name, both node counts, the type
     classification of every irrep, and dim ^eR_G / dim ^eR^1_G.
     """
+    if grading is not None and grading.group.name != G.name:
+        raise GroupMismatch("grading lives in a different group")
     gs = gradings(G)
     if not gs:
         raise NoGradingExists("%s has no index-2 subgroup" % G.name)
     if grading is None:
         if len(gs) > 1:
-            raise ValueError(
-                "%s has %d gradings; pass one explicitly" % (G.name, len(gs))
-            )
+            raise ValueError("%s has %d gradings; pass one explicitly" % (G.name, len(gs)))
         grading = gs[0]
     ct = character_table(G)
     psi = grading.psi_label
     if psi is None:
         raise SelfCheckFailure("grading has no matching sign character")
-    # involution rho -> rho (x) psi
-    invol = {}
-    for lab in ct.labels:
-        img = tensor_decompose(irrep_vr(G, lab), irrep_vr(G, psi))
-        (ilab,) = img.coeffs
-        invol[lab] = ilab
-    fixed = [lab for lab in ct.labels if invol[lab] == lab]
-    pairs = sorted(
-        {tuple(sorted((lab, invol[lab]))) for lab in ct.labels if invol[lab] != lab}
-    )
+    psi_vr = irrep_vr(G, psi)
     K, image = _kernel_group(G, grading)
-    ct_k = character_table(K)
-    # correspondence check: folding the G-graph must reproduce Irr(K)
     emb = Embedding(K, G, image)
-    seen = {}
-    # each fixed node and one node of each swapped pair
-    for lab in fixed + [a for a, _ in pairs]:
+    types, folded = {}, []
+    for lab in ct.labels:
         rho = irrep_vr(G, lab)
-        kind = classify_graded(rho, grading)
-        dec = restrict(rho, emb)
-        if lab in fixed:
+        (partner,) = tensor_decompose(rho, psi_vr).coeffs
+        if partner in types:  # the second node of a swapped pair
+            types[lab] = "2_1"
+            continue
+        types[lab] = "1_2" if partner == lab else "2_1"
+        kind, dec = classify_graded(rho, grading), restrict(rho, emb).coeffs
+        if partner == lab:
             if kind != "1_2":
                 raise SelfCheckFailure("fixed node %s is not type 1_2" % lab)
-            if sorted(dec.coeffs.values()) != [1, 1]:
+            if sorted(dec.values()) != [1, 1]:
                 raise SelfCheckFailure("type 1_2 restriction did not split in two")
         elif kind != "2_1":
             raise SelfCheckFailure("swapped node %s is not type 2_1" % lab)
-        elif list(dec.coeffs.values()) != [1]:
+        elif list(dec.values()) != [1]:
             raise SelfCheckFailure("type 2_1 restriction is not irreducible")
-        for sub_lab in dec.coeffs:
-            seen[sub_lab] = seen.get(sub_lab, 0) + 1
-    if seen != {lab: 1 for lab in ct_k.labels}:
+        folded += dec
+    if sorted(folded) != sorted(character_table(K).labels):
         raise SelfCheckFailure("folded nodes do not biject with kernel irreps")
     A_k, labels_k = mckay_graph(K)
-    folded_name = recognize_affine_ade(A_k)
-    parent_name = recognize_affine_ade(mckay_graph(G)[0])
-    types = {lab: ("1_2" if lab in fixed else "2_1") for lab in ct.labels}
+    kinds = list(types.values())
     return {
         "group": G.name,
-        "group_graph": parent_name,
+        "group_graph": recognize_affine_ade(mckay_graph(G)[0]),
         "group_nodes": len(ct.labels),
         "psi": psi,
         "kernel_order": len(grading.kernel),
-        "folded_graph": folded_name,
+        "folded_graph": recognize_affine_ade(A_k),
         "folded_nodes": len(labels_k),
         "types": types,
-        "dim_graded_ring": len(fixed),
-        "dim_graded_ring_1": len(pairs),
+        "dim_graded_ring": kinds.count("1_2"),
+        "dim_graded_ring_1": kinds.count("2_1") // 2,
         "folded_adjacency": A_k,
         "folded_labels": labels_k,
     }

@@ -345,7 +345,7 @@ def test_immutable_values_copy_and_pickle(trip):
     assert {type(v).__name__ for v in values} == IMMUTABLE
     for value in values:
         cls = type(value)
-        derived = getattr(cls, "_derived", ("_norm",))  # CycNumber's lazy normal form
+        derived = cls._derived
         assert all(getattr(value, d) is not None for d in derived), value
         back = ROUND_TRIPS[trip](value)
         assert type(back) is cls

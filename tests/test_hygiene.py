@@ -13,8 +13,8 @@ internals `_lift`, `_raw`, `_cond`, `_substitute` and `_unpack` (exponent
 lookups and rotations stay behind `cyclo`'s helpers), no module but `cyclo`
 calls `to_bytes` or `from_bytes` or imports `struct` or `array` (the slot
 layout of a packed integer is `cyclo`'s decision), no module but `fusion` reads a
-fusion ring's stored rules `_rules`, only `exactla._Frozen` and
-`cyclo.CycNumber` refuse writes, copy and pickle for their own kind of value
+fusion ring's stored rules `_rules`, only `cyclo._Frozen` refuses writes,
+copies and pickles for every immutable value, `cyclo.CycNumber` included
 (besides `repring.QuaternionGroup`'s `__reduce__`), and other code writes
 past `_Frozen` only into a lazy slot, no module but `exactla` names the
 unchecked IntMatrix constructor `_matrix`, every module states its
@@ -281,8 +281,8 @@ def _class_members(names):
 
 
 def test_immutability_idiom_lives_in_one_base():
-    # every immutable value but CycNumber (cyclo imports no verlkit module) is a _Frozen
-    frozen = {("exactla", "_Frozen"), ("cyclo", "CycNumber")}
+    # every immutable value, CycNumber included, is a _Frozen
+    frozen = {("cyclo", "_Frozen")}
     assert _class_members({"__setattr__", "__delattr__"}) == frozen
     assert _class_members({"__reduce__"}) == frozen | {("repring", "QuaternionGroup")}
     writes = [
@@ -293,7 +293,7 @@ def test_immutability_idiom_lives_in_one_base():
     ]
     lazy = {"'_hash'", "'_times'", "'_matrices'", "'_dense'"}
     # the one write by a variable name is _Frozen._fill's
-    assert [w for w in writes if w[1] not in lazy] == [("exactla", "name")]
+    assert [w for w in writes if w[1] not in lazy] == [("cyclo", "name")]
 
 
 def _top_level_names(tree):

@@ -450,6 +450,17 @@ def test_a_fold_needs_one_grading_with_a_sign_character():
     assert str(err.value) == "grading has no matching sign character"
 
 
+@pytest.mark.parametrize(
+    "name, other", [("D5", "A3"), ("BD4", "BD6"), ("C8", "C12"), ("BD6", "BD4"), ("C12", "C8")]
+)
+def test_a_fold_refuses_a_grading_of_another_group(name, other):
+    G = quaternion_group(name)
+    for gr in gradings(quaternion_group(other)):
+        with pytest.raises(GroupMismatch) as err:
+            graded_fold(G, gr)
+        assert str(err.value) == "grading lives in a different group"
+
+
 # E7 folds onto E6 (psi = 1'): 2'' and 4 are fixed, 1, 2, 3 stand for their
 # pairs.  Each fake below changes one answer on one irrep, so one check fails.
 E7_FOLD_FAULTS = {
