@@ -31,8 +31,9 @@ values derive from `cyclo._Frozen`.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import compress, islice, product
 from math import prod
+from operator import itemgetter
 
 from .cyclo import _format_combo, _Frozen
 
@@ -228,12 +229,14 @@ def _add(fwd, inv, dst, src, q):
 
     `inv` holds the inverse of `fwd` transposed, so the inverse step, column
     src -= q * column dst, is a row operation too.  Either may be None.
+    Each row is updated in place, at the nonzero entries of the row read.
     """
     if q:
-        if fwd is not None:
-            fwd[dst] = [x + q * y for x, y in zip(fwd[dst], fwd[src])]
-        if inv is not None:
-            inv[src] = [x - q * y for x, y in zip(inv[src], inv[dst])]
+        for X, a, b, c in ((fwd, dst, src, q), (inv, src, dst, -q)):
+            if X is not None:
+                out, row = X[a], X[b]
+                for j in compress(range(len(row)), row):
+                    out[j] += c * row[j]
 
 
 def _swap(mats, a, b):
@@ -268,17 +271,23 @@ def _smith_engine(A, n, u=False, uinv=False, v=False, vinv=False):
     Returns (U, U^-1, D, V, V^-1) with U*M*V = D and U, V unimodular, as
     lists of rows, except that U^-1 and V come as lists of their columns.
     The column count n is explicit, as a matrix without rows still has
-    columns.  The engine works in place on A, which becomes D, and on any
-    right-hand side it is given.  Only the transforms flagged are tracked;
+    columns.  The engine works in place on A, which becomes D; a right-hand
+    side it is given is copied row by row first, so rows the caller holds or
+    aliases are never written.  Only the transforms flagged are tracked;
     the others come back as None.  A row step of M acts on the rows of U
     and on the columns of U^-1, a column step on the columns of V and on
     the rows of V^-1, so every transform update is one `_add` or `_swap`
-    of whole lists.  Pivots are chosen with smallest nonzero magnitude to
-    keep entry growth down on the larger connecting matrices.  Once column
-    t is cleared to p*e_t, a pivot p that divides its row (always when
-    |p| = 1) clears the row by bookkeeping: the column steps change only
-    row t of M, so they run on V and V^-1 alone.  Any other pivot row goes
-    through the Euclid sweeps.
+    of whole lists.  The steps skip zeros at C speed with `compress`:
+    `_add` updates a row in place at the nonzero entries of the row it
+    adds, a column step of M visits only the rows with a nonzero in its
+    source column, and the pivot search and the row clear below read only
+    the nonzero entries of each row, so the results are those of a dense
+    pass.  Pivots are chosen with smallest nonzero magnitude, the first in
+    row-major order, to keep entry growth down on the larger connecting
+    matrices.  Once column t is cleared to p*e_t, a pivot p that divides
+    its row (always when |p| = 1) clears the row by bookkeeping: the column
+    steps change only row t of M, so they run on V and V^-1 alone.  Any
+    other pivot row goes through the Euclid sweeps.
 
     `u` and `vinv` may also be the rows of a matrix B (m, resp. n, rows):
     that transform's rows then start from B instead of from I, and its slot
@@ -294,7 +303,7 @@ def _smith_engine(A, n, u=False, uinv=False, v=False, vinv=False):
             return [[0] * i + [1] + [0] * (k - 1 - i) for i in range(k)]
         if len(on) != k:
             raise ValueError("right-hand side needs %d rows" % k)
-        return on
+        return [list(row) for row in on]
 
     U, Uinv_t, V_t, Vinv = start(m, u), start(m, uinv), start(n, v), start(n, vinv)
 
@@ -304,7 +313,7 @@ def _smith_engine(A, n, u=False, uinv=False, v=False, vinv=False):
 
     def col_add(dst, src, q):
         if q:
-            for row in A:
+            for row in compress(A, map(itemgetter(src), A)):
                 row[dst] += q * row[src]
         _add(V_t, Vinv, dst, src, q)
 
@@ -324,14 +333,18 @@ def _smith_engine(A, n, u=False, uinv=False, v=False, vinv=False):
     t = 0
     while t < m and t < n:
         # locate the first smallest-magnitude nonzero entry of the trailing block
-        best = None
-        for i, j in product(range(t, m), range(t, n)):
-            a = abs(A[i][j])
-            if a and (best is None or a < best):
-                best, pi, pj = a, i, j
-                if a == 1:
-                    break
-        if best is None:
+        best = 0
+        for i in range(t, m):
+            row = A[i]
+            for j in compress(range(t, n), islice(row, t, None)):
+                a = abs(row[j])
+                if not best or a < best:
+                    best, pi, pj = a, i, j
+                    if a == 1:
+                        break
+            if best == 1:
+                break
+        if not best:
             break
         row_swap(t, pi)
         col_swap(t, pj)
@@ -341,10 +354,9 @@ def _smith_engine(A, n, u=False, uinv=False, v=False, vinv=False):
         # (t, j): when p divides row t, clear it on V and V^-1 alone
         p, row = A[t][t], A[t]
         if abs(p) == 1 or not any(x % p for x in row[t + 1 :]):
-            for j in range(t + 1, n):
-                if row[j]:
-                    _add(V_t, Vinv, j, t, -(row[j] // p))
-                    row[j] = 0
+            for j in compress(range(t + 1, n), islice(row, t + 1, None)):
+                _add(V_t, Vinv, j, t, -(row[j] // p))
+                row[j] = 0
         else:
             # clear column t, then row t; a column step can refill the column
             while not (_sweep(lambda i: A[i][t], t, m, row_add, row_swap)

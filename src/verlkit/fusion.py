@@ -66,7 +66,7 @@ _ZERO = rational(0)
 def _as_permutation(key, m: int):
     """The permutation of an m x m permutation matrix given by its key, or
     None for any other matrix: its entries must be integers whose absolute
-    values sum to m, with a 1 in every row."""
+    values sum to m, with a 1 in every row and no two in one column."""
     try:
         ints = _key_ints(key)
     except ValueError:
@@ -74,7 +74,8 @@ def _as_permutation(key, m: int):
     rows = [ints[i * m:(i + 1) * m] for i in range(m)]
     if sum(map(abs, ints)) != m or any(1 not in row for row in rows):
         return None
-    return tuple(row.index(1) for row in rows)
+    perm = tuple(row.index(1) for row in rows)
+    return perm if len(set(perm)) == m else None
 
 
 class ModularData(_Frozen):

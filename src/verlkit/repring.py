@@ -41,6 +41,7 @@ gives its elements.  A canonical embedding is literal containment unless
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -838,13 +839,13 @@ def classify_graded(rho, grading: Grading = None) -> str:
     "1_2": restriction splits into two conjugate irreducibles.
 
     A string argument names an O(2)-irrep, graded by the circle kernel:
-    "1" and "delta" restrict irreducibly, every "kappa_i" splits.
+    "1" and "delta" restrict irreducibly, every "kappa_i" (decimal i >= 1)
+    splits.
     """
     if isinstance(rho, str):
         if rho in ("1", "delta"):
             return "2_1"
-        if rho.startswith("kappa_"):
-            int(rho.split("_")[1])
+        if re.fullmatch("kappa_[1-9][0-9]*", rho):
             return "1_2"
         raise ValueError("unknown O(2) irrep %r" % rho)
     if grading is None:

@@ -22,7 +22,9 @@ from itertools import product
 from pathlib import Path
 
 from verlkit.cyclo import CycNumber
-from verlkit.exactla import FGAbelianGroup, IntMatrix
+from verlkit.exactla import (
+    FGAbelianGroup, IntMatrix, cokernel, kernel_basis, smith_with_inverses, solve_int,
+)
 from verlkit.fusion import double_abelian, level1_data, su2_modular_data, verlinde_matrices
 from verlkit.modinv import (
     ade_graph, alpha_induction_abelian, enumerate_invariants, nimrep_from_graph,
@@ -47,8 +49,10 @@ GRADED = [
 INDUCED = ["A1", "A3", "A5", "C3", "C5", "C8", "D4", "D5", "BD4", "BD6", "E6", "E7"]
 INVARIANT_LEVELS = [*range(1, 17), 22]
 NIMREP_GRAPHS = {10: ("A11", "D7", "E6"), 16: ("A17", "D10", "E7"), 28: ("A29", "D16", "E8")}
-TOR_WINDOWS = [12, 24, 30]
+TOR_WINDOWS = [12, 24, 30, 42]
 CYC_SAMPLES = 400
+SMITH_KINDS = ["dense", "sparse", "banded", "monomial"]
+SMITH_SAMPLES = 30
 
 
 def canon(x) -> str:
@@ -129,6 +133,39 @@ def _cyc_samples():
     return out
 
 
+def _smith_matrix(kind, rng):
+    """A seeded integer matrix of one kind, up to 12 x 12, with zero sides among them.
+
+    Banded matrices have their nonzeros on a few diagonals j - i >= 0, like
+    the shift matrices of polynomial multiples.  A monomial matrix (one
+    nonzero per row and column) reaches its diagonal by swaps, so it needs
+    the divisibility fix-up when its magnitudes do not divide in turn.
+    """
+    m, n = rng.randint(0, 12), rng.randint(0, 12)
+    if kind == "monomial":
+        r = min(m, n)
+        vals = [rng.choice([-15, -6, -4, 2, 3, 4, 9, 10]) for _ in range(r)]
+        at = dict(zip(rng.sample(range(m), r), zip(rng.sample(range(n), r), vals)))
+        return IntMatrix(m, n, [at[i][1] if i in at and at[i][0] == j else 0
+                                for i in range(m) for j in range(n)])
+    width = rng.randint(1, 3)
+    density = {"dense": 1, "sparse": 0.2, "banded": 1}[kind]
+    return IntMatrix(m, n, [
+        rng.randint(-9, 9) if rng.random() < density and (kind != "banded" or 0 <= j - i < width)
+        else 0 for i in range(m) for j in range(n)])
+
+
+def _smith_samples(kind):
+    """[M, target in the column span, random target] for seeded matrices of `kind`."""
+    rng = random.Random("smith/" + kind)
+    out = []
+    for _ in range(SMITH_SAMPLES):
+        M = _smith_matrix(kind, rng)
+        x = [rng.randint(-3, 3) for _ in range(M.cols)]
+        out.append([M, M.mul_vec(x), [rng.randint(-9, 9) for _ in range(M.rows)]])
+    return out
+
+
 def su2_data() -> dict:
     """{k: (SU(2)_k modular data, Verlinde ring)} for the covered levels."""
     out = {}
@@ -173,6 +210,12 @@ def results(su2=None):
         for graph in graphs:
             nim = nimrep_from_graph(ade_graph(graph)[0], k)
             yield "nimrep_from_graph/%s@%d" % (graph, k), [nim.exponents, nim.report, nim.matrices]
+    for kind in SMITH_KINDS:
+        samples = _smith_samples(kind)
+        yield "smith_with_inverses/%s" % kind, [smith_with_inverses(M) for M, _, _ in samples]
+        yield "kernel_basis/%s" % kind, [kernel_basis(M) for M, _, _ in samples]
+        yield "cokernel/%s" % kind, [cokernel(M) for M, _, _ in samples]
+        yield "solve_int/%s" % kind, [[solve_int(M, b), solve_int(M, c)] for M, b, c in samples]
     for w in TOR_WINDOWS:
         yield "e6_tor/%d" % w, e6_tor(w)
     yield "cyc_render/%d" % CYC_SAMPLES, _cyc_samples()

@@ -410,6 +410,22 @@ def test_smith_engine_applies_u_and_vinv_to_right_hand_sides():
     assert {(0, 0), (0, 3), (3, 0), (1, 1)} <= shapes
 
 
+@pytest.mark.parametrize("row", [[0, 0, 0], [1, -2, 3]])
+def test_smith_engine_copies_right_hand_sides_with_aliased_rows(row):
+    """Rows of u=B and vinv=C that are one list, as in [[0] * k] * n, act as
+    fresh rows, and the caller's rows are left as they were."""
+    M = IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, -4, -16], [1, 0, 3]])
+    before, B, C = list(row), [row] * M.rows, [row] * M.cols
+    got = _smith_engine(M.to_lists(), M.cols, B, True, True, C)
+    fresh = _smith_engine(M.to_lists(), M.cols, [list(row) for _ in B], True, True,
+                          [list(row) for _ in C])
+    assert got == fresh
+    full = smith_with_inverses(M)
+    assert got[0] == (full[0] * IntMatrix.from_rows(B)).to_lists()
+    assert got[4] == (full[4] * IntMatrix.from_rows(C)).to_lists()
+    assert all(r is row for r in B + C) and row == before
+
+
 def test_smith_engine_rejects_a_right_hand_side_of_the_wrong_height():
     M = IntMatrix.from_rows([[2, 4], [6, 8], [1, 1]])
     with pytest.raises(ValueError, match="needs 3 rows"):

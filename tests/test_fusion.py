@@ -604,6 +604,12 @@ def test_as_permutation_reads_only_permutation_matrices():
     assert fusion._as_permutation(cyclo._key([]), 0) == ()
 
 
+def test_as_permutation_needs_the_ones_in_distinct_columns():
+    # every row holds one 1 and the entries sum to m, but column 1 is empty
+    assert fusion._as_permutation(cyclo._key([[_ONE, _ZERO], [_ONE, _ZERO]]), 2) is None
+    assert fusion._as_permutation(cyclo._key([[_ZERO, _ONE], [_ONE, _ZERO]]), 2) == (1, 0)
+
+
 def test_empty_modular_data_are_accepted():
     md = ModularData((), [], [])
     assert md.labels == md.S == md.T == md.charge_conjugation == ()

@@ -390,6 +390,7 @@ def test_classify_graded_examples():
     assert classify_graded("delta") == "2_1"
     assert classify_graded("1") == "2_1"
     assert classify_graded("kappa_7") == "1_2"
+    assert classify_graded("kappa_1") == classify_graded("kappa_10") == "1_2"
 
 
 def test_graded_folds():
@@ -802,6 +803,11 @@ def _d4_grading():
 PUBLIC_INPUT_ERRORS = {
     "unknown O(2) irrep":
         (lambda: classify_graded("lambda"), ValueError, "unknown O(2) irrep 'lambda'"),
+    # the O(2) irreps past 1 and delta are kappa_i for i >= 1 only
+    "kappa_0": (lambda: classify_graded("kappa_0"), ValueError, "unknown O(2) irrep 'kappa_0'"),
+    "kappa_-3":
+        (lambda: classify_graded("kappa_-3"), ValueError, "unknown O(2) irrep 'kappa_-3'"),
+    "kappa_x": (lambda: classify_graded("kappa_x"), ValueError, "unknown O(2) irrep 'kappa_x'"),
     "no grading":
         (lambda: classify_graded(_d4("t")), ValueError, "a Grading is required for finite groups"),
     "other group": (
