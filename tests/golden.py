@@ -23,9 +23,13 @@ from pathlib import Path
 
 from verlkit.cyclo import CycNumber
 from verlkit.exactla import (
-    FGAbelianGroup, IntMatrix, cokernel, kernel_basis, smith_with_inverses, solve_int,
+    FGAbelianGroup, IntMatrix, cokernel, connecting_solve, kernel_basis, smith_with_inverses,
+    solve_int,
 )
-from verlkit.fusion import double_abelian, level1_data, su2_modular_data, verlinde_matrices
+from verlkit.fusion import (
+    InvalidTwist, double_abelian, double_cyclic_twisted, level1_data, su2_modular_data,
+    verlinde_matrices,
+)
 from verlkit.modinv import (
     ade_graph, alpha_induction_abelian, enumerate_invariants, nimrep_from_graph,
     overgroups_of_diagonal,
@@ -40,6 +44,8 @@ TABLE = Path(__file__).with_name("golden_digests.txt")
 
 LEVELS = range(1, 17)
 DOUBLES = [1, 2, 3, 4, 6, (2, 2), (2, 3), (2, 4), (3, 3)]
+TWISTED_ORDERS = range(1, 9)
+GROUP_DOUBLES = ["A1", "A3", "A5", "C5", "D4", "E6"]
 OVERGROUPS = [2, 4, 6, (2, 2), (2, 4), (3, 3)]
 GROUPS = ["A3", "A5", "D4", "D5", "BD6", "E6", "E7"]
 GRADED = [
@@ -100,6 +106,24 @@ def _outcome(compute, *args):
         return compute(*args)
     except Exception as err:
         return err
+
+
+def _twisted_fusion_groups():
+    """[n, sigma, fusion group] for every valid twisted double of Z_n, n in TWISTED_ORDERS."""
+    out = []
+    for n in TWISTED_ORDERS:
+        for sigma in range(1, n + 1):
+            try:
+                ring = double_cyclic_twisted(n, sigma)
+            except InvalidTwist:
+                continue
+            out.append([n, sigma, ring.fusion_group()])
+    return out
+
+
+def _group_double(name):
+    md, ring = double_abelian(quaternion_group(name))
+    return [_modular(md), _ring(ring)]
 
 
 def _folds(name):
@@ -189,6 +213,10 @@ def results(su2=None):
     for G in DOUBLES:
         md, ring = double_abelian(G)
         yield "double_abelian/%s" % _name(G), [_modular(md), _ring(ring)]
+        yield "fusion_group/double_abelian/%s" % _name(G), ring.fusion_group()
+    yield "fusion_group/double_cyclic_twisted", _twisted_fusion_groups()
+    for name in GROUP_DOUBLES:
+        yield "double_abelian/group/%s" % name, _outcome(_group_double, name)
     for G in OVERGROUPS:
         overgroups = overgroups_of_diagonal(G)
         yield "overgroups_of_diagonal/%s" % _name(G), overgroups
@@ -216,6 +244,8 @@ def results(su2=None):
         yield "kernel_basis/%s" % kind, [kernel_basis(M) for M, _, _ in samples]
         yield "cokernel/%s" % kind, [cokernel(M) for M, _, _ in samples]
         yield "solve_int/%s" % kind, [[solve_int(M, b), solve_int(M, c)] for M, b, c in samples]
+        yield "connecting_solve/%s" % kind, [connecting_solve(M) for M, _, _ in samples]
+        yield "gram/%s" % kind, [M * M.transpose() for M, _, _ in samples]
     for w in TOR_WINDOWS:
         yield "e6_tor/%d" % w, e6_tor(w)
     yield "cyc_render/%d" % CYC_SAMPLES, _cyc_samples()
