@@ -19,14 +19,18 @@ names: none for `rank`, V for `kernel_basis` and for
 ``repring.recognize_affine_ade``, U^-1 and V for `connecting_solve`, all
 four for `smith_with_inverses` and so for `cokernel`.  A reader of U or
 V^-1 applied to a few columns B gets U*B or V^-1*B instead: `solve_int`
-tracks U*target and V, ``polyring.e6_tor`` U*target, U^-1 and V^-1 times
-its d2 columns, then U^-1 or nothing for H1, and reads the cokernel
-generators straight off U^-1's columns.  A pivot row that its pivot
-divides is cleared on V and V^-1 alone.  Every
-group closure is one breadth-first walk, `_closure`, and
-`_cayley_invariants` presents a finite abelian group by the relations of
-its Cayley graph and reads it off the same Smith engine.  Its immutable
-values derive from `cyclo._Frozen`.
+tracks U*target and V, `_cayley_invariants` U times its tree vectors,
+``polyring.e6_tor`` U*target, U^-1 and V^-1 times its d2 columns, then
+U^-1 or nothing for H1, and reads the cokernel generators straight off
+U^-1's columns.  A pivot row that its pivot divides is cleared on V and
+V^-1 alone.  One `_combine` forms every integer row combination: the
+rows of an `IntMatrix` product, ``modinv._charpoly``'s A*M_k and
+`solve_int`'s V*x.  `_closure` finds a group and its Cayley graph, and one
+walk, `_walk`, assigns values along the graph and lists the edges that
+disagree: ``repring`` builds tables, irreps, embeddings and gradings on
+it, and `_cayley_invariants` reads a Smith form off the disagreements.
+`_labels` reads the generator labels of `cokernel` and `connecting_solve`.
+Immutable values derive from `cyclo._Frozen`.
 """
 
 from __future__ import annotations
@@ -127,13 +131,18 @@ class IntMatrix(_Frozen):
         return self.data[i * self.cols + j]
 
     def row(self, i):
+        if not 0 <= i < self.rows:
+            raise IndexError(i)
         return self.data[i * self.cols : (i + 1) * self.cols]
 
     def col(self, j):
-        return tuple(self.data[i * self.cols + j] for i in range(self.rows))
+        if not 0 <= j < self.cols:
+            raise IndexError(j)
+        return self.data[j :: self.cols]
 
     def to_lists(self):
-        return [list(self.row(i)) for i in range(self.rows)]
+        c = self.cols
+        return [list(self.data[i * c : (i + 1) * c]) for i in range(self.rows)]
 
     def __eq__(self, other):
         return (
@@ -156,9 +165,7 @@ class IntMatrix(_Frozen):
         return _matrix(self.rows, self.cols, [a + b for a, b in zip(self.data, other.data)])
 
     def __sub__(self, other):
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        return _matrix(self.rows, self.cols, [a - b for a, b in zip(self.data, other.data)])
+        return self + -other
 
     def __neg__(self):
         return _matrix(self.rows, self.cols, [-a for a in self.data])
@@ -173,18 +180,8 @@ class IntMatrix(_Frozen):
             return _matrix(self.rows, self.cols, [a * other for a in self.data])
         if self.cols != other.rows:
             raise ValueError("inner dimensions mismatch")
-        out = [0] * (self.rows * other.cols)
-        for i in range(self.rows):
-            base = i * self.cols
-            for t in range(self.cols):
-                a = self.data[base + t]
-                if a == 0:
-                    continue
-                obase = t * other.cols
-                rbase = i * other.cols
-                for j in range(other.cols):
-                    out[rbase + j] += a * other.data[obase + j]
-        return _matrix(self.rows, other.cols, out)
+        rows, c = other.to_lists(), other.cols
+        return _matrix(self.rows, c, [x for a in self.to_lists() for x in _combine(a, rows, c)])
 
     __rmul__ = __mul__
 
@@ -195,15 +192,12 @@ class IntMatrix(_Frozen):
     def mul_vec(self, vec):
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        # only the nonzero entries of the vector contribute
-        nz = [(j, v) for j, v in enumerate(vec) if v]
-        data, c = self.data, self.cols
-        return tuple(sum(data[i * c + j] * v for j, v in nz) for i in range(self.rows))
+        return tuple(_combine(vec, map(self.col, range(self.cols)), self.rows))
 
     def hstack(self, other):
         if self.rows != other.rows:
             raise ValueError("row count mismatch")
-        data = [x for i in range(self.rows) for x in self.row(i) + other.row(i)]
+        data = [x for a, b in zip(self.to_lists(), other.to_lists()) for x in a + b]
         return _matrix(self.rows, self.cols + other.cols, data)
 
     def is_zero(self):
@@ -222,6 +216,15 @@ def _matrix(rows: int, cols: int, data) -> IntMatrix:
     M = object.__new__(IntMatrix)
     M._fill(rows, cols, tuple(data))
     return M
+
+
+def _combine(coeffs, rows, width):
+    """The integer row combination sum_t coeffs[t] * rows[t], a list of `width`
+    entries; rows with a zero coefficient are skipped at C speed."""
+    out = [0] * width
+    for c, row in compress(zip(coeffs, rows), coeffs):
+        out = [x + c * y for x, y in zip(out, row)]
+    return out
 
 
 def _add(fwd, inv, dst, src, q):
@@ -378,9 +381,8 @@ def _smith_engine(A, n, u=False, uinv=False, v=False, vinv=False):
                 col_add(i, i + 1, 1)  # block is now [[a, 0], [b, b]]
                 while not _sweep(lambda k: A[k][i], i, i + 2, row_add, row_swap):
                     pass
-                if A[i][i] < 0:
-                    negate(i)
-                # gcd divides the fill-in at (i, i+1) exactly
+                # the sweep's floor divisions of a, b > 0 leave remainders >= 0, so
+                # the gcd lands positive; it divides the fill-in at (i, i+1) exactly
                 col_add(i + 1, i, -(A[i][i + 1] // A[i][i]))
                 if A[i][i + 1]:
                     raise ArithmeticError("Smith fix-up failed at (%d, %d)" % (i, i + 1))
@@ -500,7 +502,40 @@ def _closure(gens, one, mul, cap=512):
         frontier = nxt
         if len(elems) > cap:
             raise RuntimeError("group closure ran away")
-    return elems, index, right
+    return elems, right
+
+
+def _walk(right, start, step):
+    """(vals, clashes): values on all elements from `start` at the identity.
+
+    `right[a][k]` is the index of a*g_k.  Breadth-first from index 0, in the
+    order `_closure` found the elements, the walk sets val(a*g_k) =
+    step(val(a), k) on first arrival and lists each other edge (b, v) whose
+    step v differs from val(b) as a clash; values may be keys, compared as
+    tuples.  An unreached element raises ValueError.  When step(x, k) =
+    x*phi_k and `start` is the identity, a walk without clashes makes val a
+    homomorphism: for b = g_k1...g_kn, induction on n along edges gives
+    val(a*b) = val(a)*phi_k1...phi_kn, and a = 1 shows that product is val(b).
+    """
+    vals = [None] * len(right)
+    vals[0] = start
+    clashes = []
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            va = vals[a]
+            for k, b in enumerate(right[a]):
+                v = step(va, k)
+                if vals[b] is None:
+                    vals[b] = v
+                    nxt.append(b)
+                elif vals[b] != v:
+                    clashes.append((b, v))
+        frontier = nxt
+    if any(v is None for v in vals):
+        raise ValueError("generators do not generate the group")
+    return vals, clashes
 
 
 def _cayley_invariants(mul, n, unit):
@@ -508,34 +543,27 @@ def _cayley_invariants(mul, n, unit):
     product `mul` and identity `unit`; ValueError for any other table.
 
     Generators are picked greedily, each the smallest label not yet reached.
-    Along the breadth-first tree of the Cayley graph each element a gets a
-    vector vec(a) in Z^r, and each other edge a*g_k = b the relation
-    vec(a) + e_k - vec(b).  In an abelian group these span the kernel L of
-    Z^r -> G (Schreier's lemma; Holt, Eick and O'Brien, Handbook of
-    Computational Group Theory, 2005), and the Smith form U R V = D of the
-    relation columns reads off Z^r/L.  Certificate: `unit` is an identity
-    and a -> U vec(a) mod D is additive on all n^2 products, so it is a
-    bijection onto Z^r/L and an isomorphism that proves the table a group.
+    A `_walk` of the Cayley graph with step vec(a) + e_k gives each element
+    a a tree vector vec(a) in Z^r, and each clash a*g_k = b the relation
+    vec(a) + e_k - vec(b) (the other edges give 0).  In an abelian group
+    these span the kernel L of Z^r -> G (Schreier's lemma; Holt, Eick and
+    O'Brien, Handbook of Computational Group Theory, 2005), and the Smith
+    form U R V = D of the relation columns reads off Z^r/L; the engine
+    applies U to the tree vectors as it goes.  Certificate: `unit` is an
+    identity and a -> U vec(a) mod D is additive on all n^2 products, so it
+    is a bijection onto Z^r/L and an isomorphism that proves the table a group.
     """
     if any(mul(unit, x) != x for x in range(n)):
         raise ValueError("label %d is not an identity" % unit)
     gens = []
-    elems, _, right = _closure(gens, unit, mul, n)
+    elems, right = _closure(gens, unit, mul, n)
     while len(elems) < n:
         gens.append(min(set(range(n)).difference(elems)))
-        elems, _, right = _closure(gens, unit, mul, n)
+        elems, right = _closure(gens, unit, mul, n)
     r = len(gens)
-    vec = [(0,) * r] + [None] * (n - 1)
-    relations = []
-    for a, edges in enumerate(right):
-        for k, b in enumerate(edges):
-            step = vec[a][:k] + (vec[a][k] + 1,) + vec[a][k + 1:]
-            if vec[b] is None:
-                vec[b] = step
-            else:
-                relations.append([s - t for s, t in zip(step, vec[b])])
-    R = [[rel[i] for rel in relations] for i in range(r)]
-    U, _, D, _, _ = _smith_engine(R, len(relations), u=True)
+    vec, clashes = _walk(right, (0,) * r, lambda v, k: v[:k] + (v[k] + 1,) + v[k + 1:])
+    R = [[v[i] - vec[b][i] for b, v in clashes] for i in range(r)]
+    Uvec, _, D, _, _ = _smith_engine(R, len(clashes), u=[list(x) for x in zip(*vec)])
     diag = _factors(D, r)
     keep = [i for i in range(r) if diag[i] != 1]
     # the powers of g_k run into a cycle, whose edges add up to a multiple of
@@ -544,9 +572,8 @@ def _cayley_invariants(mul, n, unit):
     # a point of Z^r/L as one integer, with a spare bit per factor so that
     # the sum of two codes never carries from one factor into the next
     stride = [prod(2 * d for d in torsion[:i]) for i in range(len(torsion) + 1)]
-    code = [None] * n
-    for a, v in zip(elems, vec):
-        y = [sum(x * e for x, e in zip(row, v)) for row in U]
+    code = [0] * n
+    for a, y in zip(elems, zip(*Uvec)):
         code[a] = sum(y[i] % diag[i] * s for i, s in zip(keep, stride))
     at_sum = [None] * stride[-1]
     for a in range(n):
@@ -647,16 +674,21 @@ class PresentedModule(_Frozen):
         self._fill(generator_labels, relations)
 
 
+def _labels(labels, count, prefix, side):
+    """`labels` as a list, prefix0, prefix1, ... by default; `count` of them, or ValueError."""
+    labels = ["%s%d" % (prefix, i) for i in range(count)] if labels is None else list(labels)
+    if len(labels) != count:
+        raise ValueError("need one label per %s generator" % side)
+    return labels
+
+
 def cokernel(M: IntMatrix, labels=None) -> FGAbelianGroup:
     """Cokernel Z^rows / im(M), with generator labels carried through U^-1.
 
     >>> cokernel(IntMatrix.from_rows([[1, 0], [0, 2], [0, 0]])).describe()
     'Z/2 + Z'
     """
-    if labels is None:
-        labels = ["g%d" % i for i in range(M.rows)]
-    if len(labels) != M.rows:
-        raise ValueError("need one label per codomain generator")
+    labels = _labels(labels, M.rows, "g", "codomain")
     # the public factorization, so that a tracer of public entry points sees this SNF
     _, Uinv, D, _, _ = smith_with_inverses(M)
     return _cokernel_of(_factors(D.to_lists(), M.rows), Uinv.transpose().to_lists(), labels)
@@ -696,21 +728,21 @@ def connecting_solve(beta: IntMatrix, domain_labels=None, codomain_labels=None):
     labels are combinations of the domain labels (the kernel basis), `coker`
     an FGAbelianGroup over the codomain labels.  This is the one-shot solver
     for an exact-sequence step whose remaining corners vanish or are known.
+    Labels default to x0, x1, ... and y0, y1, ...; a list of the wrong
+    length raises ValueError.
 
     >>> k, c = connecting_solve(IntMatrix.from_rows([[1, 1], [1, -1]]))
     >>> k.describe(), c.describe()
     ('0', 'Z/2')
     """
-    if domain_labels is None:
-        domain_labels = ["x%d" % j for j in range(beta.cols)]
-    if codomain_labels is None:
-        codomain_labels = ["y%d" % i for i in range(beta.rows)]
+    domain_labels = _labels(domain_labels, beta.cols, "x", "domain")
+    codomain_labels = _labels(codomain_labels, beta.rows, "y", "codomain")
     _, Uinv, D, V, _ = _smith_engine(beta.to_lists(), beta.cols, uinv=True, v=True)
     ker_labels = tuple(
         _format_combo(V[j], domain_labels) for j in _free_columns(D, beta.cols)
     )
     ker = FGAbelianGroup(len(ker_labels), (), ker_labels)
-    return ker, _cokernel_of(_factors(D, beta.rows), Uinv, list(codomain_labels))
+    return ker, _cokernel_of(_factors(D, beta.rows), Uinv, codomain_labels)
 
 
 def solve_int(M: IntMatrix, target) -> "tuple | None":
@@ -723,5 +755,4 @@ def solve_int(M: IntMatrix, target) -> "tuple | None":
     n, column = M.cols, IntMatrix(M.rows, 1, target).to_lists()
     Ub, _, D, V, _ = _smith_engine(M.to_lists(), n, u=column, v=True)
     x_d = _diagonal_solve(D, n, [y for y, in Ub])
-    return None if x_d is None else tuple(
-        sum(x * col[i] for x, col in zip(x_d, V) if x) for i in range(n))
+    return None if x_d is None else tuple(_combine(x_d, V, n))

@@ -265,10 +265,14 @@ class FusionRing(_Frozen):
     def matrix(self, lam: int) -> IntMatrix:
         """Fusion matrix (N_lam)_{mu nu} = N_{lam mu}^nu."""
         m = len(self.labels)
+        if not 0 <= lam < m:
+            raise IndexError("label index %r out of range" % (lam,))
         return IntMatrix.from_rows(_dense_row(r, m) for r in self._rules[lam])
 
     def product(self, lam: int, mu: int) -> dict:
         """Decomposition of lam x mu as {nu: multiplicity}, zeros omitted."""
+        if not (0 <= lam < len(self.labels) and 0 <= mu < len(self.labels)):
+            raise IndexError("label indices %r out of range" % ((lam, mu),))
         return dict(self._rules[lam][mu])
 
     def check_associativity(self) -> None:

@@ -44,7 +44,7 @@ from math import gcd, prod
 from .cyclo import (
     CycNumber, _Frozen, _key, _pack, _poly_divexact, _real_cyclotomic_poly, _real_enclosure, _width,
 )
-from .exactla import IntMatrix, SelfCheckFailure, _closure, _row_hermite, kernel_basis
+from .exactla import IntMatrix, SelfCheckFailure, _closure, _combine, _row_hermite, kernel_basis
 from .fusion import (
     _cyclic_orders, _elt_add, _fusion_failure, _pairing, _tuples, su2_fusion_truncated,
     su2_modular_data,
@@ -544,20 +544,17 @@ def ade_graph(name: str):
 def _charpoly(grid):
     """Coefficients c_0..c_n of det(xI - A), low to high, exact integers.
 
-    Faddeev-LeVerrier on the sparse rows of A: M_1 = I,
-    c_(n-k) = -tr(A M_k) / k and M_(k+1) = A M_k + c_(n-k) I, so each step
-    costs nnz(A) row additions.  Every trace must divide exactly, and
-    M_(n+1) = 0 is the Cayley-Hamilton check on the result.
+    Faddeev-LeVerrier: M_1 = I, c_(n-k) = -tr(A M_k) / k and
+    M_(k+1) = A M_k + c_(n-k) I, each row of A M_k one `exactla._combine` of
+    the rows of M_k, which skips the zeros of A: a step costs nnz(A) row
+    additions.  Every trace must divide exactly, and M_(n+1) = 0 is the
+    Cayley-Hamilton check on the result.
     """
     n = len(grid)
-    sparse = [[(j, a) for j, a in enumerate(row) if a] for row in grid]
     coeffs = [0] * n + [1]
     M = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        AM = [[0] * n for _ in range(n)]
-        for out, row in zip(AM, sparse):
-            for j, a in row:
-                out[:] = [x + a * y for x, y in zip(out, M[j])]
+        AM = [_combine(row, M, n) for row in grid]
         t = sum(AM[i][i] for i in range(n))
         if t % k:
             raise SelfCheckFailure("Faddeev-LeVerrier trace %d is not divisible by %d" % (t, k))

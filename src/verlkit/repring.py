@@ -4,9 +4,9 @@ Groups are lists of explicit unit quaternions closed under multiplication,
 with their Cayley graph (right multiplication by each generator) computed
 once.  Multiplication tables, irreducible representations (hardcoded
 generator matrices over small cyclotomic fields), embeddings and gradings
-(signs +-1 on the generators) are values assigned along a walk of that
-graph; a failed check on any edge means the generator images do not
-define a homomorphism, so construction aborts or, for a sign tuple, no
+(signs +-1 on the generators) are values assigned along one walk of that
+graph, `exactla._walk`; a clash on any edge means the generator images do
+not define a homomorphism, so construction aborts or, for a sign tuple, no
 grading exists.  Each walk multiplies by generator values prepared once
 (`cyclo._times`); closures and irreps walk on keys (`cyclo._key`), whose
 edge check is key equality, and irreps keep the keys.  A character table
@@ -52,7 +52,7 @@ from .cyclo import (
     CycNumber, _coerce, _format_combo, _Frozen, _key, _key_ints, _key_trace, _times, _unkey,
     cos_frac, rational, sin_frac, sqrt_int, zeta,
 )
-from .exactla import IntMatrix, SelfCheckFailure, _closure, _free_columns, _smith_engine
+from .exactla import IntMatrix, SelfCheckFailure, _closure, _free_columns, _smith_engine, _walk
 
 __all__ = [
     "Quaternion",
@@ -189,41 +189,10 @@ def _quaternion_closure(gens, order):
     by generator index (equal generators stay apart), checked to have `order` elements."""
     steps = [_right_times(g).step for g in gens]
     L = lcm(*(c.order for g in gens for c in (g.w, g.x, g.y, g.z)))
-    keys, _, right = _closure(range(len(gens)), _key([[1, 0, 0, 0]], L), lambda v, k: steps[k](v))
+    keys, right = _closure(range(len(gens)), _key([[1, 0, 0, 0]], L), lambda v, k: steps[k](v))
     if len(keys) != order:
         raise SelfCheckFailure("closure has %d elements, expected %d" % (len(keys), order))
     return [Quaternion(*_unkey(key, 4)[0]) for key in keys], right
-
-
-def _walk(right, start, step):
-    """Values on all elements from `start` at the identity, or None.
-
-    `right[a][k]` is the index of a*g_k.  Breadth-first from index 0, the
-    walk sets val(a*g_k) = step(val(a), k) on first arrival and returns None
-    if that equation fails on any other edge; values may be keys, compared
-    as tuples.  When step(x, k) = x*phi_k and `start` is the identity,
-    passing every edge makes val a homomorphism: for b = g_k1...g_kn,
-    induction on n along edges gives val(a*b) = val(a)*phi_k1...phi_kn, and
-    a = 1 shows that product is val(b): no multiplicativity sweep is needed.
-    """
-    vals = [None] * len(right)
-    vals[0] = start
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            va = vals[a]
-            for k, b in enumerate(right[a]):
-                v = step(va, k)
-                if vals[b] is None:
-                    vals[b] = v
-                    nxt.append(b)
-                elif vals[b] != v:
-                    return None
-        frontier = nxt
-    if any(v is None for v in vals):
-        raise ValueError("generators do not generate the group")
-    return vals
 
 
 # -- matrix helpers over CycNumber ------------------------------------------------
@@ -267,11 +236,9 @@ def _extend_irrep(group, gen_mats, label):
     steps = [_times(B).step for B in gen_mats]
     L = lcm(*(e.order for B in gen_mats for row in B for e in row))
     eye = _key([[int(r == c) for c in range(dim)] for r in range(dim)], L)
-    keys = _walk(group._right, eye, lambda key, k: steps[k](key))
-    if keys is None:
-        raise SelfCheckFailure(
-            "generator matrices for %r are not a homomorphism" % label
-        )
+    keys, clashes = _walk(group._right, eye, lambda key, k: steps[k](key))
+    if clashes:
+        raise SelfCheckFailure("generator matrices for %r are not a homomorphism" % label)
     return Irrep(label, dim, None, tuple(keys))
 
 
@@ -298,8 +265,8 @@ class QuaternionGroup:
         # column b of the multiplication table lists a*b for every a; a*(b*g_k)
         # is one Cayley-graph step from a*b, and b's inverse is where b's column holds 0
         try:
-            tab = _walk(r, list(range(self.order)), lambda c, k: [r[x][k] for x in c])
-            inverse = tab and [col.index(0) for col in tab]
+            tab, clashes = _walk(r, list(range(self.order)), lambda c, k: [r[x][k] for x in c])
+            inverse = not clashes and [col.index(0) for col in tab]
         except ValueError:  # a generator reaches too little, or a column has no 0
             inverse = None
         if not inverse:
@@ -683,8 +650,8 @@ class Embedding(_Frozen):
 def _embedding_from_generators(sub, sup, gen_images):
     """Extend generator images along sub's Cayley graph; verify injectivity."""
     img_idx = [sup.index[q] for q in gen_images]
-    imgs = _walk(sub._right, 0, lambda x, k: sup.mul(x, img_idx[k]))
-    if imgs is None:
+    imgs, clashes = _walk(sub._right, 0, lambda x, k: sup.mul(x, img_idx[k]))
+    if clashes:
         raise NotASubgroup("generator images do not define a homomorphism")
     if len(set(imgs)) != sub.order:
         raise NotASubgroup("generator images are not injective")
@@ -808,8 +775,8 @@ def gradings(G: QuaternionGroup):
     for signs in product((1, -1), repeat=len(G.generators)):
         if -1 not in signs:
             continue
-        vals = _walk(G._right, 1, lambda v, k: v * signs[k])
-        if vals is None:
+        vals, clashes = _walk(G._right, 1, lambda v, k: v * signs[k])
+        if clashes:
             continue
         try:
             ct = character_table(G)
@@ -889,7 +856,7 @@ def _kernel_group(G: QuaternionGroup, grading: Grading):
             )
         b = next(x for x in kernel if x not in cycles[a])
         name, gens, specs = "BD%d" % (m // 4), [a, b], _binary_dihedral_specs(m // 4)
-    powers, _, right = _closure(gens, 0, G.mul)
+    powers, right = _closure(gens, 0, G.mul)
     closure = [G.elements[p] for p in powers]
     K = QuaternionGroup(name, closure, None, specs, [G.elements[x] for x in gens], right)
     return K, tuple(powers)

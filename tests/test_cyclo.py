@@ -840,3 +840,30 @@ def test_key_step_matches_entrywise_products():
             want = _mat_mul_reference(A, B)
             assert got == _key(want, got[0])
             assert _unkey(got, p) == want
+
+
+# --- input checks and reflected operators ---------------------------------------
+
+
+@pytest.mark.parametrize("make, exc, msg", [
+    (lambda: CycNumber(0, []), ValueError, "order must be positive"),
+    (lambda: CycNumber(2, [1, 2, 3]), ValueError, "coefficient vector longer than order"),
+    (lambda: CycNumber(3, [0.5]), TypeError, "coefficients must be int or Fraction"),
+    (lambda: zeta(4).as_fraction(), ValueError, "not rational: z(4)^1"),
+    (lambda: rational(Fraction(1, 2)).as_int(), ValueError, "not an integer: 1/2"),
+    (lambda: zeta(4).galois(2), ValueError, "galois exponent must be coprime to the order"),
+    (lambda: zeta(4) + "x", TypeError, "cannot coerce 'x' to CycNumber"),
+    (lambda: sqrt_int(-1), ValueError, "nonnegative integers only"),
+    (lambda: cyc_arith(zeta(3), zeta(4), "pow"), ValueError, "unknown op 'pow'"),
+])
+def test_cyclotomic_input_checks(make, exc, msg):
+    with pytest.raises(exc) as err:
+        make()
+    assert err.value.args[0] == msg
+
+
+def test_reflected_operators_and_foreign_equality():
+    assert 1 - zeta(4) == rational(1) - zeta(4) and (1 - zeta(4)).render() == "1 - z(4)^1"
+    assert 1 / zeta(4) == zeta(4, 3) == -zeta(4)
+    assert Fraction(1, 2) / zeta(3) == zeta(3, 2) / 2
+    assert (zeta(4) == "z(4)") is False and zeta(4) != "z(4)"

@@ -515,7 +515,7 @@ def test_row_hermite_matches_the_modinv_reduction():
 
 def test_closure_cap():
     step = lambda a, g: (a + g) % 600
-    elems, index, right = _closure([1], 0, step, cap=600)
+    elems, right = _closure([1], 0, step, cap=600)
     assert elems == list(range(600)) and right[599] == [0]
     with pytest.raises(RuntimeError, match="ran away"):
         _closure([1], 0, step)
@@ -627,3 +627,77 @@ def test_fg_abelian_group_input_errors_are_named(case):
     with pytest.raises(kind) as err:
         call()
     assert type(err.value) is kind and str(err.value) == message
+
+
+# --- input checks, bounds and reprs ------------------------------------------------
+
+
+@pytest.mark.parametrize("make, msg", [
+    (lambda: IntMatrix(-1, 0, []), "matrix dimensions must be nonnegative"),
+    (lambda: IntMatrix(2, 2, [1, 2, 3]), "expected 4 entries, got 3"),
+    (lambda: IntMatrix.from_rows([[1, 2], [3]]), "ragged rows"),
+    (lambda: IntMatrix.from_cols([[1, 2], [3]]), "ragged columns"),
+    (lambda: IntMatrix.identity(2) + IntMatrix.zero(2, 3), "shape mismatch"),
+    (lambda: IntMatrix.identity(2) - IntMatrix.zero(3, 2), "shape mismatch"),
+    (lambda: IntMatrix.identity(2) * IntMatrix.zero(3, 2), "inner dimensions mismatch"),
+    (lambda: IntMatrix.identity(2).mul_vec([1]), "vector length mismatch"),
+    (lambda: IntMatrix.identity(2).hstack(IntMatrix.zero(3, 1)), "row count mismatch"),
+    (lambda: PresentedModule(["g"], IntMatrix.zero(2, 1)),
+     "relations.rows must equal the number of generators"),
+    (lambda: solve_int(IntMatrix.identity(2), [1]), "target length mismatch"),
+    (lambda: cokernel(IntMatrix.identity(2), ["a"]), "need one label per codomain generator"),
+    (lambda: connecting_solve(IntMatrix.zero(2, 3), ["x"], ["y", "z"]),
+     "need one label per domain generator"),
+    (lambda: connecting_solve(IntMatrix.zero(2, 3), ["a", "b", "c"], ["y"]),
+     "need one label per codomain generator"),
+])
+def test_matrix_input_checks(make, msg):
+    with pytest.raises(ValueError) as err:
+        make()
+    assert err.value.args[0] == msg
+
+
+def test_connecting_solve_labels_are_read_like_cokernel_labels():
+    beta = IntMatrix.from_rows([[2, 0, 0], [0, 0, 0]])
+    ker, coker = connecting_solve(beta, ("a", "b", "c"), iter(["u", "v"]))
+    assert ker.generators == ("b", "c") and coker.generators == ("u", "v")
+    assert coker == cokernel(beta, ["u", "v"])
+    assert connecting_solve(beta)[0].generators == ("x1", "x2")
+
+
+def test_entry_row_and_column_reads_stay_inside_the_matrix():
+    M = IntMatrix.from_rows([[1, 2], [3, 4]])
+    assert (M.row(1), M.col(1), M.col(0)) == ((3, 4), (2, 4), (1, 3))
+    for read, idx in [(M.row, 2), (M.row, -1), (M.col, 2), (M.col, -1)]:
+        with pytest.raises(IndexError):
+            read(idx)
+    for idx in [(2, 0), (0, -1)]:
+        with pytest.raises(IndexError):
+            M[idx]
+    with pytest.raises(IndexError):
+        IntMatrix.zero(3, 0).col(0)
+
+
+def test_matrix_product_matches_a_naive_triple_loop():
+    rng = random.Random(35)
+    for _ in range(60):
+        m, k, n = rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 5)
+        A = [[rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(k)] for _ in range(m)]
+        B = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(k)]
+        want = [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(n)] for i in range(m)]
+        MA, MB = IntMatrix(m, k, sum(A, [])), IntMatrix(k, n, sum(B, []))
+        assert (MA * MB).to_lists() == want
+        assert (MA - MA).is_zero() and MA - 2 * MA == -MA
+
+
+def test_matrix_and_group_reprs_and_helpers():
+    M = IntMatrix.from_rows([[1, 0], [0, 2]])
+    assert repr(M) == "IntMatrix(2, 2, [1, 0, 0, 2])"
+    assert M.hstack(IntMatrix.from_rows([[5], [6]])) == IntMatrix.from_rows([[1, 0, 5], [0, 2, 6]])
+    assert M.hstack(IntMatrix.zero(2, 0)) == M
+    assert IntMatrix.zero(2, 3).is_zero() and not M.is_zero()
+    G = FGAbelianGroup(1, (2,))
+    assert G.order() is None and FGAbelianGroup(0, (2, 4)).order() == 8
+    assert repr(G) == "FGAbelianGroup('Z/2 + Z')"
+    back = FGAbelianGroup.from_json(G.to_json())
+    assert back == G and back.generators == G.generators == ("t0", "f0")

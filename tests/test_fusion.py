@@ -926,3 +926,42 @@ def test_fusion_ring_input_errors_are_named(case):
     with pytest.raises(kind) as err:
         call()
     assert type(err.value) is kind and str(err.value) == message
+
+
+# --- input checks, label bounds and reprs --------------------------------------------
+
+
+@pytest.mark.parametrize("make, exc, msg", [
+    (lambda: fusion.su2_modular_data(0), ValueError, "level must be >= 1"),
+    (lambda: fusion.su2_fusion_truncated(0), ValueError, "level must be >= 1"),
+    (lambda: double_abelian(()), ValueError, "cyclic orders must be >= 1"),
+    (lambda: double_abelian(0), ValueError, "cyclic orders must be >= 1"),
+    (lambda: double_abelian("Z4"), TypeError,
+     "expected an int, a tuple of ints, or a finite group"),
+    (lambda: fusion.su2_fusion_truncated(2).fusion_group(), ValueError,
+     "fusion ring is not group-like"),
+    (lambda: ModularData(["a", "b"], [[1]], [1, 1]), ValueError,
+     "S must be square over the labels, T its diagonal"),
+])
+def test_fusion_input_checks(make, exc, msg):
+    with pytest.raises(exc) as err:
+        make()
+    assert err.value.args[0] == msg
+
+
+def test_fusion_ring_reads_refuse_labels_outside_the_ring():
+    ring = fusion.su2_fusion_truncated(2)
+    assert ring.product(1, 1) == {0: 1, 2: 1} and ring.product(2, 2) == {0: 1}
+    assert ring.matrix(2) == IntMatrix.from_rows([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+    for lam, mu in [(-1, 0), (0, -1), (3, 0), (0, 3)]:
+        with pytest.raises(IndexError):
+            ring.product(lam, mu)
+    for lam in (-1, 3):
+        with pytest.raises(IndexError):
+            ring.matrix(lam)
+
+
+def test_modular_data_and_ring_reprs(su2):
+    md, ring = su2[2]
+    assert repr(md) == "ModularData(3 primaries)" and repr(ring) == "FusionRing(3 labels)"
+    assert (ring == 3) is False and ring != "ring"

@@ -20,7 +20,8 @@ past `_Frozen` only into a lazy slot, no module but `exactla` names the
 unchecked IntMatrix constructor `_matrix`, every module states its
 public names in a literal __all__ that lists every public top-level
 function and class it defines and names nothing it neither defines nor
-imports, and each __all__ and every public signature match a snapshot."""
+imports, each __all__ and every public signature match a snapshot, and
+every console script `pyproject.toml` declares imports and is callable."""
 
 import ast
 import importlib
@@ -28,6 +29,7 @@ import inspect
 import os
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -567,3 +569,15 @@ def test_public_contract_matches_the_snapshot():
     modules = [importlib.import_module("verlkit." + name) for name in PUBLIC_NAMES]
     assert {m.__name__.split(".")[-1]: tuple(m.__all__) for m in modules} == PUBLIC_NAMES
     assert [line for m in modules for line in _public_signatures(m)] == PUBLIC_SIGNATURES
+
+
+def test_console_scripts_import_and_are_callable():
+    # an installed script whose target does not import fails at its first run
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text()).get("project", {}).get("scripts", {})
+    for name, target in scripts.items():
+        module, _, attr = target.partition(":")
+        obj = importlib.import_module(module)
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), name

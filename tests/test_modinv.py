@@ -1021,3 +1021,40 @@ def test_modinv_input_errors_are_named(case):
     with pytest.raises(kind) as err:
         call()
     assert type(err.value) is kind and str(err.value) == message
+
+
+# --- input checks and reprs ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("make, msg", [
+    (lambda: embed_invariant([[1, 0]], su2_modular_data(2), su2_modular_data(2)),
+     "branching shape does not match the two data"),
+    (lambda: ade_graph("A0"), "A_n needs n >= 1"),
+    (lambda: ade_graph("E9"), "E_n exists for n in {6, 7, 8}"),
+    (lambda: permutation_orbifold_count(3, 2, [(0, 1), (0, 1)]), "group elements must be distinct"),
+])
+def test_modinv_input_checks(make, msg):
+    with pytest.raises(ValueError) as err:
+        make()
+    assert err.value.args[0] == msg
+
+
+def test_modinv_values_render_and_compare():
+    md = su2_modular_data(2)
+    eye = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert repr(check_invariant(eye, md)) == "CheckReport(pass)"
+    bad = check_invariant([[1, 1, 0], [1, 1, 0], [0, 0, 1]], md)
+    assert repr(bad) == "CheckReport(fail: commutes_with_s, commutes_with_t)"
+    Z = ModularInvariant(eye, md)
+    assert (Z.size, repr(Z)) == (3, "ModularInvariant(3x3, trace 3)")
+    assert (Z == eye) is False and Z != 3
+    assert repr(BranchingRule([[1, 0, 1], [0, 1, 0]])) == "BranchingRule(2x3)"
+    nim = nimrep_from_graph(ade_graph("A3")[0], 2)
+    assert repr(nim) == "Nimrep(level 2, 3 nodes, exponents [0, 1, 2])"
+
+
+def test_plain_integers_label_a_single_cyclic_factor():
+    by_int = alpha_induction_abelian(4, [(a, (a + d) % 4) for a in range(4) for d in (0, 2)])
+    by_tuple = alpha_induction_abelian(
+        4, [((a,), ((a + d) % 4,)) for a in range(4) for d in (0, 2)])
+    assert by_int == by_tuple

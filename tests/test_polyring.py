@@ -468,3 +468,33 @@ def test_polyring_input_errors_are_named(case):
     with pytest.raises(kind) as err:
         call()
     assert type(err.value) is kind and str(err.value) == message
+
+
+# --- input checks -------------------------------------------------------------------
+
+
+_A = LaurentPoly.var("a")
+_AB = LaurentPoly.var("a", ("a", "b"))
+
+
+@pytest.mark.parametrize("make, msg", [
+    (lambda: _A + LaurentPoly.var("b", ("b",)), "mixed polynomial rings"),
+    (lambda: (_A + 1) ** -1, "only monomials have Laurent inverses"),
+    (lambda: (2 * _A) ** -1, "only unit monomials have Laurent inverses"),
+    (lambda: LaurentPoly.const(0).support_bounds(), "zero polynomial has no support"),
+    (lambda: _AB.degree(), "degree is for one-variable polynomials"),
+    (lambda: LaurentPoly.const(0).degree(), "zero polynomial"),
+    (lambda: (_A ** -1 + _A).degree(), "Laurent polynomial has no degree"),
+    (lambda: coprime_certificate(LaurentPoly.const(0), _A), "nonzero polynomials required"),
+    (lambda: coprime_certificate(_AB, _AB + 1), "one-variable polynomials required"),
+])
+def test_polynomial_input_checks(make, msg):
+    with pytest.raises(ValueError) as err:
+        make()
+    assert err.value.args[0] == msg
+
+
+def test_integer_equality_and_empty_columns():
+    assert LaurentPoly.const(3) == 3 and _A != 3
+    assert (_A == "a") is False and _A != "a"
+    assert matrix_from_columns(["a", "b"], []) == IntMatrix.zero(2, 0)

@@ -675,7 +675,8 @@ def test_keyed_closure_matches_the_quaternion_closure(name):
     G = quaternion_group(name)
     elems, right = repring._quaternion_closure(G.generators, G.order)
     want = repring._closure(G.generators, repring._quat(1, 0, 0, 0), Quaternion.__mul__)
-    assert (elems, G.index, right) == want
+    assert (elems, right) == want
+    assert G.index == {q: i for i, q in enumerate(want[0])}
 
 
 @pytest.mark.parametrize("name", BUILT)
@@ -725,7 +726,9 @@ def test_irreps_and_characters_are_the_walk_unkeyed(name):
         steps = [cyclo._times(B).step for B in mats]
         L = lcm(*(e.order for B in mats for row in B for e in row))
         eye = cyclo._key([[int(i == j) for j in range(r.dim)] for i in range(r.dim)], L)
-        want = [cyclo._unkey(k, r.dim) for k in repring._walk(G._right, eye, lambda k, g: steps[g](k))]
+        keys, clashes = repring._walk(G._right, eye, lambda k, g: steps[g](k))
+        assert clashes == []
+        want = [cyclo._unkey(k, r.dim) for k in keys]
         assert r.label == label and len(r.matrices) == G.order
         assert [[list(map(_canon, row)) for row in M] for M in r.matrices] == [
             [list(map(_canon, row)) for row in M] for M in want
@@ -846,3 +849,45 @@ DEGENERATE_ORDERS = {
 def test_degenerate_orders_name_themselves(build):
     with pytest.raises(ValueError, match="order must be positive"):
         build()
+
+
+# --- input checks and reprs ---------------------------------------------------------
+
+
+def test_group_input_checks():
+    G = quaternion_group("A3")
+    label = G.irrep_labels()[0]
+    for make, exc, msg in [
+        (lambda: irrep_vr(G, "x"), KeyError, "no irrep 'x' in A3"),
+        (lambda: quaternion_group("A2"), ValueError,
+         "A2 is even; cyclic subgroups here are A(odd) = C(odd+1)"),
+        (lambda: quaternion_group("F4"), ValueError, "unknown group 'F4'"),
+        (lambda: restrict(irrep_vr(G, label), embedding("A1", "D4")), GroupMismatch,
+         "rho does not live in the embedding's supergroup"),
+        (lambda: induce(irrep_vr(G, label), embedding("A1", "D4")), GroupMismatch,
+         "rho does not live in the embedding's subgroup"),
+    ]:
+        with pytest.raises(exc) as err:
+            make()
+        assert err.value.args[0] == msg
+
+
+def test_group_values_render_and_compare():
+    G = quaternion_group("A3")
+    assert repr(G) == "QuaternionGroup(A3, order 4)"
+    assert G.irrep_labels() == character_table(G).labels
+    i = G.elements[1]
+    assert repr(i) == "Quaternion(0, 1, 0, 0)" and (i == 1) is False and i != "i"
+    assert i.su2_matrix() == ((cyclo.zeta(4), 0), (0, -cyclo.zeta(4)))
+    rho = irrep_vr(G, G.irrep_labels()[0])
+    assert (rho == 1) is False and rho != "rho"
+    assert embedding("A1", "A3").image_set() == frozenset({0, 2})
+    assert [repr(gr) for gr in gradings(G)] == ["Grading(A3, kernel order 2, psi=r'_-1)"]
+
+
+def test_gradings_of_a_group_without_irrep_tables_name_no_psi():
+    G = quaternion_group("A3")
+    plain = QuaternionGroup("plain", G.elements, None, None, G.generators)
+    assert [(gr.kernel, gr.psi_label) for gr in gradings(plain)] == [
+        (gr.kernel, None) for gr in gradings(G)
+    ]
